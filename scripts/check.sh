@@ -72,6 +72,16 @@ if [[ -x "$batch_bin" ]]; then
     --substrate race:tableau,bounded,symbolic \
     "$repo_root/examples/specs" > "$build_dir/batch-smoke-race.txt"
   diff "$build_dir/batch-smoke-plain.txt" "$build_dir/batch-smoke-race.txt"
+  # Substrate smoke: every spec, auto included, resolves through the
+  # substrate registry. A solo symbolic run never abstains on Table I, so
+  # its canonical report must be byte-identical to the default's (an
+  # abstaining solo tableau may differ, but only by that abstention).
+  echo "speccc_batch substrate smoke (Table I canonical diff, symbolic vs default)"
+  "$batch_bin" --jobs "$batch_jobs" --quiet --canonical --corpus table1 \
+    > "$build_dir/batch-smoke-t1-default.txt"
+  "$batch_bin" --jobs "$batch_jobs" --quiet --canonical --corpus table1 \
+    --substrate symbolic > "$build_dir/batch-smoke-t1-symbolic.txt"
+  diff "$build_dir/batch-smoke-t1-default.txt" "$build_dir/batch-smoke-t1-symbolic.txt"
   # Diagnosis smoke 1: over an all-consistent corpus, --diagnose must not
   # change a byte of the canonical report (MCS enumeration only triggers
   # on genuinely inconsistent specs; batch/batch.hpp's input-purity rule).

@@ -216,7 +216,7 @@ TaskResult TaskRunner::run(const SpecTask& task, const RunLimits& limits) {
     result.translation_seconds = pipeline_result.translation_seconds;
     result.synthesis_seconds = pipeline_result.synthesis_seconds;
     result.refinement_seconds = pipeline_result.refinement_seconds;
-    if (pipeline_result.synthesis.engine_used == synth::Engine::kSymbolic) {
+    if (pipeline_result.synthesis.substrate_used == "symbolic") {
       result.bdd = pipeline_result.synthesis.bdd_stats;
     }
     result.substrate = pipeline_result.synthesis.substrate_used;

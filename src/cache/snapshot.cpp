@@ -36,15 +36,6 @@ namespace {
 
 constexpr char kMagic[8] = {'S', 'P', 'C', 'C', 'S', 'N', 'P', '1'};
 
-// Artifact-kind tags (fixed, part of the format).
-enum : std::uint8_t {
-  kTagSentence = 1,
-  kTagSatisfiable = 2,
-  kTagSynthesis = 3,
-  kTagRefinement = 4,
-  kTagAbstraction = 5,
-};
-
 // ---- Little-endian writer ---------------------------------------------------
 
 class Writer {
@@ -135,6 +126,9 @@ class Reader {
 };
 
 // ---- Value codecs -----------------------------------------------------------
+//
+// One write_value/read_value overload pair per value type of the kind
+// table (cache/store.hpp); the rest of the file dispatches on ValueOf<K>.
 
 template <typename T, typename Fn>
 void write_vec(Writer& w, const std::vector<T>& v, Fn item) {
@@ -232,7 +226,11 @@ nlp::ClauseGroup read_group(Reader& r) {
   return g;
 }
 
-void write_sentence(Writer& w, const nlp::Sentence& s) {
+void write_value(Writer& w, bool v) { w.boolean(v); }
+
+void read_value(Reader& r, bool& v) { v = r.boolean(); }
+
+void write_value(Writer& w, const nlp::Sentence& s) {
   w.str(s.text);
   write_vec(w, s.conditions,
             [&](const nlp::ClauseGroup& g) { write_group(w, g); });
@@ -241,14 +239,12 @@ void write_sentence(Writer& w, const nlp::Sentence& s) {
   if (s.until) write_group(w, *s.until);
 }
 
-nlp::Sentence read_sentence(Reader& r) {
-  nlp::Sentence s;
+void read_value(Reader& r, nlp::Sentence& s) {
   s.text = r.str();
   s.conditions.resize(r.u64());
   for (nlp::ClauseGroup& g : s.conditions) g = read_group(r);
   s.main = read_group(r);
   if (r.boolean()) s.until = read_group(r);
-  return s;
 }
 
 void write_mealy(Writer& w, const synth::MealyMachine& m) {
@@ -287,9 +283,8 @@ synth::MealyMachine read_mealy(Reader& r) {
   return m;
 }
 
-void write_synthesis(Writer& w, const synth::SynthesisResult& v) {
+void write_value(Writer& w, const synth::SynthesisResult& v) {
   w.u32(static_cast<std::uint32_t>(v.verdict));
-  w.u32(static_cast<std::uint32_t>(v.engine_used));
   w.str(v.substrate_used);
   w.f64(v.seconds);
   w.u64(v.state_bits);
@@ -306,10 +301,8 @@ void write_synthesis(Writer& w, const synth::SynthesisResult& v) {
   if (v.controller) write_mealy(w, *v.controller);
 }
 
-synth::SynthesisResult read_synthesis(Reader& r) {
-  synth::SynthesisResult v;
+void read_value(Reader& r, synth::SynthesisResult& v) {
   v.verdict = static_cast<synth::Realizability>(r.u32());
-  v.engine_used = static_cast<synth::Engine>(r.u32());
   v.substrate_used = r.str();
   v.seconds = r.f64();
   v.state_bits = r.u64();
@@ -323,7 +316,6 @@ synth::SynthesisResult read_synthesis(Reader& r) {
   v.bdd_stats.cache_evictions = r.u64();
   v.iterations = static_cast<int>(r.i64());
   if (r.boolean()) v.controller = read_mealy(r);
-  return v;
 }
 
 void write_index_sets(Writer& w, const std::vector<std::size_t>& v) {
@@ -337,7 +329,7 @@ std::vector<std::size_t> read_index_set(Reader& r) {
   return v;
 }
 
-void write_refinement(Writer& w, const refine::RefinementOutcome& v) {
+void write_value(Writer& w, const refine::RefinementOutcome& v) {
   w.boolean(v.consistent);
   w.boolean(v.adjustment.has_value());
   if (v.adjustment) {
@@ -359,8 +351,7 @@ void write_refinement(Writer& w, const refine::RefinementOutcome& v) {
   w.u64(v.checks);
 }
 
-refine::RefinementOutcome read_refinement(Reader& r) {
-  refine::RefinementOutcome v;
+void read_value(Reader& r, refine::RefinementOutcome& v) {
   v.consistent = r.boolean();
   if (r.boolean()) {
     refine::Adjustment adj;
@@ -380,10 +371,9 @@ refine::RefinementOutcome read_refinement(Reader& r) {
   v.localization.related = read_index_set(r);
   v.localization.checks = r.u64();
   v.checks = r.u64();
-  return v;
 }
 
-void write_abstraction(Writer& w, const timeabs::Abstraction& v) {
+void write_value(Writer& w, const timeabs::Abstraction& v) {
   w.u32(v.divisor);
   w.u64(v.reduced.size());
   for (std::uint32_t x : v.reduced) w.u32(x);
@@ -393,8 +383,7 @@ void write_abstraction(Writer& w, const timeabs::Abstraction& v) {
   w.u64(v.error_sum);
 }
 
-timeabs::Abstraction read_abstraction(Reader& r) {
-  timeabs::Abstraction v;
+void read_value(Reader& r, timeabs::Abstraction& v) {
   v.divisor = r.u32();
   v.reduced.resize(r.u64());
   for (std::uint32_t& x : v.reduced) x = r.u32();
@@ -402,37 +391,6 @@ timeabs::Abstraction read_abstraction(Reader& r) {
   for (std::int64_t& x : v.errors) x = r.i64();
   v.reduced_sum = r.u64();
   v.error_sum = r.u64();
-  return v;
-}
-
-// ---- Section writer: collect, sort by key, emit -----------------------------
-
-template <typename Value, typename ForEach, typename WriteValue>
-std::uint64_t write_section(Writer& w, std::uint8_t tag, ForEach for_each,
-                            WriteValue write_value) {
-  std::vector<std::pair<util::Digest, Value>> entries;
-  for_each([&](const util::Digest& key, const Value& value) {
-    entries.emplace_back(key, value);
-  });
-  std::sort(entries.begin(), entries.end(),
-            [](const auto& a, const auto& b) {
-              return a.first.hi != b.first.hi ? a.first.hi < b.first.hi
-                                              : a.first.lo < b.first.lo;
-            });
-  w.u8(tag);
-  w.u64(entries.size());
-  for (const auto& [key, value] : entries) {
-    w.digest(key);
-    write_value(w, value);
-  }
-  return entries.size();
-}
-
-void expect_tag(Reader& r, std::uint8_t tag, const std::string& path) {
-  if (r.u8() != tag) {
-    throw SnapshotError(SnapshotErrorKind::kCorrupted, path,
-                        "artifact sections out of order");
-  }
 }
 
 util::Digest body_checksum(const std::string& body) {
@@ -443,24 +401,25 @@ util::Digest body_checksum(const std::string& body) {
 
 void save_snapshot(const Store& store, const std::string& path,
                    const util::Digest& lexicon_fingerprint) {
+  // One section per kind, in table order: tag, count, entries sorted by key.
   Writer body;
-  write_section<nlp::Sentence>(
-      body, kTagSentence,
-      [&](auto&& visit) { store.for_each_sentence(visit); }, write_sentence);
-  write_section<bool>(
-      body, kTagSatisfiable,
-      [&](auto&& visit) { store.for_each_satisfiable(visit); },
-      [](Writer& w, bool v) { w.boolean(v); });
-  write_section<synth::SynthesisResult>(
-      body, kTagSynthesis,
-      [&](auto&& visit) { store.for_each_synthesis(visit); }, write_synthesis);
-  write_section<refine::RefinementOutcome>(
-      body, kTagRefinement,
-      [&](auto&& visit) { store.for_each_refinement(visit); }, write_refinement);
-  write_section<timeabs::Abstraction>(
-      body, kTagAbstraction,
-      [&](auto&& visit) { store.for_each_abstraction(visit); },
-      write_abstraction);
+  for_each_kind([&]<Kind K>() {
+    std::vector<std::pair<util::Digest, ValueOf<K>>> entries;
+    store.for_each<K>([&](const util::Digest& key, const ValueOf<K>& value) {
+      entries.emplace_back(key, value);
+    });
+    std::sort(entries.begin(), entries.end(),
+              [](const auto& a, const auto& b) {
+                return a.first.hi != b.first.hi ? a.first.hi < b.first.hi
+                                                : a.first.lo < b.first.lo;
+              });
+    body.u8(KindInfo<K>::kTag);
+    body.u64(entries.size());
+    for (const auto& [key, value] : entries) {
+      body.digest(key);
+      write_value(body, value);
+    }
+  });
 
   Writer file;
   for (char c : kMagic) file.u8(static_cast<std::uint8_t>(c));
@@ -558,41 +517,32 @@ SnapshotMeta load_snapshot(Store& store, const std::string& path,
                         "body checksum mismatch");
   }
 
-  // Decode the whole body before touching the store, so a decoding
-  // failure (possible despite the checksum only if the writer was buggy)
-  // leaves the store untouched.
+  // Decode the whole body into an unbounded scratch store before touching
+  // the target, so a decoding failure (possible despite the checksum only
+  // if the writer was buggy) leaves the target untouched. The scratch store
+  // shards like the target, so the merge inserts into each target shard in
+  // file order -- the same evictions a direct load would make.
+  Store decoded(StoreOptions{.shards = store.options().shards, .max_entries = 0});
   Reader r(body, path);
-  std::vector<std::pair<util::Digest, nlp::Sentence>> sentences;
-  std::vector<std::pair<util::Digest, bool>> satisfiable;
-  std::vector<std::pair<util::Digest, synth::SynthesisResult>> synthesis;
-  std::vector<std::pair<util::Digest, refine::RefinementOutcome>> refinement;
-  std::vector<std::pair<util::Digest, timeabs::Abstraction>> abstraction;
-  const auto read_entries = [&](std::uint8_t tag, auto& out, auto read_value) {
-    expect_tag(r, tag, path);
+  for_each_kind([&]<Kind K>() {
+    if (r.u8() != KindInfo<K>::kTag) {
+      throw SnapshotError(SnapshotErrorKind::kCorrupted, path,
+                          "artifact sections out of order");
+    }
     const std::uint64_t count = r.u64();
-    out.reserve(count);
     for (std::uint64_t i = 0; i < count; ++i) {
-      util::Digest key = r.digest();
-      out.emplace_back(std::move(key), read_value(r));
+      const util::Digest key = r.digest();
+      ValueOf<K> value;
+      read_value(r, value);
+      decoded.put<K>(key, value);
     }
     meta.entries += count;
-  };
-  read_entries(kTagSentence, sentences, read_sentence);
-  read_entries(kTagSatisfiable, satisfiable,
-               [](Reader& reader) { return reader.boolean(); });
-  read_entries(kTagSynthesis, synthesis, read_synthesis);
-  read_entries(kTagRefinement, refinement, read_refinement);
-  read_entries(kTagAbstraction, abstraction, read_abstraction);
+  });
   if (!r.done()) {
     throw SnapshotError(SnapshotErrorKind::kCorrupted, path,
                         "trailing bytes after the last section");
   }
-
-  for (const auto& [key, value] : sentences) store.put_sentence(key, value);
-  for (const auto& [key, value] : satisfiable) store.put_satisfiable(key, value);
-  for (const auto& [key, value] : synthesis) store.put_synthesis(key, value);
-  for (const auto& [key, value] : refinement) store.put_refinement(key, value);
-  for (const auto& [key, value] : abstraction) store.put_abstraction(key, value);
+  store.merge(decoded);
   return meta;
 }
 

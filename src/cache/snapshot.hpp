@@ -3,14 +3,14 @@
 // every artifact from scratch (ROADMAP item 4's "make cache::Store
 // serializable to disk" half).
 //
-// Format (version 1): a fixed-width little-endian binary layout,
+// Format (version 2): a fixed-width little-endian binary layout,
 //
 //   magic "SPCCSNP1" (8 bytes)
 //   u32   format version
 //   u64   lexicon fingerprint hi, u64 lo   (nlp::Lexicon::fingerprint())
 //   u64   body length in bytes
-//   body: per artifact kind (sentences, satisfiability, synthesis,
-//         refinement, abstraction, in that fixed order):
+//   body: per artifact kind, in the kind table's order (cache/store.hpp:
+//         sentences, satisfiability, synthesis, refinement, abstraction):
 //           u8 kind tag, u64 entry count,
 //           entries sorted by key (hi, then lo): key hi, key lo, value
 //   u64   body checksum hi, u64 lo         (util::DigestBuilder over body)
@@ -46,7 +46,10 @@
 namespace speccc::cache {
 
 /// Current snapshot format version; load() rejects everything else.
-inline constexpr std::uint32_t kSnapshotVersion = 1;
+/// Version 2 dropped the synthesis record's engine enum and re-derived the
+/// synthesis and abstraction keys (the substrate spec and the SMT encoder
+/// are folded in directly), so version-1 files are rejected as bad-version.
+inline constexpr std::uint32_t kSnapshotVersion = 2;
 
 /// Why a snapshot was rejected (load) or could not be written (save).
 enum class SnapshotErrorKind {

@@ -1,5 +1,6 @@
 #include "cache/store.hpp"
 
+#include <list>
 #include <mutex>
 #include <ostream>
 #include <unordered_map>
@@ -53,10 +54,11 @@ struct ShardedMap<Value>::Shard {
 };
 
 template <typename Value>
-ShardedMap<Value>::ShardedMap(std::size_t shards, std::size_t max_entries,
-                              Eviction eviction)
-    : shards_(shards == 0 ? 1 : shards), eviction_(eviction) {
+ShardedMap<Value>::ShardedMap(const StoreOptions& options)
+    : shards_(options.shards == 0 ? 1 : options.shards),
+      eviction_(options.eviction) {
   const std::size_t n = shards_.size();
+  const std::size_t max_entries = options.max_entries;
   if (max_entries != 0) {
     // Exact global cap: per-shard caps differ by at most one and sum to
     // max_entries. Shards whose cap is zero (cap < shard count) decline
@@ -124,34 +126,32 @@ std::size_t ShardedMap<Value>::size() const {
   return total;
 }
 
-template class ShardedMap<nlp::Sentence>;
-template class ShardedMap<bool>;
-template class ShardedMap<synth::SynthesisResult>;
-template class ShardedMap<refine::RefinementOutcome>;
-template class ShardedMap<timeabs::Abstraction>;
+// One instantiation per row of the kind table.
+template class ShardedMap<ValueOf<Kind::kSentence>>;
+template class ShardedMap<ValueOf<Kind::kSatisfiable>>;
+template class ShardedMap<ValueOf<Kind::kSynthesis>>;
+template class ShardedMap<ValueOf<Kind::kRefinement>>;
+template class ShardedMap<ValueOf<Kind::kAbstraction>>;
 
 }  // namespace detail
 
+template <std::size_t... I>
+Store::Store(const StoreOptions& options, std::index_sequence<I...>)
+    : options_(options), maps_(((void)I, options)...) {}
+
 Store::Store(StoreOptions options)
-    : options_(options),
-      sentences_(options.shards, options.max_entries, options.eviction),
-      satisfiable_(options.shards, options.max_entries, options.eviction),
-      synthesis_(options.shards, options.max_entries, options.eviction),
-      refinement_(options.shards, options.max_entries, options.eviction),
-      abstraction_(options.shards, options.max_entries, options.eviction) {}
+    : Store(options, std::make_index_sequence<kKindCount>{}) {}
 
-namespace {
-
-/// Count a lookup against the right level's counters (shared atomics plus
-/// the calling thread's per-request accumulator).
-void count(bool hit, std::atomic<std::uint64_t>& hits,
-           std::atomic<std::uint64_t>& misses, std::uint64_t StatsSnapshot::*tls_hit,
-           std::uint64_t StatsSnapshot::*tls_miss) {
-  (hit ? hits : misses).fetch_add(1, std::memory_order_relaxed);
-  ++(tls_stats.*(hit ? tls_hit : tls_miss));
+void Store::count(Level level, bool hit) const {
+  const bool l1 = level == Level::kL1;
+  if (hit) {
+    (l1 ? l1_hits_ : l2_hits_).fetch_add(1, std::memory_order_relaxed);
+    ++(l1 ? tls_stats.l1_hits : tls_stats.l2_hits);
+  } else {
+    (l1 ? l1_misses_ : l2_misses_).fetch_add(1, std::memory_order_relaxed);
+    ++(l1 ? tls_stats.l1_misses : tls_stats.l2_misses);
+  }
 }
-
-}  // namespace
 
 void Store::record_eviction(std::size_t evicted) {
   if (evicted == 0) return;
@@ -160,67 +160,6 @@ void Store::record_eviction(std::size_t evicted) {
 }
 
 StatsSnapshot Store::thread_stats() { return tls_stats; }
-
-std::optional<nlp::Sentence> Store::find_sentence(const util::Digest& key) const {
-  auto result = sentences_.get(key);
-  count(result.has_value(), l1_hits_, l1_misses_, &StatsSnapshot::l1_hits,
-        &StatsSnapshot::l1_misses);
-  return result;  // non-const local: moves
-}
-
-void Store::put_sentence(const util::Digest& key, const nlp::Sentence& sentence) {
-  record_eviction(sentences_.put(key, sentence));
-}
-
-std::optional<bool> Store::find_satisfiable(const util::Digest& key) const {
-  auto result = satisfiable_.get(key);
-  count(result.has_value(), l2_hits_, l2_misses_, &StatsSnapshot::l2_hits,
-        &StatsSnapshot::l2_misses);
-  return result;  // non-const local: moves
-}
-
-void Store::put_satisfiable(const util::Digest& key, bool satisfiable) {
-  record_eviction(satisfiable_.put(key, satisfiable));
-}
-
-std::optional<synth::SynthesisResult> Store::find_synthesis(
-    const util::Digest& key) const {
-  auto result = synthesis_.get(key);
-  count(result.has_value(), l2_hits_, l2_misses_, &StatsSnapshot::l2_hits,
-        &StatsSnapshot::l2_misses);
-  return result;  // non-const local: moves
-}
-
-void Store::put_synthesis(const util::Digest& key,
-                          const synth::SynthesisResult& result) {
-  record_eviction(synthesis_.put(key, result));
-}
-
-std::optional<refine::RefinementOutcome> Store::find_refinement(
-    const util::Digest& key) const {
-  auto result = refinement_.get(key);
-  count(result.has_value(), l2_hits_, l2_misses_, &StatsSnapshot::l2_hits,
-        &StatsSnapshot::l2_misses);
-  return result;  // non-const local: moves
-}
-
-void Store::put_refinement(const util::Digest& key,
-                           const refine::RefinementOutcome& outcome) {
-  record_eviction(refinement_.put(key, outcome));
-}
-
-std::optional<timeabs::Abstraction> Store::find_abstraction(
-    const util::Digest& key) const {
-  auto result = abstraction_.get(key);
-  count(result.has_value(), l2_hits_, l2_misses_, &StatsSnapshot::l2_hits,
-        &StatsSnapshot::l2_misses);
-  return result;  // non-const local: moves
-}
-
-void Store::put_abstraction(const util::Digest& key,
-                            const timeabs::Abstraction& abstraction) {
-  record_eviction(abstraction_.put(key, abstraction));
-}
 
 StatsSnapshot Store::stats() const {
   StatsSnapshot snapshot;
@@ -233,37 +172,9 @@ StatsSnapshot Store::stats() const {
 }
 
 std::size_t Store::size() const {
-  return sentences_.size() + satisfiable_.size() + synthesis_.size() +
-         refinement_.size() + abstraction_.size();
-}
-
-void Store::for_each_sentence(
-    const std::function<void(const util::Digest&, const nlp::Sentence&)>& visit)
-    const {
-  sentences_.for_each(visit);
-}
-
-void Store::for_each_satisfiable(
-    const std::function<void(const util::Digest&, bool)>& visit) const {
-  satisfiable_.for_each(visit);
-}
-
-void Store::for_each_synthesis(
-    const std::function<void(const util::Digest&, const synth::SynthesisResult&)>&
-        visit) const {
-  synthesis_.for_each(visit);
-}
-
-void Store::for_each_refinement(
-    const std::function<void(const util::Digest&,
-                             const refine::RefinementOutcome&)>& visit) const {
-  refinement_.for_each(visit);
-}
-
-void Store::for_each_abstraction(
-    const std::function<void(const util::Digest&, const timeabs::Abstraction&)>&
-        visit) const {
-  abstraction_.for_each(visit);
+  std::size_t total = 0;
+  for_each_kind([&]<Kind K>() { total += map<K>().size(); });
+  return total;
 }
 
 std::size_t Store::merge(const Store& other) {
@@ -271,25 +182,13 @@ std::size_t Store::merge(const Store& other) {
   // entry; the eviction counters still record any overflow the merge
   // causes under a capped store.
   const std::size_t before = size();
-  other.for_each_sentence([this](const util::Digest& key, const nlp::Sentence& v) {
-    put_sentence(key, v);
+  for_each_kind([&]<Kind K>() {
+    other.for_each<K>(
+        [this](const util::Digest& key, const ValueOf<K>& value) {
+          put<K>(key, value);
+        });
   });
-  other.for_each_satisfiable(
-      [this](const util::Digest& key, bool v) { put_satisfiable(key, v); });
-  other.for_each_synthesis(
-      [this](const util::Digest& key, const synth::SynthesisResult& v) {
-        put_synthesis(key, v);
-      });
-  other.for_each_refinement(
-      [this](const util::Digest& key, const refine::RefinementOutcome& v) {
-        put_refinement(key, v);
-      });
-  other.for_each_abstraction(
-      [this](const util::Digest& key, const timeabs::Abstraction& v) {
-        put_abstraction(key, v);
-      });
-  const std::size_t after = size();
-  return after - before;
+  return size() - before;
 }
 
 // ---- Key derivation ---------------------------------------------------------
@@ -339,7 +238,6 @@ void fold_signature(util::DigestBuilder& builder,
 
 void fold_options(util::DigestBuilder& builder,
                   const synth::SynthesisOptions& options) {
-  builder.u64(static_cast<std::uint64_t>(options.engine));
   builder.u64(static_cast<std::uint64_t>(options.bounded.max_k));
   builder.u64(options.bounded.extract ? 1 : 0);
   builder.u64(options.bounded.max_alphabet_bits);
@@ -359,19 +257,9 @@ void fold_formulas(util::DigestBuilder& builder,
 
 util::Digest synthesis_key(const std::vector<ltl::Formula>& formulas,
                            const synth::IoSignature& signature,
-                           const synth::SynthesisOptions& options) {
-  util::DigestBuilder builder("synthesis");
-  fold_formulas(builder, formulas);
-  fold_signature(builder, signature);
-  fold_options(builder, options);
-  return builder.finalize();
-}
-
-util::Digest synthesis_key(const std::vector<ltl::Formula>& formulas,
-                           const synth::IoSignature& signature,
                            const synth::SynthesisOptions& options,
                            std::string_view substrate_spec) {
-  util::DigestBuilder builder("synthesis-substrate");
+  util::DigestBuilder builder("synthesis");
   fold_formulas(builder, formulas);
   fold_signature(builder, signature);
   fold_options(builder, options);
@@ -387,12 +275,13 @@ util::Digest refinement_key(const std::vector<ltl::Formula>& formulas,
   fold_formulas(builder, formulas);
   fold_signature(builder, signature);
   fold_options(builder, options);
-  builder.u64(static_cast<std::uint64_t>(localize_options.method));
   builder.u64(localize_options.max_correction_sets);
   return builder.finalize();
 }
 
-util::Digest abstraction_key(const timeabs::Request& request, int backend) {
+util::Digest abstraction_key(const timeabs::Request& request,
+                             timeabs::Backend backend,
+                             timeabs::SmtEncoder encoder) {
   util::DigestBuilder builder("abstraction");
   builder.u64(request.thetas.size());
   for (std::uint32_t theta : request.thetas) builder.u64(theta);
@@ -402,6 +291,12 @@ util::Digest abstraction_key(const timeabs::Request& request, int backend) {
     builder.u64(static_cast<std::uint64_t>(sign));
   }
   builder.u64(static_cast<std::uint64_t>(backend));
+  // The encoder never changes the (unique) abstraction, but each SMT lane
+  // computes its own entry so the cross-encoder smoke compares two real
+  // computations. Enumeration has no encoder.
+  if (backend == timeabs::Backend::kSmt) {
+    builder.u64(static_cast<std::uint64_t>(encoder));
+  }
   return builder.finalize();
 }
 

@@ -5,32 +5,38 @@
 //   Level 1 (per sentence): the structured-English parse
 //     (nlp::parse_sentence output), keyed by the whitespace-normalized
 //     sentence text plus the lexicon fingerprint. Requirements documents
-//     under revision share most of their sentences across revisions — and
+//     under revision share most of their sentences across revisions -- and
 //     the pipeline itself parses every sentence twice when time
-//     abstraction re-translates — so this level hits even within a single
+//     abstraction re-translates -- so this level hits even within a single
 //     run.
 //
 //   Level 2 (per formula / per spec): decision artifacts keyed by
-//     ltl::canonical_digest — per-requirement tableau satisfiability, the
+//     ltl::canonical_digest -- per-requirement tableau satisfiability, the
 //     whole-spec synthesis verdict (keyed by formulas + I/O signature +
-//     engine options), the refinement outcome, and the time-abstraction
-//     solution (keyed by Theta + budget + backend). A repeated spec skips
-//     synthesis entirely; a revised spec still reuses every per-formula
-//     artifact of its unchanged requirements.
+//     engine options + substrate spec), the refinement outcome, and the
+//     time-abstraction solution (keyed by Theta + budget + backend +
+//     encoder). A repeated spec skips synthesis entirely; a revised spec
+//     still reuses every per-formula artifact of its unchanged
+//     requirements.
+//
+// One kind table (Kind + KindInfo below) gives every artifact its value
+// type, counter level and snapshot tag; Store's find<K>/put<K>/for_each<K>,
+// size(), merge() and the snapshot sections all iterate it, and memoize()
+// is the one find-compute-put path every caller takes.
 //
 // Key derivation rule: a key must cover EVERYTHING the cached value is a
-// function of — the cache is authoritative on a hit and never validates.
+// function of -- the cache is authoritative on a hit and never validates.
 // The *_key helpers below are the single source of truth; extend them
 // (never reuse a domain string) when adding a cached artifact.
 //
 // Concurrency: each level is sharded over mutex-protected maps (shard =
 // key bits), so batch workers (batch/batch.hpp) and serve workers
 // (serve/service.hpp) share one store without serializing on a global
-// lock — this is the sanctioned exception to the per-worker-isolation
+// lock -- this is the sanctioned exception to the per-worker-isolation
 // threading rule, in the same class as the formula intern arena. Values
 // are returned by copy; entries are immutable once inserted. Two workers
 // may race to compute the same missing entry; both compute, both insert
-// the identical value, and the counters record two misses — which is why
+// the identical value, and the counters record two misses -- which is why
 // hit/miss statistics are diagnostics (like timings), excluded from
 // canonical batch reports.
 //
@@ -39,7 +45,7 @@
 // outputs to a run without one; only wall-clock changes. batch_test and
 // the CI cache smoke enforce this.
 //
-// Eviction (StoreOptions::eviction): kFifo per shard by default — FIFO
+// Eviction (StoreOptions::eviction): kFifo per shard by default -- FIFO
 // keeps the hit path single-lock-cheap, and batch workloads sweep keys in
 // waves where recency tracking buys little. Long-lived serve processes
 // use kLru instead: a resident store sees the same hot specifications
@@ -48,7 +54,7 @@
 // exactly: per-shard caps differ by at most one and sum to max_entries
 // (shards low in index take the remainder). When max_entries is positive
 // but smaller than the shard count, the shards whose cap works out to
-// zero decline inserts — lookups there always miss, which only costs
+// zero decline inserts -- lookups there always miss, which only costs
 // recomputation.
 #pragma once
 
@@ -56,9 +62,11 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
-#include <list>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "ltl/formula.hpp"
@@ -119,7 +127,7 @@ namespace detail {
 template <typename Value>
 class ShardedMap {
  public:
-  ShardedMap(std::size_t shards, std::size_t max_entries, Eviction eviction);
+  explicit ShardedMap(const StoreOptions& options);
   ~ShardedMap();
   ShardedMap(const ShardedMap&) = delete;
   ShardedMap& operator=(const ShardedMap&) = delete;
@@ -146,53 +154,86 @@ class ShardedMap {
 
 }  // namespace detail
 
+// ---- The kind table ---------------------------------------------------------
+
+/// Every memoized artifact kind, in snapshot section order.
+enum class Kind : std::uint8_t {
+  kSentence,
+  kSatisfiable,
+  kSynthesis,
+  kRefinement,
+  kAbstraction,
+};
+inline constexpr std::size_t kKindCount = 5;
+
+/// Which StatsSnapshot counters a kind's lookups count against.
+enum class Level { kL1, kL2 };
+
+/// One row per kind: value type, counter level, snapshot section tag (the
+/// tags are part of the on-disk format, cache/snapshot.hpp).
+template <typename V, Level L, std::uint8_t Tag>
+struct KindRow {
+  using Value = V;
+  static constexpr Level kLevel = L;
+  static constexpr std::uint8_t kTag = Tag;
+};
+template <Kind K>
+struct KindInfo;
+template <>
+struct KindInfo<Kind::kSentence> : KindRow<nlp::Sentence, Level::kL1, 1> {};
+template <>
+struct KindInfo<Kind::kSatisfiable> : KindRow<bool, Level::kL2, 2> {};
+template <>
+struct KindInfo<Kind::kSynthesis> : KindRow<synth::SynthesisResult, Level::kL2, 3> {};
+template <>
+struct KindInfo<Kind::kRefinement> : KindRow<refine::RefinementOutcome, Level::kL2, 4> {};
+template <>
+struct KindInfo<Kind::kAbstraction> : KindRow<timeabs::Abstraction, Level::kL2, 5> {};
+
+template <Kind K>
+using ValueOf = typename KindInfo<K>::Value;
+
+/// Call `fn.template operator()<K>()` for every kind, in table order.
+template <typename Fn>
+void for_each_kind(Fn&& fn) {
+  [&]<std::size_t... I>(std::index_sequence<I...>) {
+    (fn.template operator()<static_cast<Kind>(I)>(), ...);
+  }(std::make_index_sequence<kKindCount>{});
+}
+
 class Store {
  public:
   explicit Store(StoreOptions options = {});
 
-  // ---- Level 1: sentence parses --------------------------------------------
-  [[nodiscard]] std::optional<nlp::Sentence> find_sentence(const util::Digest& key) const;
-  void put_sentence(const util::Digest& key, const nlp::Sentence& sentence);
+  /// Lookup, counted as a hit or miss against the kind's level.
+  template <Kind K>
+  [[nodiscard]] std::optional<ValueOf<K>> find(const util::Digest& key) const {
+    auto result = map<K>().get(key);
+    count(KindInfo<K>::kLevel, result.has_value());
+    return result;  // non-const local: moves
+  }
 
-  // ---- Level 2: decision artifacts -----------------------------------------
-  [[nodiscard]] std::optional<bool> find_satisfiable(const util::Digest& key) const;
-  void put_satisfiable(const util::Digest& key, bool satisfiable);
+  /// Insert unless present (first writer wins, like racing workers).
+  template <Kind K>
+  void put(const util::Digest& key, const ValueOf<K>& value) {
+    record_eviction(map<K>().put(key, value));
+  }
 
-  [[nodiscard]] std::optional<synth::SynthesisResult> find_synthesis(
-      const util::Digest& key) const;
-  void put_synthesis(const util::Digest& key, const synth::SynthesisResult& result);
-
-  [[nodiscard]] std::optional<refine::RefinementOutcome> find_refinement(
-      const util::Digest& key) const;
-  void put_refinement(const util::Digest& key, const refine::RefinementOutcome& outcome);
-
-  [[nodiscard]] std::optional<timeabs::Abstraction> find_abstraction(
-      const util::Digest& key) const;
-  void put_abstraction(const util::Digest& key, const timeabs::Abstraction& abstraction);
+  /// Visit every live entry of one kind (the snapshot surface,
+  /// cache/snapshot.hpp). Iteration order is unspecified (the snapshot
+  /// writer sorts by key); callbacks run under shard locks and do not
+  /// touch the hit/miss counters.
+  template <Kind K>
+  void for_each(
+      const std::function<void(const util::Digest&, const ValueOf<K>&)>& visit)
+      const {
+    map<K>().for_each(visit);
+  }
 
   [[nodiscard]] StatsSnapshot stats() const;
   /// Total live entries across every artifact kind.
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] const StoreOptions& options() const { return options_; }
-
-  // ---- Enumeration + merge (the snapshot surface, cache/snapshot.hpp) ------
-  // Entry visitors per artifact kind. Iteration order is unspecified (the
-  // snapshot writer sorts by key); callbacks run under shard locks and do
-  // not touch the hit/miss counters.
-  void for_each_sentence(
-      const std::function<void(const util::Digest&, const nlp::Sentence&)>& visit)
-      const;
-  void for_each_satisfiable(
-      const std::function<void(const util::Digest&, bool)>& visit) const;
-  void for_each_synthesis(
-      const std::function<void(const util::Digest&, const synth::SynthesisResult&)>&
-          visit) const;
-  void for_each_refinement(
-      const std::function<void(const util::Digest&,
-                               const refine::RefinementOutcome&)>& visit) const;
-  void for_each_abstraction(
-      const std::function<void(const util::Digest&, const timeabs::Abstraction&)>&
-          visit) const;
 
   /// Copy every entry of `other` absent from this store (first writer
   /// wins, like racing put()s; this store's eviction policy and caps
@@ -204,25 +245,53 @@ class Store {
   /// calling thread also accumulates into a thread-local snapshot. A serve
   /// worker runs one request start-to-finish on one thread, so the delta
   /// of two thread_stats() calls is that request's exact cache accounting
-  /// — no cross-worker races, unlike the shared stats() counters.
+  /// -- no cross-worker races, unlike the shared stats() counters.
   [[nodiscard]] static StatsSnapshot thread_stats();
 
  private:
+  template <std::size_t... I>
+  static auto maps_for(std::index_sequence<I...>)
+      -> std::tuple<detail::ShardedMap<ValueOf<static_cast<Kind>(I)>>...>;
+  using Maps = decltype(maps_for(std::make_index_sequence<kKindCount>{}));
+
+  template <std::size_t... I>
+  Store(const StoreOptions& options, std::index_sequence<I...>);
+
+  template <Kind K>
+  [[nodiscard]] auto& map() {
+    return std::get<static_cast<std::size_t>(K)>(maps_);
+  }
+  template <Kind K>
+  [[nodiscard]] const auto& map() const {
+    return std::get<static_cast<std::size_t>(K)>(maps_);
+  }
+
+  void count(Level level, bool hit) const;
+  void record_eviction(std::size_t evicted);
+
   StoreOptions options_;
-  detail::ShardedMap<nlp::Sentence> sentences_;
-  detail::ShardedMap<bool> satisfiable_;
-  detail::ShardedMap<synth::SynthesisResult> synthesis_;
-  detail::ShardedMap<refine::RefinementOutcome> refinement_;
-  detail::ShardedMap<timeabs::Abstraction> abstraction_;
+  Maps maps_;
 
   mutable std::atomic<std::uint64_t> l1_hits_{0};
   mutable std::atomic<std::uint64_t> l1_misses_{0};
   mutable std::atomic<std::uint64_t> l2_hits_{0};
   mutable std::atomic<std::uint64_t> l2_misses_{0};
   std::atomic<std::uint64_t> evictions_{0};
-
-  void record_eviction(std::size_t evicted);
 };
+
+/// The one find-compute-put path. With a null store this is just
+/// `compute()`; otherwise a hit returns the stored value and a miss computes,
+/// stores and returns it. `key` is a callable returning the digest, so a
+/// run without a store never hashes.
+template <Kind K, typename KeyFn, typename ComputeFn>
+[[nodiscard]] ValueOf<K> memoize(Store* store, KeyFn&& key, ComputeFn&& compute) {
+  if (store == nullptr) return compute();
+  const util::Digest digest = key();
+  if (auto hit = store->find<K>(digest)) return *std::move(hit);
+  ValueOf<K> value = compute();
+  store->put<K>(digest, value);
+  return value;
+}
 
 // ---- Key derivation ---------------------------------------------------------
 // Each helper folds in everything its artifact depends on, under a unique
@@ -234,23 +303,17 @@ class Store {
                                         const util::Digest& lexicon_fingerprint);
 
 /// Whitespace normalization for sentence_key: trim plus collapse runs of
-/// blanks to single spaces. Case is preserved — mid-sentence
+/// blanks to single spaces. Case is preserved -- mid-sentence
 /// capitalization is grammatically meaningful (proper names).
 [[nodiscard]] std::string normalize_sentence(std::string_view text);
 
 /// Level 2: per-formula tableau satisfiability.
 [[nodiscard]] util::Digest satisfiability_key(ltl::Formula formula);
 
-/// Level 2: whole-spec synthesis (formulas in order, signature, options).
-[[nodiscard]] util::Digest synthesis_key(const std::vector<ltl::Formula>& formulas,
-                                         const synth::IoSignature& signature,
-                                         const synth::SynthesisOptions& options);
-
-/// Level 2: synthesis under a non-auto substrate spec ("tableau",
-/// "race:...", ...). The spec string is folded in because different
-/// substrates are different computations (a tableau abstention must not
-/// shadow auto's definite verdict). Auto keeps the untagged key above, so
-/// stores warmed before the substrate layer stay valid.
+/// Level 2: whole-spec synthesis (formulas in order, signature, options,
+/// and the substrate spec string -- "auto", "tableau", "race:...": different
+/// specs are different computations, and a tableau abstention must not
+/// shadow auto's definite verdict).
 [[nodiscard]] util::Digest synthesis_key(const std::vector<ltl::Formula>& formulas,
                                          const synth::IoSignature& signature,
                                          const synth::SynthesisOptions& options,
@@ -258,16 +321,18 @@ class Store {
 
 /// Level 2: stage-3 refinement (formulas, initial partition via the
 /// signature it induces, synthesis options, localization options -- the
-/// cached outcome embeds the MUS and correction sets, which depend on the
-/// method and enumeration cap).
+/// cached outcome embeds the correction sets, which depend on the
+/// enumeration cap).
 [[nodiscard]] util::Digest refinement_key(
     const std::vector<ltl::Formula>& formulas,
     const synth::IoSignature& signature,
     const synth::SynthesisOptions& options,
     const refine::LocalizeOptions& localize_options = {});
 
-/// Level 2: the Section IV-E abstraction (Theta, budget, signs, backend).
+/// Level 2: the Section IV-E abstraction (Theta, budget, signs, backend,
+/// and -- for the SMT backend only -- the CNF encoder).
 [[nodiscard]] util::Digest abstraction_key(const timeabs::Request& request,
-                                           int backend);
+                                           timeabs::Backend backend,
+                                           timeabs::SmtEncoder encoder);
 
 }  // namespace speccc::cache

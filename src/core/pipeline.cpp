@@ -44,35 +44,25 @@ PipelineResult Pipeline::run(
     timeabs::Request request;
     request.thetas = thetas;
     request.error_budget = options_.error_budget;
-    std::optional<timeabs::Abstraction> abstraction;
-    // The cache key folds the encoder only for the SMT backend (as an
-    // offset past the backend enum), so enumeration-backed keys -- and the
-    // pinned snapshot digests built on them -- are unchanged. Distinct
-    // keys per encoder keep the cross-encoder smoke honest: each lane
-    // computes its own abstraction instead of reusing the other's entry.
-    int key_backend = static_cast<int>(options_.timeabs_backend);
-    if (options_.timeabs_backend == timeabs::Backend::kSmt &&
-        options_.smt_encoder == timeabs::SmtEncoder::kTseitin) {
-      key_backend += 2;
-    }
-    if (store != nullptr) {
-      const util::Digest key = cache::abstraction_key(request, key_backend);
-      abstraction = store->find_abstraction(key);
-      if (!abstraction.has_value()) {
-        abstraction = timeabs::optimize(request, options_.timeabs_backend,
-                                        options_.smt_encoder);
-        if (abstraction.has_value()) store->put_abstraction(key, *abstraction);
-      }
-    } else {
-      abstraction = timeabs::optimize(request, options_.timeabs_backend,
-                                      options_.smt_encoder);
-    }
-    speccc_check(abstraction.has_value(), "abstraction always has d=1 fallback");
+    const timeabs::Abstraction abstraction =
+        cache::memoize<cache::Kind::kAbstraction>(
+            store,
+            [&] {
+              return cache::abstraction_key(request, options_.timeabs_backend,
+                                            options_.smt_encoder);
+            },
+            [&] {
+              auto solved = timeabs::optimize(
+                  request, options_.timeabs_backend, options_.smt_encoder);
+              speccc_check(solved.has_value(),
+                           "abstraction always has d=1 fallback");
+              return *std::move(solved);
+            });
     result.abstraction = abstraction;
 
     std::map<unsigned, unsigned> remap;
     for (std::size_t i = 0; i < thetas.size(); ++i) {
-      remap[thetas[i]] = abstraction->reduced[i];
+      remap[thetas[i]] = abstraction.reduced[i];
     }
     const translate::TickMapper mapper = [remap](unsigned ticks) -> unsigned {
       const auto it = remap.find(ticks);
@@ -92,18 +82,9 @@ PipelineResult Pipeline::run(
       if (ltl::max_next_chain(req.formula) > options_.satisfiability_chain_cap) {
         continue;
       }
-      bool satisfiable;
-      if (store != nullptr) {
-        const util::Digest key = cache::satisfiability_key(req.formula);
-        if (const auto hit = store->find_satisfiable(key)) {
-          satisfiable = *hit;
-        } else {
-          satisfiable = automata::satisfiable(req.formula);
-          store->put_satisfiable(key, satisfiable);
-        }
-      } else {
-        satisfiable = automata::satisfiable(req.formula);
-      }
+      const bool satisfiable = cache::memoize<cache::Kind::kSatisfiable>(
+          store, [&] { return cache::satisfiability_key(req.formula); },
+          [&] { return automata::satisfiable(req.formula); });
       if (!satisfiable) {
         result.unsatisfiable_requirements.push_back(req.id);
       }
@@ -119,61 +100,40 @@ PipelineResult Pipeline::run(
   signature.outputs.assign(result.partition.outputs.begin(),
                            result.partition.outputs.end());
 
-  // Effective substrate spec: the per-run override beats the configured
-  // spec; an auto spec with the deprecated engine enum set maps through the
-  // from_engine shim so old callers keep their engine choice.
-  SubstrateSpec effective =
+  // Stage-2 dispatch: the spec (the per-run override beats the configured
+  // one) resolves through the registry -- auto to the router substrate, a
+  // name to that substrate, a race to its racers. One substrate is checked
+  // directly; several race (core/portfolio.hpp). Auto, symbolic and any race
+  // reach the same canonical verdict (the substrates agree, and a race
+  // tie-breaks deterministically); a solo substrate that abstains (tableau
+  // on a satisfiable spec, bounded past its caps) leaves kUnknown, so stage
+  // 3 runs and the canonical row may differ -- but only by that abstention.
+  // The cache key folds the spec string: an abstention must never answer
+  // for a definite verdict.
+  const SubstrateSpec& spec =
       substrate_override != nullptr ? *substrate_override : options_.substrate;
-  if (effective.is_auto() && options_.synthesis.engine != synth::Engine::kAuto) {
-    effective = SubstrateSpec::from_engine(options_.synthesis.engine);
-  }
-
-  // Stage-2 dispatch. Auto takes synth::synthesize exactly as before (and
-  // the pre-substrate cache key, so warmed stores stay valid); solo and
-  // race go through the registry. Any spec yields the same canonical
-  // verdict -- the substrates agree (core/substrate.hpp), and a race
-  // tie-breaks deterministically -- so only timings and diagnostics differ.
-  const auto check_realizability = [&]() -> synth::SynthesisResult {
-    if (effective.is_auto()) {
-      return synth::synthesize(formulas, signature, options_.synthesis);
-    }
-    if (effective.mode == SubstrateSpec::Mode::kSolo) {
-      const Substrate* substrate =
-          SubstrateRegistry::global().find(effective.substrates.front());
-      speccc_check(substrate != nullptr, "spec names a registered substrate");
-      return substrate->check(formulas, signature, options_.synthesis,
-                              options_.cancelled);
-    }
-    PortfolioStats stats;
-    synth::SynthesisResult raced =
-        PortfolioRunner(SubstrateRegistry::global(), effective)
-            .run(formulas, signature, options_.synthesis, options_.cancelled,
-                 &stats);
-    result.portfolio = std::move(stats);
-    return raced;
-  };
-
   util::Stopwatch stage2;
-  if (store != nullptr) {
-    // Verdict and engine statistics are pure functions of the key; the
-    // result's embedded `seconds` is the original computation's timing (the
-    // caller-visible stage clock below is always fresh). Non-auto specs
-    // fold the spec string into the key: a tableau abstention and a raced
-    // verdict are different computations than auto's.
-    const util::Digest key =
-        effective.is_auto()
-            ? cache::synthesis_key(formulas, signature, options_.synthesis)
-            : cache::synthesis_key(formulas, signature, options_.synthesis,
-                                   effective.to_string());
-    if (auto hit = store->find_synthesis(key)) {
-      result.synthesis = *std::move(hit);
-    } else {
-      result.synthesis = check_realizability();
-      store->put_synthesis(key, result.synthesis);
-    }
-  } else {
-    result.synthesis = check_realizability();
-  }
+  result.synthesis = cache::memoize<cache::Kind::kSynthesis>(
+      store,
+      [&] {
+        return cache::synthesis_key(formulas, signature, options_.synthesis,
+                                    spec.to_string());
+      },
+      [&] {
+        const SubstrateRegistry& registry = SubstrateRegistry::global();
+        const std::vector<const Substrate*> resolved = registry.resolve(spec);
+        if (resolved.size() == 1) {
+          return resolved.front()->check(formulas, signature, options_.synthesis,
+                                         options_.cancelled);
+        }
+        PortfolioStats stats;
+        synth::SynthesisResult raced =
+            PortfolioRunner(registry, spec)
+                .run(formulas, signature, options_.synthesis,
+                     options_.cancelled, &stats);
+        result.portfolio = std::move(stats);
+        return raced;
+      });
   result.synthesis_seconds = stage2.seconds();
   result.consistent =
       result.synthesis.verdict == synth::Realizability::kRealizable;
@@ -182,21 +142,16 @@ PipelineResult Pipeline::run(
   if (!result.consistent && options_.refine_on_failure) {
     poll_cancel("refinement");
     util::Stopwatch stage3;
-    if (store != nullptr) {
-      const util::Digest key = cache::refinement_key(
-          formulas, signature, options_.synthesis, options_.localization);
-      if (auto hit = store->find_refinement(key)) {
-        result.refinement = *std::move(hit);
-      } else {
-        result.refinement = refine::refine(formulas, result.partition,
-                                           options_.synthesis,
-                                           options_.localization);
-        store->put_refinement(key, *result.refinement);
-      }
-    } else {
-      result.refinement = refine::refine(
-          formulas, result.partition, options_.synthesis, options_.localization);
-    }
+    result.refinement = cache::memoize<cache::Kind::kRefinement>(
+        store,
+        [&] {
+          return cache::refinement_key(formulas, signature, options_.synthesis,
+                                       options_.localization);
+        },
+        [&] {
+          return refine::refine(formulas, result.partition, options_.synthesis,
+                                options_.localization);
+        });
     result.refinement_seconds = stage3.seconds();
     if (result.refinement->consistent) {
       result.consistent = true;

@@ -37,19 +37,19 @@ struct PipelineOptions {
   timeabs::SmtEncoder smt_encoder = timeabs::SmtEncoder::kCutMap;
   synth::SynthesisOptions synthesis;
   /// Stage-2 decision substrate(s): "auto" (symbolic when applicable, else
-  /// bounded -- exactly the old kAuto behavior), a solo substrate name, or
-  /// "race:a,b,..." for first-verdict-wins portfolio racing
-  /// (core/substrate.hpp). When this is auto but synthesis.engine is the
-  /// deprecated kSymbolic/kBounded enum, the enum maps through
-  /// SubstrateSpec::from_engine. Canonical output is byte-identical for
-  /// every spec (the substrates agree; see core/portfolio.hpp).
+  /// bounded), a solo substrate name, or "race:a,b,..." for
+  /// first-verdict-wins portfolio racing (core/substrate.hpp). Canonical
+  /// output is byte-identical under auto, symbolic, and any race (the
+  /// substrates agree; see core/portfolio.hpp). A solo substrate that
+  /// abstains -- tableau on every satisfiable spec, bounded past its caps --
+  /// may differ, but only by that abstention: stage 2 stays kUnknown, so
+  /// stage 3 runs (e.g. refined=1 where auto decides outright).
   SubstrateSpec substrate;
   partition::Overrides partition_overrides;
   /// Stage 3: run localization + partition adjustment when unrealizable.
   bool refine_on_failure = true;
-  /// Stage-3 localization knobs: MUS method (diag cores vs. the legacy
-  /// greedy path) and how many minimal correction sets to enumerate for
-  /// genuinely inconsistent specifications.
+  /// Stage-3 localization knob: how many minimal correction sets to
+  /// enumerate for genuinely inconsistent specifications.
   refine::LocalizeOptions localization;
   /// Flag individually unsatisfiable requirements (tableau emptiness) before
   /// synthesis. Requirements whose abstracted Next chains still exceed
@@ -62,10 +62,10 @@ struct PipelineOptions {
   std::optional<nlp::Lexicon> lexicon;
   std::optional<semantics::AntonymDictionary> dictionary;
   /// Cooperative cancellation: polled at stage boundaries (before
-  /// translation, synthesis, and refinement). When it returns true the run
-  /// throws util::CancelledError. A stage already in flight runs to
-  /// completion -- use the synthesis caps (BoundedOptions) to bound the
-  /// stages themselves. Null means never cancelled.
+  /// translation, synthesis, and refinement) and inside the stage-2
+  /// substrate's engine, whatever the spec (auto included). When it returns
+  /// true the run throws util::CancelledError. Stages 1 and 3 run to
+  /// completion once started. Null means never cancelled.
   std::function<bool()> cancelled;
   /// Cross-spec memoization (cache/store.hpp); null disables caching.
   /// The store is thread-safe and content-addressed: share ONE store

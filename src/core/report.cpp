@@ -66,13 +66,7 @@ std::string describe(const PipelineResult& result) {
   os << "  stage 1 (translation): " << std::fixed << std::setprecision(4)
      << result.translation_seconds << " s\n";
   os << "  stage 2 (synthesis):   " << result.synthesis_seconds
-     << " s, substrate "
-     << (!result.synthesis.substrate_used.empty()
-             ? result.synthesis.substrate_used
-             : (result.synthesis.engine_used == synth::Engine::kSymbolic
-                    ? "symbolic"
-                    : "bounded"))
-     << "\n";
+     << " s, substrate " << result.synthesis.substrate_used << "\n";
   if (result.portfolio.has_value() && !result.portfolio->winner.empty()) {
     os << "    portfolio race won by " << result.portfolio->winner << " ("
        << result.portfolio->runs.size() << " racers)\n";

@@ -46,7 +46,6 @@ class TableauSubstrate final : public Substrate {
     }
     util::Stopwatch timer;
     synth::SynthesisResult result;
-    result.engine_used = synth::Engine::kAuto;  // neither synthesis engine
     result.substrate_used = "tableau";
     const auto nbw = automata::ltl_to_nbw_bounded(ltl::land(formulas),
                                                   kTableauMaxNodes, cancelled);
@@ -61,80 +60,65 @@ class TableauSubstrate final : public Substrate {
   }
 };
 
-/// The explicit bounded-synthesis engine behind the Substrate interface,
-/// with the cancel predicate wired into the UCW construction, the arena
-/// frontier, and the k-escalation loop.
-class BoundedSubstrate final : public Substrate {
+/// A synthesis engine lane behind the Substrate interface, with the cancel
+/// predicate wired into both lanes' options: the bounded engine polls it in
+/// the UCW construction, the arena frontier, and the k-escalation loop; the
+/// symbolic engine once per fixpoint round.
+class EngineSubstrate final : public Substrate {
  public:
-  [[nodiscard]] std::string_view name() const override { return "bounded"; }
+  using Decide = synth::SynthesisResult (*)(const std::vector<ltl::Formula>&,
+                                            const synth::IoSignature&,
+                                            const synth::SynthesisOptions&);
+
+  EngineSubstrate(std::string_view name, Decide decide)
+      : name_(name), decide_(decide) {}
+
+  [[nodiscard]] std::string_view name() const override { return name_; }
 
   [[nodiscard]] synth::SynthesisResult check(
       const std::vector<ltl::Formula>& formulas,
       const synth::IoSignature& signature,
       const synth::SynthesisOptions& options,
       const CancelFn& cancelled) const override {
-    if (formulas.empty()) {
-      throw util::InvalidInputError(
-          "cannot synthesize from an empty specification");
-    }
-    util::Stopwatch timer;
-    synth::BoundedOptions bounded = options.bounded;
-    bounded.cancelled = cancelled;
-    const auto outcome =
-        synth::bounded_synthesize(ltl::land(formulas), signature, bounded);
-    synth::SynthesisResult result;
-    result.verdict = outcome.verdict;
-    result.engine_used = synth::Engine::kBounded;
-    result.substrate_used = "bounded";
-    result.ucw_states = outcome.ucw_states;
-    result.game_positions = outcome.game_positions;
-    result.iterations = outcome.k_used;
-    result.controller = outcome.controller;
-    result.seconds = timer.seconds();
-    return result;
+    synth::SynthesisOptions polled = options;
+    polled.bounded.cancelled = cancelled;
+    polled.symbolic.cancelled = cancelled;
+    return decide_(formulas, signature, polled);
   }
+
+ private:
+  std::string_view name_;
+  Decide decide_;
 };
 
-/// The symbolic monitor-composition engine behind the Substrate interface.
-/// Exact within its pattern fragment; outside it the substrate is
+synth::SynthesisResult decide_bounded(const std::vector<ltl::Formula>& formulas,
+                                      const synth::IoSignature& signature,
+                                      const synth::SynthesisOptions& options) {
+  return synth::synthesize_bounded(formulas, signature, options.bounded);
+}
+
+/// Exact within its pattern fragment; outside it the symbolic substrate is
 /// inapplicable and throws (a race treats that as one racer erroring, not
 /// a verdict).
-class SymbolicSubstrate final : public Substrate {
- public:
-  [[nodiscard]] std::string_view name() const override { return "symbolic"; }
-
-  [[nodiscard]] synth::SynthesisResult check(
-      const std::vector<ltl::Formula>& formulas,
-      const synth::IoSignature& signature,
-      const synth::SynthesisOptions& options,
-      const CancelFn& cancelled) const override {
-    if (formulas.empty()) {
-      throw util::InvalidInputError(
-          "cannot synthesize from an empty specification");
-    }
-    util::Stopwatch timer;
-    synth::SymbolicOptions symbolic = options.symbolic;
-    symbolic.cancelled = cancelled;
-    const auto outcome =
-        synth::symbolic_synthesize(formulas, signature, symbolic);
-    if (!outcome.has_value()) {
-      throw util::InvalidInputError(
-          "specification is outside the symbolic engine's pattern fragment "
-          "or mentions propositions missing from the signature");
-    }
-    synth::SynthesisResult result;
-    result.verdict = outcome->verdict;
-    result.engine_used = synth::Engine::kSymbolic;
-    result.substrate_used = "symbolic";
-    result.state_bits = outcome->state_bits;
-    result.peak_bdd_nodes = outcome->peak_bdd_nodes;
-    result.bdd_stats = outcome->bdd_stats;
-    result.iterations = outcome->fixpoint_iterations;
-    result.controller = outcome->controller;
-    result.seconds = timer.seconds();
-    return result;
+synth::SynthesisResult decide_symbolic(const std::vector<ltl::Formula>& formulas,
+                                       const synth::IoSignature& signature,
+                                       const synth::SynthesisOptions& options) {
+  auto result =
+      synth::synthesize_symbolic(formulas, signature, options.symbolic);
+  if (!result.has_value()) {
+    throw util::InvalidInputError(
+        "specification is outside the symbolic engine's pattern fragment "
+        "or mentions propositions missing from the signature");
   }
-};
+  return *std::move(result);
+}
+
+/// The auto router: symbolic when applicable, else bounded. Its results
+/// name the engine that decided, never "auto".
+const EngineSubstrate& auto_substrate() {
+  static const EngineSubstrate router("auto", synth::synthesize);
+  return router;
+}
 
 }  // namespace
 
@@ -201,23 +185,6 @@ SubstrateSpec SubstrateSpec::parse(std::string_view text) {
   return spec;
 }
 
-SubstrateSpec SubstrateSpec::from_engine(synth::Engine engine) {
-  SubstrateSpec spec;
-  switch (engine) {
-    case synth::Engine::kAuto:
-      return spec;
-    case synth::Engine::kSymbolic:
-      spec.mode = Mode::kSolo;
-      spec.substrates = {"symbolic"};
-      return spec;
-    case synth::Engine::kBounded:
-      spec.mode = Mode::kSolo;
-      spec.substrates = {"bounded"};
-      return spec;
-  }
-  return spec;
-}
-
 std::string SubstrateSpec::to_string() const {
   switch (mode) {
     case Mode::kAuto:
@@ -250,10 +217,7 @@ const Substrate* SubstrateRegistry::find(std::string_view name) const {
 
 std::vector<const Substrate*> SubstrateRegistry::resolve(
     const SubstrateSpec& spec) const {
-  if (spec.is_auto()) {
-    throw util::InvalidInputError(
-        "an auto substrate spec does not resolve to concrete substrates");
-  }
+  if (spec.is_auto()) return {&auto_substrate()};
   std::vector<const Substrate*> out;
   out.reserve(spec.substrates.size());
   for (const std::string& name : spec.substrates) {
@@ -280,8 +244,8 @@ const SubstrateRegistry& SubstrateRegistry::global() {
   static const SubstrateRegistry* registry = [] {
     auto* r = new SubstrateRegistry();
     r->add(std::make_unique<TableauSubstrate>());
-    r->add(std::make_unique<BoundedSubstrate>());
-    r->add(std::make_unique<SymbolicSubstrate>());
+    r->add(std::make_unique<EngineSubstrate>("bounded", decide_bounded));
+    r->add(std::make_unique<EngineSubstrate>("symbolic", decide_symbolic));
     return r;
   }();
   return *registry;

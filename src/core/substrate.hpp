@@ -15,13 +15,16 @@
 // per-call bdd::Manager, per-call game arenas; the only shared mutable
 // state underneath is the mutex-protected formula intern arena).
 //
-// SubstrateSpec is the one user-facing configuration knob, replacing the
-// scattered synth::Engine enum plumbing: a parseable string
+// SubstrateSpec is the one user-facing configuration knob: a parseable
+// string
 //   "auto"                        symbolic when applicable, else bounded
 //   "tableau" | "bounded" | "symbolic"   exactly one substrate
 //   "race:tableau,bounded,symbolic"      first-verdict-wins portfolio
 // carried through PipelineOptions, batch::RunLimits (per-request serve
-// override), and the --substrate flag of every CLI.
+// override), and the --substrate flag of every CLI. Every spec resolves
+// through the registry: "auto" to the router substrate (synth::synthesize
+// behind the Substrate interface), a name to that substrate, a race to its
+// racers in order.
 #pragma once
 
 #include <atomic>
@@ -44,8 +47,7 @@ namespace speccc::core {
 using CancelFn = std::function<bool()>;
 
 /// How the pipeline picks its decision substrate(s). Parse/to_string round
-/// trip; from_engine() is the deprecated shim mapping the old synth::Engine
-/// enum values so existing callers migrate in one sweep.
+/// trip.
 struct SubstrateSpec {
   enum class Mode { kAuto, kSolo, kRace };
 
@@ -59,10 +61,6 @@ struct SubstrateSpec {
   /// util::InvalidInputError naming the offending token on an unknown
   /// substrate, a duplicate racer, or a race with fewer than two entries.
   [[nodiscard]] static SubstrateSpec parse(std::string_view text);
-
-  /// Deprecated shim: the old engine enum as a spec (kAuto -> "auto",
-  /// kSymbolic -> "symbolic", kBounded -> "bounded").
-  [[nodiscard]] static SubstrateSpec from_engine(synth::Engine engine);
 
   /// Round trip of parse(): "auto", "<name>", or "race:a,b,...".
   [[nodiscard]] std::string to_string() const;
@@ -117,7 +115,10 @@ class Substrate {
 
 /// Name -> Substrate lookup. The process-wide global() registry holds the
 /// three builtins; tests build local registries with custom substrates
-/// (slow, instant, abstaining) to pin the portfolio semantics.
+/// (slow, instant, abstaining) to pin the portfolio semantics. The auto
+/// router is not registered: it is not an independent decision procedure
+/// (it runs the symbolic or the bounded engine), so names() -- the list the
+/// batch --crosscheck pass re-decides with -- never includes it.
 class SubstrateRegistry {
  public:
   SubstrateRegistry() = default;
@@ -129,8 +130,10 @@ class SubstrateRegistry {
   /// Lookup by name; nullptr when absent.
   [[nodiscard]] const Substrate* find(std::string_view name) const;
 
-  /// Resolve a solo/race spec to substrates in spec order. Throws
-  /// util::InvalidInputError on an auto spec or an unregistered name.
+  /// Resolve a spec to substrates in spec order: auto to the one router
+  /// substrate (named "auto"; its results name the engine that decided),
+  /// solo to one substrate, race to its racers. Throws
+  /// util::InvalidInputError on an unregistered name.
   [[nodiscard]] std::vector<const Substrate*> resolve(
       const SubstrateSpec& spec) const;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 
 #include "diag/diag.hpp"
 #include "util/diagnostics.hpp"
@@ -27,47 +28,10 @@ bool realizable(const std::vector<Formula>& formulas,
   return result.verdict == synth::Realizability::kRealizable;
 }
 
-/// The legacy localization: incremental subset growth (add requirements
-/// until the subset turns unrealizable -- the last added formula belongs
-/// to the core) followed by greedy shrinking. Kept as the difftest
-/// cross-check reference for the diag MUS engine.
-std::vector<std::size_t> greedy_core(const std::vector<Formula>& requirements,
-                                     const synth::IoSignature& signature,
-                                     const synth::SynthesisOptions& options,
-                                     std::size_t& checks) {
-  std::vector<Formula> subset;
-  std::vector<std::size_t> subset_indices;
-  std::size_t breaker = requirements.size();
-  for (std::size_t i = 0; i < requirements.size(); ++i) {
-    subset.push_back(requirements[i]);
-    subset_indices.push_back(i);
-    if (!realizable(subset, signature, options, checks)) {
-      breaker = i;
-      break;
-    }
-  }
-  speccc_check(breaker < requirements.size(),
-               "localize precondition: full specification must be unrealizable");
-
-  // Greedy shrink: drop earlier formulas while the subset stays
-  // unrealizable. The breaker always stays.
-  std::vector<std::size_t> core = subset_indices;
-  for (std::size_t drop = 0; drop < core.size();) {
-    if (core[drop] == breaker) {
-      ++drop;
-      continue;
-    }
-    std::vector<Formula> trial;
-    for (std::size_t k = 0; k < core.size(); ++k) {
-      if (k != drop) trial.push_back(requirements[core[k]]);
-    }
-    if (!realizable(trial, signature, options, checks)) {
-      core.erase(core.begin() + static_cast<std::ptrdiff_t>(drop));
-    } else {
-      ++drop;
-    }
-  }
-  return core;
+std::vector<std::size_t> all_indices(std::size_t n) {
+  std::vector<std::size_t> out(n);
+  std::iota(out.begin(), out.end(), std::size_t{0});
+  return out;
 }
 
 }  // namespace
@@ -77,26 +41,15 @@ Localization localize(const std::vector<Formula>& requirements,
                       const synth::SynthesisOptions& options,
                       const LocalizeOptions& localize_options) {
   Localization out;
-
-  if (localize_options.method == LocalizeOptions::Method::kGreedy) {
-    out.core = greedy_core(requirements, signature, options, out.checks);
-  } else {
-    const diag::CoreOracle oracle =
-        diag::synthesis_oracle(requirements, signature, options);
-    std::vector<std::size_t> universe(requirements.size());
-    for (std::size_t i = 0; i < universe.size(); ++i) universe[i] = i;
-    ++out.checks;
-    const auto full = oracle(universe);
-    speccc_check(full.has_value(),
-                 "localize precondition: full specification must be unrealizable");
-    out.core = diag::shrink_mus(*full, oracle, out.checks);
-  }
-
+  const diag::CoreOracle oracle =
+      diag::synthesis_oracle(requirements, signature, options);
+  const std::vector<std::size_t> universe = all_indices(requirements.size());
+  ++out.checks;
+  const auto full = oracle(universe);
+  speccc_check(full.has_value(),
+               "localize precondition: full specification must be unrealizable");
+  out.core = diag::shrink_mus(*full, oracle, out.checks);
   if (localize_options.max_correction_sets > 0) {
-    const diag::CoreOracle oracle =
-        diag::synthesis_oracle(requirements, signature, options);
-    std::vector<std::size_t> universe(requirements.size());
-    for (std::size_t i = 0; i < universe.size(); ++i) universe[i] = i;
     out.correction_sets = diag::correction_sets(
         universe, oracle, localize_options.max_correction_sets, out.checks);
   }
@@ -187,13 +140,11 @@ RefinementOutcome refine(const std::vector<Formula>& requirements,
   // would restore consistency.
   outcome.consistent = false;
   if (localize_options.max_correction_sets > 0) {
-    const diag::CoreOracle oracle =
-        diag::synthesis_oracle(requirements, signature, options);
-    std::vector<std::size_t> universe(requirements.size());
-    for (std::size_t i = 0; i < universe.size(); ++i) universe[i] = i;
     std::size_t checks = 0;
     outcome.localization.correction_sets = diag::correction_sets(
-        universe, oracle, localize_options.max_correction_sets, checks);
+        all_indices(requirements.size()),
+        diag::synthesis_oracle(requirements, signature, options),
+        localize_options.max_correction_sets, checks);
     outcome.localization.checks += checks;
     outcome.checks += checks;
   }

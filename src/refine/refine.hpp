@@ -7,10 +7,9 @@
 // diag engine enumerates minimal correction sets, the alternative sentence
 // removals that would restore consistency.
 //
-// Localization runs on the diag MUS engine by default (deletion-based
-// shrinking with core jumps); the original incremental-growth + greedy
-// shrink path survives behind LocalizeOptions::Method::kGreedy as the
-// difftest cross-check reference.
+// Localization runs on the diag MUS engine (deletion-based shrinking with
+// core jumps); the planted-fault ground truth and diag_test's brute-force
+// minimality checks verify it independently.
 #pragma once
 
 #include <optional>
@@ -25,11 +24,6 @@
 namespace speccc::refine {
 
 struct LocalizeOptions {
-  enum class Method {
-    kCores,   // diag::shrink_mus deletion over requirement selectors
-    kGreedy,  // legacy incremental growth + greedy shrink (cross-check path)
-  };
-  Method method = Method::kCores;
   /// Minimal correction sets to enumerate for genuinely inconsistent
   /// specifications (0 disables the diag MaxSAT loop). localize() honors
   /// this directly; refine() defers it until partition adjustment has
@@ -51,9 +45,9 @@ struct Localization {
   std::size_t checks = 0;
 };
 
-/// Locate a minimal inconsistent core (paper V-B bullet 1), by the diag
-/// MUS engine or the legacy greedy path. Precondition: the full
-/// conjunction is unrealizable under `signature`.
+/// Locate a minimal inconsistent core (paper V-B bullet 1) with the diag
+/// MUS engine. Precondition: the full conjunction is unrealizable under
+/// `signature`.
 [[nodiscard]] Localization localize(const std::vector<ltl::Formula>& requirements,
                                     const synth::IoSignature& signature,
                                     const synth::SynthesisOptions& options = {},

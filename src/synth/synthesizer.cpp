@@ -6,15 +6,24 @@ namespace speccc::synth {
 
 namespace {
 
-std::optional<SynthesisResult> try_symbolic(
+void require_nonempty(const std::vector<ltl::Formula>& requirements) {
+  if (requirements.empty()) {
+    throw util::InvalidInputError(
+        "cannot synthesize from an empty specification");
+  }
+}
+
+}  // namespace
+
+std::optional<SynthesisResult> synthesize_symbolic(
     const std::vector<ltl::Formula>& requirements, const IoSignature& signature,
-    const SynthesisOptions& options) {
+    const SymbolicOptions& options) {
+  require_nonempty(requirements);
   util::Stopwatch timer;
-  const auto outcome = symbolic_synthesize(requirements, signature, options.symbolic);
+  const auto outcome = symbolic_synthesize(requirements, signature, options);
   if (!outcome.has_value()) return std::nullopt;
   SynthesisResult result;
   result.verdict = outcome->verdict;
-  result.engine_used = Engine::kSymbolic;
   result.substrate_used = "symbolic";
   result.state_bits = outcome->state_bits;
   result.peak_bdd_nodes = outcome->peak_bdd_nodes;
@@ -25,15 +34,15 @@ std::optional<SynthesisResult> try_symbolic(
   return result;
 }
 
-SynthesisResult run_bounded(const std::vector<ltl::Formula>& requirements,
-                            const IoSignature& signature,
-                            const SynthesisOptions& options) {
+SynthesisResult synthesize_bounded(const std::vector<ltl::Formula>& requirements,
+                                   const IoSignature& signature,
+                                   const BoundedOptions& options) {
+  require_nonempty(requirements);
   util::Stopwatch timer;
-  const ltl::Formula spec = ltl::land(requirements);
-  const auto outcome = bounded_synthesize(spec, signature, options.bounded);
+  const auto outcome =
+      bounded_synthesize(ltl::land(requirements), signature, options);
   SynthesisResult result;
   result.verdict = outcome.verdict;
-  result.engine_used = Engine::kBounded;
   result.substrate_used = "bounded";
   result.ucw_states = outcome.ucw_states;
   result.game_positions = outcome.game_positions;
@@ -43,33 +52,12 @@ SynthesisResult run_bounded(const std::vector<ltl::Formula>& requirements,
   return result;
 }
 
-}  // namespace
-
 SynthesisResult synthesize(const std::vector<ltl::Formula>& requirements,
                            const IoSignature& signature,
                            const SynthesisOptions& options) {
-  if (requirements.empty()) {
-    throw util::InvalidInputError("cannot synthesize from an empty specification");
-  }
-  switch (options.engine) {
-    case Engine::kSymbolic: {
-      auto result = try_symbolic(requirements, signature, options);
-      if (!result.has_value()) {
-        throw util::InvalidInputError(
-            "specification is outside the symbolic engine's pattern fragment "
-            "or mentions propositions missing from the signature");
-      }
-      return *result;
-    }
-    case Engine::kBounded:
-      return run_bounded(requirements, signature, options);
-    case Engine::kAuto:
-      break;
-  }
-  if (auto result = try_symbolic(requirements, signature, options)) {
-    return *result;
-  }
-  return run_bounded(requirements, signature, options);
+  auto result = synthesize_symbolic(requirements, signature, options.symbolic);
+  if (result.has_value()) return *std::move(result);
+  return synthesize_bounded(requirements, signature, options.bounded);
 }
 
 }  // namespace speccc::synth

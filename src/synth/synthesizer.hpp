@@ -4,11 +4,13 @@
 // realizability -- the paper's notion of specification consistency -- and
 // optionally extracts a Mealy controller witnessing it.
 //
-// Engine selection: when every requirement lies in the monitorable pattern
-// fragment (everything the Section IV translator emits), the symbolic
-// monitor-composition engine decides the game exactly at Table I scale;
-// otherwise the explicit bounded-synthesis engine handles full LTL on small
-// signatures.
+// Engine selection (synthesize): when every requirement lies in the
+// monitorable pattern fragment (everything the Section IV translator
+// emits), the symbolic monitor-composition engine decides the game exactly
+// at Table I scale; otherwise the explicit bounded-synthesis engine
+// handles full LTL on small signatures. The two engine lanes are exposed
+// on their own for the substrate layer (core/substrate.hpp), which routes
+// "auto", "symbolic" and "bounded" through them.
 #pragma once
 
 #include <optional>
@@ -22,20 +24,15 @@
 
 namespace speccc::synth {
 
-enum class Engine { kAuto, kSymbolic, kBounded };
-
 struct SynthesisOptions {
-  Engine engine = Engine::kAuto;
   BoundedOptions bounded;
   SymbolicOptions symbolic;
 };
 
 struct SynthesisResult {
   Realizability verdict = Realizability::kUnknown;
-  Engine engine_used = Engine::kAuto;
-  /// Name of the core::Substrate that produced the verdict ("tableau",
-  /// "bounded", "symbolic"); set by the substrate layer and by
-  /// synthesize(). Non-canonical diagnostic.
+  /// Name of the engine or core::Substrate that produced the verdict
+  /// ("tableau", "bounded", "symbolic"). Non-canonical diagnostic.
   std::string substrate_used;
   /// Wall-clock seconds of the realizability check (Table I's time column).
   double seconds = 0.0;
@@ -53,9 +50,22 @@ struct SynthesisResult {
   }
 };
 
-/// Decide realizability of the conjunction of `requirements`.
+/// Decide realizability of the conjunction of `requirements`: the symbolic
+/// lane when it applies, else the bounded lane. Throws InvalidInputError on
+/// an empty specification.
 [[nodiscard]] SynthesisResult synthesize(const std::vector<ltl::Formula>& requirements,
                                          const IoSignature& signature,
                                          const SynthesisOptions& options = {});
+
+/// The symbolic lane alone; nullopt when some requirement is outside the
+/// monitorable fragment or mentions propositions missing from the signature.
+[[nodiscard]] std::optional<SynthesisResult> synthesize_symbolic(
+    const std::vector<ltl::Formula>& requirements, const IoSignature& signature,
+    const SymbolicOptions& options);
+
+/// The bounded lane alone, on the conjunction of `requirements`.
+[[nodiscard]] SynthesisResult synthesize_bounded(
+    const std::vector<ltl::Formula>& requirements, const IoSignature& signature,
+    const BoundedOptions& options);
 
 }  // namespace speccc::synth

@@ -163,18 +163,17 @@ Translator::Translator(const nlp::Lexicon& lexicon,
 }
 
 nlp::Sentence Translator::parse_cached(const std::string& text) const {
-  if (cache_ == nullptr) return nlp::parse_sentence(text, lexicon_);
-  const util::Digest key =
-      cache::sentence_key(cache::normalize_sentence(text), lexicon_fingerprint_);
-  if (auto hit = cache_->find_sentence(key)) {
-    // The cached parse may originate from a whitespace variant of this
-    // sentence; restore the verbatim text so diagnostics print it as
-    // written here.
-    hit->text = text;
-    return *std::move(hit);
-  }
-  nlp::Sentence sentence = nlp::parse_sentence(text, lexicon_);
-  cache_->put_sentence(key, sentence);
+  nlp::Sentence sentence = cache::memoize<cache::Kind::kSentence>(
+      cache_,
+      [&] {
+        return cache::sentence_key(cache::normalize_sentence(text),
+                                   lexicon_fingerprint_);
+      },
+      [&] { return nlp::parse_sentence(text, lexicon_); });
+  // A cached parse may originate from a whitespace variant of this
+  // sentence; restore the verbatim text so diagnostics print it as written
+  // here.
+  sentence.text = text;
   return sentence;
 }
 

@@ -33,6 +33,8 @@ using speccc::util::DigestBuilder;
 
 namespace {
 
+constexpr cache::Kind kSat = cache::Kind::kSatisfiable;
+
 std::vector<speccc::translate::RequirementText> door_lock_spec() {
   return {
       {"R1", "If the door button is pressed, the lock signal is updated."},
@@ -40,6 +42,22 @@ std::vector<speccc::translate::RequirementText> door_lock_spec() {
       {"R3",
        "If the battery status is measured, the monitor light is activated in "
        "10 seconds."},
+  };
+}
+
+/// Mirrors examples/specs/faults/reservation.txt: fault A is the chain
+/// R1+R2+R3, fault B the contradiction R4 vs R5.
+std::vector<speccc::translate::RequirementText> reservation_spec() {
+  return {
+      {"R1", "If the booking request is received, the ticket is issued."},
+      {"R2", "If the ticket is issued, the confirmation message is sent."},
+      {"R3",
+       "If the booking request is received, the confirmation message is not "
+       "sent."},
+      {"R4", "If the cancel button is pressed, the refund notice is displayed."},
+      {"R5",
+       "If the cancel button is pressed, the refund notice is not displayed."},
+      {"R6", "If the payment card is detected, the receipt record is stored."},
   };
 }
 
@@ -175,15 +193,19 @@ TEST(CacheKeys, SynthesisKeyCoversFormulasSignatureAndOptions) {
   speccc::synth::IoSignature signature{{"a"}, {"b"}};
   speccc::synth::SynthesisOptions options;
 
-  const Digest base = cache::synthesis_key(formulas, signature, options);
-  EXPECT_EQ(base, cache::synthesis_key(formulas, signature, options));
+  const Digest base = cache::synthesis_key(formulas, signature, options, "auto");
+  EXPECT_EQ(base, cache::synthesis_key(formulas, signature, options, "auto"));
 
   speccc::synth::IoSignature flipped{{"b"}, {"a"}};
-  EXPECT_NE(base, cache::synthesis_key(formulas, flipped, options));
+  EXPECT_NE(base, cache::synthesis_key(formulas, flipped, options, "auto"));
 
-  speccc::synth::SynthesisOptions bounded = options;
-  bounded.engine = speccc::synth::Engine::kBounded;
-  EXPECT_NE(base, cache::synthesis_key(formulas, signature, bounded));
+  speccc::synth::SynthesisOptions deeper = options;
+  deeper.bounded.max_k = options.bounded.max_k + 1;
+  EXPECT_NE(base, cache::synthesis_key(formulas, signature, deeper, "auto"));
+
+  // The substrate spec is part of the computation: auto and a solo
+  // symbolic run agree on every verdict but are still distinct entries.
+  EXPECT_NE(base, cache::synthesis_key(formulas, signature, options, "symbolic"));
 
   // Refinement and synthesis artifacts never share keys even for equal
   // inputs (separate domains).
@@ -196,9 +218,9 @@ TEST(Store, CountsHitsAndMissesPerLevel) {
   cache::Store store;
   const Digest key = cache::satisfiability_key(ltl::parse("F p"));
 
-  EXPECT_FALSE(store.find_satisfiable(key).has_value());
-  store.put_satisfiable(key, true);
-  const auto hit = store.find_satisfiable(key);
+  EXPECT_FALSE(store.find<kSat>(key).has_value());
+  store.put<kSat>(key, true);
+  const auto hit = store.find<kSat>(key);
   ASSERT_TRUE(hit.has_value());
   EXPECT_TRUE(*hit);
 
@@ -220,15 +242,15 @@ TEST(Store, EvictsOldestFirstUnderMaxEntries) {
   std::vector<Digest> keys;
   for (int i = 0; i < 6; ++i) {
     keys.push_back(DigestBuilder("test").u64(i).finalize());
-    store.put_satisfiable(keys.back(), i % 2 == 0);
+    store.put<kSat>(keys.back(), i % 2 == 0);
   }
 
   EXPECT_EQ(store.size(), 4u);
   EXPECT_EQ(store.stats().evictions, 2u);
-  EXPECT_FALSE(store.find_satisfiable(keys[0]).has_value());  // evicted
-  EXPECT_FALSE(store.find_satisfiable(keys[1]).has_value());  // evicted
+  EXPECT_FALSE(store.find<kSat>(keys[0]).has_value());  // evicted
+  EXPECT_FALSE(store.find<kSat>(keys[1]).has_value());  // evicted
   for (int i = 2; i < 6; ++i) {
-    EXPECT_TRUE(store.find_satisfiable(keys[i]).has_value()) << i;
+    EXPECT_TRUE(store.find<kSat>(keys[i]).has_value()) << i;
   }
 }
 
@@ -243,7 +265,7 @@ TEST(Store, GlobalCapIsExactEvenWhenShardsDoNotDivideIt) {
   cache::Store store(options);
 
   for (int i = 0; i < 200; ++i) {
-    store.put_satisfiable(DigestBuilder("cap").u64(i).finalize(), true);
+    store.put<kSat>(DigestBuilder("cap").u64(i).finalize(), true);
   }
   EXPECT_LE(store.size(), 10u);
   // Keys spread over 4 shards; 200 inserts certainly filled every shard,
@@ -261,7 +283,7 @@ TEST(Store, CapBelowShardCountStillAdmitsSomewhereAndNeverExceeds) {
   options.max_entries = 3;
   cache::Store store(options);
   for (int i = 0; i < 100; ++i) {
-    store.put_satisfiable(DigestBuilder("tiny").u64(i).finalize(), true);
+    store.put<kSat>(DigestBuilder("tiny").u64(i).finalize(), true);
   }
   EXPECT_LE(store.size(), 3u);
   EXPECT_GT(store.size(), 0u);
@@ -283,19 +305,19 @@ TEST(Store, LruKeepsRecentlyUsedWhereFifoEvictsByAge) {
     options.eviction = policy;
     cache::Store store(options);
 
-    store.put_satisfiable(a, true);
-    store.put_satisfiable(b, true);
-    EXPECT_TRUE(store.find_satisfiable(a).has_value());  // touch A
-    store.put_satisfiable(c, true);
+    store.put<kSat>(a, true);
+    store.put<kSat>(b, true);
+    EXPECT_TRUE(store.find<kSat>(a).has_value());  // touch A
+    store.put<kSat>(c, true);
 
     EXPECT_EQ(store.size(), 2u);
-    EXPECT_TRUE(store.find_satisfiable(c).has_value());
+    EXPECT_TRUE(store.find<kSat>(c).has_value());
     if (policy == cache::Eviction::kFifo) {
-      EXPECT_FALSE(store.find_satisfiable(a).has_value()) << "fifo";
-      EXPECT_TRUE(store.find_satisfiable(b).has_value()) << "fifo";
+      EXPECT_FALSE(store.find<kSat>(a).has_value()) << "fifo";
+      EXPECT_TRUE(store.find<kSat>(b).has_value()) << "fifo";
     } else {
-      EXPECT_TRUE(store.find_satisfiable(a).has_value()) << "lru";
-      EXPECT_FALSE(store.find_satisfiable(b).has_value()) << "lru";
+      EXPECT_TRUE(store.find<kSat>(a).has_value()) << "lru";
+      EXPECT_FALSE(store.find<kSat>(b).has_value()) << "lru";
     }
   }
   EXPECT_STREQ(cache::eviction_name(cache::Eviction::kFifo), "fifo");
@@ -312,15 +334,15 @@ TEST(Store, ThreadStatsAttributeWorkToTheCallingThread) {
 
   std::thread other([&] {
     for (int i = 0; i < 5; ++i) {
-      (void)store.find_satisfiable(there);  // 5 misses on the other thread
+      (void)store.find<kSat>(there);  // 5 misses on the other thread
     }
   });
   other.join();
 
   const cache::StatsSnapshot before = cache::Store::thread_stats();
-  (void)store.find_satisfiable(here);  // miss
-  store.put_satisfiable(here, true);
-  (void)store.find_satisfiable(here);  // hit
+  (void)store.find<kSat>(here);  // miss
+  store.put<kSat>(here, true);
+  (void)store.find<kSat>(here);  // hit
   const cache::StatsSnapshot delta =
       cache::Store::thread_stats().since(before);
   EXPECT_EQ(delta.l2_misses, 1u);
@@ -333,9 +355,9 @@ TEST(Store, ThreadStatsAttributeWorkToTheCallingThread) {
 TEST(Store, PutIsFirstWriterWinsAndIdempotent) {
   cache::Store store;
   const Digest key = DigestBuilder("test").u64(1).finalize();
-  store.put_satisfiable(key, true);
-  store.put_satisfiable(key, false);  // racing duplicate: ignored
-  EXPECT_TRUE(*store.find_satisfiable(key));
+  store.put<kSat>(key, true);
+  store.put<kSat>(key, false);  // racing duplicate: ignored
+  EXPECT_TRUE(*store.find<kSat>(key));
   EXPECT_EQ(store.size(), 1u);
 }
 
@@ -437,24 +459,33 @@ std::string to_hex(const std::string& bytes) {
 constexpr Digest kStampA{0x1111111111111111ULL, 0x2222222222222222ULL};
 
 void fill_golden(cache::Store& store) {
-  store.put_satisfiable(Digest{1, 2}, true);
-  store.put_satisfiable(Digest{0x0123456789abcdefULL, 0xfedcba9876543210ULL},
+  store.put<kSat>(Digest{1, 2}, true);
+  store.put<kSat>(Digest{0x0123456789abcdefULL, 0xfedcba9876543210ULL},
                         false);
 }
 
 }  // namespace
 
 TEST(Snapshot, PipelineRoundTripRerunsWithZeroMisses) {
-  const auto spec = door_lock_spec();
+  // door_lock is consistent; reservation (examples/specs/faults/) is
+  // genuinely inconsistent, so under the --diagnose options its run stores
+  // a refinement entry carrying the MUS and the correction sets.
   const std::string path = snapshot_path("roundtrip.snap");
   const Digest stamp = nlp::Lexicon::builtin().fingerprint();
 
   speccc::core::PipelineOptions options;
+  options.localization.max_correction_sets = 4;
   options.cache = std::make_shared<cache::Store>();
-  const auto expected = speccc::core::Pipeline(options).run("door_lock", spec);
+  const speccc::core::Pipeline cold(options);
+  const auto expected_lock = cold.run("door_lock", door_lock_spec());
+  const auto expected_fault = cold.run("reservation", reservation_spec());
+  ASSERT_TRUE(expected_fault.refinement.has_value());
+  ASSERT_FALSE(expected_fault.refinement->localization.core.empty());
+  ASSERT_FALSE(
+      expected_fault.refinement->localization.correction_sets.empty());
   cache::save_snapshot(*options.cache, path, stamp);
 
-  speccc::core::PipelineOptions warm_options;
+  speccc::core::PipelineOptions warm_options = options;
   warm_options.cache = std::make_shared<cache::Store>();
   const cache::SnapshotMeta meta =
       cache::load_snapshot(*warm_options.cache, path, stamp);
@@ -463,12 +494,33 @@ TEST(Snapshot, PipelineRoundTripRerunsWithZeroMisses) {
   EXPECT_EQ(meta.entries, options.cache->size());
   EXPECT_EQ(warm_options.cache->size(), options.cache->size());
 
-  // The warm store serves the rerun entirely: zero misses on both levels,
-  // and the same verdict.
-  const auto warm = speccc::core::Pipeline(warm_options).run("door_lock", spec);
-  EXPECT_EQ(warm.consistent, expected.consistent);
-  EXPECT_EQ(warm.num_formulas(), expected.num_formulas());
-  EXPECT_EQ(warm.synthesis.verdict, expected.synthesis.verdict);
+  // The warm store serves both reruns entirely: zero misses on both
+  // levels, the same verdicts, and the same refinement outcome.
+  const speccc::core::Pipeline warm(warm_options);
+  const auto warm_lock = warm.run("door_lock", door_lock_spec());
+  const auto warm_fault = warm.run("reservation", reservation_spec());
+  for (const auto& [run, expected] :
+       {std::pair{&warm_lock, &expected_lock},
+        std::pair{&warm_fault, &expected_fault}}) {
+    EXPECT_EQ(run->consistent, expected->consistent) << expected->name;
+    EXPECT_EQ(run->num_formulas(), expected->num_formulas());
+    EXPECT_EQ(run->synthesis.verdict, expected->synthesis.verdict);
+    EXPECT_EQ(run->unsatisfiable_requirements,
+              expected->unsatisfiable_requirements);
+  }
+  ASSERT_TRUE(warm_fault.refinement.has_value());
+  const auto& got = *warm_fault.refinement;
+  const auto& want = *expected_fault.refinement;
+  EXPECT_EQ(got.consistent, want.consistent);
+  EXPECT_EQ(got.adjustment.has_value(), want.adjustment.has_value());
+  EXPECT_EQ(got.partition.inputs, want.partition.inputs);
+  EXPECT_EQ(got.partition.outputs, want.partition.outputs);
+  EXPECT_EQ(got.localization.core, want.localization.core);
+  EXPECT_EQ(got.localization.correction_sets,
+            want.localization.correction_sets);
+  EXPECT_EQ(got.localization.related, want.localization.related);
+  EXPECT_EQ(got.localization.checks, want.localization.checks);
+  EXPECT_EQ(got.checks, want.checks);
   const cache::StatsSnapshot stats = warm_options.cache->stats();
   EXPECT_EQ(stats.l1_misses, 0u);
   EXPECT_EQ(stats.l2_misses, 0u);
@@ -487,9 +539,9 @@ TEST(Snapshot, GoldenBytesArePinned) {
   cache::save_snapshot(store, path, kStampA);
   EXPECT_EQ(
       to_hex(read_file(path)),
-      // header: magic "SPCCSNP1", version 1, fingerprint, body length 79
+      // header: magic "SPCCSNP1", version 2, fingerprint, body length 79
       "53504343534e5031"  // SPCCSNP1
-      "01000000"          // version 1
+      "02000000"          // version 2
       "1111111111111111" "2222222222222222"  // lexicon fingerprint hi, lo
       "4f00000000000000"  // body: 79 bytes
       // body: 5 sections in kind order, entries sorted by key
@@ -552,7 +604,7 @@ TEST(Snapshot, RejectsCorruptedBody) {
   write_file(path, bytes);
 
   cache::Store target;
-  target.put_satisfiable(Digest{9, 9}, true);  // pre-existing entry
+  target.put<kSat>(Digest{9, 9}, true);  // pre-existing entry
   try {
     cache::load_snapshot(target, path, kStampA);
     FAIL() << "corrupted snapshot was accepted";
@@ -568,17 +620,23 @@ TEST(Snapshot, RejectsWrongFormatVersion) {
   cache::Store store;
   fill_golden(store);
   cache::save_snapshot(store, path, kStampA);
-  std::string bytes = read_file(path);
-  bytes[8] = 99;  // version field follows the 8-byte magic
-  write_file(path, bytes);
-
-  cache::Store target;
-  try {
-    cache::load_snapshot(target, path, kStampA);
-    FAIL() << "future-version snapshot was accepted";
-  } catch (const cache::SnapshotError& e) {
-    EXPECT_EQ(e.kind(), cache::SnapshotErrorKind::kBadVersion);
-    EXPECT_NE(std::string(e.what()).find("99"), std::string::npos);
+  const std::string bytes = read_file(path);
+  // A future version and the retired version 1 (whose synthesis records
+  // and keys differ) are both rejected, never misread.
+  for (const char version : {char{99}, char{1}}) {
+    std::string patched = bytes;
+    patched[8] = version;  // version field follows the 8-byte magic
+    write_file(path, patched);
+    cache::Store target;
+    try {
+      cache::load_snapshot(target, path, kStampA);
+      FAIL() << "version-" << int{version} << " snapshot was accepted";
+    } catch (const cache::SnapshotError& e) {
+      EXPECT_EQ(e.kind(), cache::SnapshotErrorKind::kBadVersion);
+      EXPECT_NE(std::string(e.what()).find(
+                    "format version " + std::to_string(int{version})),
+                std::string::npos);
+    }
   }
 }
 
@@ -639,17 +697,17 @@ TEST(Snapshot, RejectsForeignLexiconFingerprint) {
 
 TEST(StoreMerge, FirstWriterWinsAndOnlyNewEntriesCount) {
   cache::Store a;
-  a.put_satisfiable(Digest{1, 1}, true);
+  a.put<kSat>(Digest{1, 1}, true);
   cache::Store b;
-  b.put_satisfiable(Digest{1, 1}, false);  // conflicting duplicate
-  b.put_satisfiable(Digest{2, 2}, true);
-  b.put_sentence(cache::sentence_key("the door opens", kStampA),
-                 nlp::Sentence{});
+  b.put<kSat>(Digest{1, 1}, false);  // conflicting duplicate
+  b.put<kSat>(Digest{2, 2}, true);
+  b.put<cache::Kind::kSentence>(
+      cache::sentence_key("the door opens", kStampA), nlp::Sentence{});
 
   EXPECT_EQ(a.merge(b), 2u);  // the duplicate is not an insert
   EXPECT_EQ(a.size(), 3u);
-  EXPECT_TRUE(*a.find_satisfiable(Digest{1, 1}));  // a's value survived
-  EXPECT_TRUE(*a.find_satisfiable(Digest{2, 2}));
+  EXPECT_TRUE(*a.find<kSat>(Digest{1, 1}));  // a's value survived
+  EXPECT_TRUE(*a.find<kSat>(Digest{2, 2}));
   EXPECT_EQ(a.merge(b), 0u);  // idempotent
 }
 
@@ -659,10 +717,10 @@ TEST(StoreMerge, ShardSnapshotsMergeIntoTheUnion) {
   const std::string path_a = snapshot_path("shard-a.snap");
   const std::string path_b = snapshot_path("shard-b.snap");
   cache::Store shard_a, shard_b;
-  shard_a.put_satisfiable(Digest{1, 1}, true);
-  shard_a.put_satisfiable(Digest{2, 2}, false);
-  shard_b.put_satisfiable(Digest{2, 2}, false);  // shared work
-  shard_b.put_satisfiable(Digest{3, 3}, true);
+  shard_a.put<kSat>(Digest{1, 1}, true);
+  shard_a.put<kSat>(Digest{2, 2}, false);
+  shard_b.put<kSat>(Digest{2, 2}, false);  // shared work
+  shard_b.put<kSat>(Digest{3, 3}, true);
   cache::save_snapshot(shard_a, path_a, kStampA);
   cache::save_snapshot(shard_b, path_b, kStampA);
 
@@ -670,7 +728,7 @@ TEST(StoreMerge, ShardSnapshotsMergeIntoTheUnion) {
   cache::load_snapshot(merged, path_a, kStampA);
   cache::load_snapshot(merged, path_b, kStampA);
   EXPECT_EQ(merged.size(), 3u);
-  EXPECT_TRUE(*merged.find_satisfiable(Digest{1, 1}));
-  EXPECT_FALSE(*merged.find_satisfiable(Digest{2, 2}));
-  EXPECT_TRUE(*merged.find_satisfiable(Digest{3, 3}));
+  EXPECT_TRUE(*merged.find<kSat>(Digest{1, 1}));
+  EXPECT_FALSE(*merged.find<kSat>(Digest{2, 2}));
+  EXPECT_TRUE(*merged.find<kSat>(Digest{3, 3}));
 }

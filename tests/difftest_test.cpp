@@ -340,24 +340,11 @@ std::string describe_planted(const difftest::PlantedSpec& spec,
   return out;
 }
 
-bool is_superset_of_some_fault(const std::vector<std::size_t>& blamed,
-                               const difftest::PlantedSpec& spec) {
-  for (const auto& fault : spec.faults) {
-    if (std::includes(blamed.begin(), blamed.end(), fault.begin(),
-                      fault.end())) {
-      return true;
-    }
-  }
-  return false;
-}
-
 // The ground-truth acceptance bar for the diag localization engine: over
 // >= 50 planted-fault specs per seed, every spec is genuinely
-// inconsistent, the MUS the cores path reports is verified
+// inconsistent, the MUS localization reports is verified
 // minimal-inconsistent and is exactly one of the planted fault sets
-// (faults use fresh disjoint vocabulary, so those are the only MUSes),
-// and the legacy greedy path -- kept behind LocalizeOptions::kGreedy for
-// exactly this cross-check -- blames a planted fault too.
+// (faults use fresh disjoint vocabulary, so those are the only MUSes).
 class PlantedFaultTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(PlantedFaultTest, LocalizationFindsAPlantedFaultOnEverySpec) {
@@ -377,10 +364,8 @@ TEST_P(PlantedFaultTest, LocalizationFindsAPlantedFaultOnEverySpec) {
         << "planted spec not inconsistent\n"
         << describe_planted(spec, seed, index);
 
-    speccc::refine::LocalizeOptions cores;
-    cores.method = speccc::refine::LocalizeOptions::Method::kCores;
     const auto mus_loc =
-        speccc::refine::localize(sc.requirements, sc.signature, {}, cores);
+        speccc::refine::localize(sc.requirements, sc.signature);
     EXPECT_NE(std::find(spec.faults.begin(), spec.faults.end(), mus_loc.core),
               spec.faults.end())
         << "MUS is not a planted fault set\n"
@@ -394,14 +379,6 @@ TEST_P(PlantedFaultTest, LocalizationFindsAPlantedFaultOnEverySpec) {
           << "MUS not minimal at element " << e << "\n"
           << describe_planted(spec, seed, index);
     }
-
-    speccc::refine::LocalizeOptions greedy;
-    greedy.method = speccc::refine::LocalizeOptions::Method::kGreedy;
-    const auto greedy_loc =
-        speccc::refine::localize(sc.requirements, sc.signature, {}, greedy);
-    EXPECT_TRUE(is_superset_of_some_fault(greedy_loc.core, spec))
-        << "greedy core does not cover any planted fault\n"
-        << describe_planted(spec, seed, index);
   }
 }
 

@@ -23,7 +23,7 @@ TEST(PipelineCara, WorkingModeSpecIsConsistent) {
       pipeline.run("CARA working mode", corpus::cara_working_mode_texts());
   EXPECT_TRUE(result.consistent);
   EXPECT_EQ(result.num_formulas(), 30u);  // the published formula count
-  EXPECT_EQ(result.synthesis.engine_used, speccc::synth::Engine::kSymbolic);
+  EXPECT_EQ(result.synthesis.substrate_used, "symbolic");
   // The partition finds the paper's 22-23 inputs (22 published; ours differ
   // by one because the published formulas carry typo-induced propositions).
   EXPECT_NEAR(static_cast<double>(result.num_inputs()), 22.0, 1.5);

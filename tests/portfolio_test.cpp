@@ -70,14 +70,6 @@ TEST(SubstrateSpec, RejectsMalformedSpecs) {
                util::InvalidInputError);
 }
 
-TEST(SubstrateSpec, FromEngineShimMapsTheOldEnum) {
-  EXPECT_TRUE(SubstrateSpec::from_engine(synth::Engine::kAuto).is_auto());
-  EXPECT_EQ(SubstrateSpec::from_engine(synth::Engine::kSymbolic).to_string(),
-            "symbolic");
-  EXPECT_EQ(SubstrateSpec::from_engine(synth::Engine::kBounded).to_string(),
-            "bounded");
-}
-
 // ---------------------------------------------------------------------------
 // Registry and the builtin substrates
 
@@ -92,15 +84,35 @@ TEST(SubstrateRegistry, GlobalHoldsTheThreeBuiltins) {
   EXPECT_EQ(registry.find("warp"), nullptr);
 }
 
-TEST(SubstrateRegistry, ResolvePreservesSpecOrderAndRejectsAuto) {
+TEST(SubstrateRegistry, ResolvePreservesSpecOrderAndAutoIsOneRouter) {
   const core::SubstrateRegistry& registry = core::SubstrateRegistry::global();
   const auto racers =
       registry.resolve(SubstrateSpec::parse("race:symbolic,tableau"));
   ASSERT_EQ(racers.size(), 2u);
   EXPECT_EQ(racers[0]->name(), "symbolic");
   EXPECT_EQ(racers[1]->name(), "tableau");
-  EXPECT_THROW((void)registry.resolve(SubstrateSpec{}),
-               util::InvalidInputError);
+  // Auto resolves like any spec, to one router substrate that is not a
+  // registered (independent) procedure.
+  const auto routed = registry.resolve(SubstrateSpec{});
+  ASSERT_EQ(routed.size(), 1u);
+  EXPECT_EQ(routed.front()->name(), "auto");
+  EXPECT_EQ(registry.find("auto"), nullptr);
+}
+
+TEST(AutoSubstrate, CancelFiresInsideEitherEngine) {
+  // The run's cancel predicate reaches the engine the router picks: a
+  // batch budget or serve deadline under the default spec can stop a
+  // fixpoint or a k-escalation, not only a stage boundary.
+  const core::Substrate* router =
+      core::SubstrateRegistry::global().resolve(SubstrateSpec{}).front();
+  const synth::IoSignature signature{{"a"}, {"x"}};
+  const core::CancelFn always = [] { return true; };
+  EXPECT_THROW(
+      (void)router->check({ltl::parse("G (a -> x)")}, signature, {}, always),
+      util::CancelledError);
+  EXPECT_THROW((void)router->check({ltl::parse("G (a -> F (x && X x))")},
+                                   signature, {}, always),
+               util::CancelledError);
 }
 
 TEST(TableauSubstrate, UnsatIsUnrealizableSatAbstains) {
@@ -346,20 +358,23 @@ TEST(PortfolioDeterminism, RaceMatchesAutoOnTableOneForAllJobsAndCaches) {
   const std::string baseline =
       batch::canonical(batch::check(tasks, baseline_options));
 
-  for (const int jobs : {1, 4, 8}) {
-    for (const bool cache_on : {false, true}) {
-      batch::BatchOptions options;
-      options.jobs = jobs;
-      options.pipeline.substrate =
-          SubstrateSpec::parse("race:tableau,bounded,symbolic");
-      if (cache_on) {
-        options.pipeline.cache =
-            std::make_shared<speccc::cache::Store>(speccc::cache::StoreOptions{});
+  // A race and a solo symbolic run never abstain on Table I, so both must
+  // match auto byte for byte (an abstaining solo tableau would not).
+  for (const char* spec : {"race:tableau,bounded,symbolic", "symbolic"}) {
+    for (const int jobs : {1, 4, 8}) {
+      for (const bool cache_on : {false, true}) {
+        batch::BatchOptions options;
+        options.jobs = jobs;
+        options.pipeline.substrate = SubstrateSpec::parse(spec);
+        if (cache_on) {
+          options.pipeline.cache = std::make_shared<speccc::cache::Store>(
+              speccc::cache::StoreOptions{});
+        }
+        const std::string got = batch::canonical(batch::check(tasks, options));
+        EXPECT_EQ(got, baseline)
+            << spec << " canonical output diverged at jobs=" << jobs
+            << " cache=" << (cache_on ? "on" : "off");
       }
-      const std::string raced = batch::canonical(batch::check(tasks, options));
-      EXPECT_EQ(raced, baseline)
-          << "race-on canonical output diverged at jobs=" << jobs
-          << " cache=" << (cache_on ? "on" : "off");
     }
   }
 }

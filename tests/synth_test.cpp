@@ -258,14 +258,14 @@ INSTANTIATE_TEST_SUITE_P(Sweep, ConjunctionAgreementTest,
 
 TEST(Synthesizer, AutoSelectsSymbolicForPatternSpecs) {
   const auto result = synth::synthesize(parse_all({"G (a -> x)"}), {{"a"}, {"x"}});
-  EXPECT_EQ(result.engine_used, synth::Engine::kSymbolic);
+  EXPECT_EQ(result.substrate_used, "symbolic");
   EXPECT_TRUE(result.realizable());
 }
 
 TEST(Synthesizer, AutoFallsBackToBounded) {
   const auto result = synth::synthesize(
       parse_all({"G (a -> F (x && X x))"}), {{"a"}, {"x"}});
-  EXPECT_EQ(result.engine_used, synth::Engine::kBounded);
+  EXPECT_EQ(result.substrate_used, "bounded");
   EXPECT_EQ(result.verdict, Realizability::kRealizable);
 }
 
@@ -274,12 +274,10 @@ TEST(Synthesizer, EmptySpecThrows) {
                speccc::util::InvalidInputError);
 }
 
-TEST(Synthesizer, ForcedSymbolicOnNonFragmentThrows) {
-  synth::SynthesisOptions opts;
-  opts.engine = synth::Engine::kSymbolic;
-  EXPECT_THROW((void)synth::synthesize(parse_all({"G F a -> G F x"}),
-                                       {{"a"}, {"x"}}, opts),
-               speccc::util::InvalidInputError);
+TEST(Synthesizer, SymbolicLaneDeclinesNonFragmentSpecs) {
+  EXPECT_FALSE(synth::synthesize_symbolic(parse_all({"G F a -> G F x"}),
+                                          {{"a"}, {"x"}}, {})
+                   .has_value());
 }
 
 }  // namespace
