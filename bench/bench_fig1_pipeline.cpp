@@ -52,10 +52,7 @@ void BM_Stage2Synthesis(benchmark::State& state) {
   const auto staged =
       setup.run("setup", speccc::corpus::cara_working_mode_texts());
   const auto formulas = staged.translation.formulas();
-  const auto& partition = staged.partition;
-  speccc::synth::IoSignature signature;
-  signature.inputs.assign(partition.inputs.begin(), partition.inputs.end());
-  signature.outputs.assign(partition.outputs.begin(), partition.outputs.end());
+  const speccc::synth::IoSignature signature = staged.partition.signature();
   for (auto _ : state) {
     auto result = speccc::synth::synthesize(formulas, signature);
     benchmark::DoNotOptimize(result.verdict);

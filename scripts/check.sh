@@ -72,10 +72,16 @@ if [[ -x "$batch_bin" ]]; then
     --substrate race:tableau,bounded,symbolic \
     "$repo_root/examples/specs" > "$build_dir/batch-smoke-race.txt"
   diff "$build_dir/batch-smoke-plain.txt" "$build_dir/batch-smoke-race.txt"
+  # Abstention smoke: a solo tableau abstains on every satisfiable spec,
+  # and auto completes each abstention (core::decide), so its canonical
+  # report must be byte-identical to the default's.
+  echo "speccc_batch abstention smoke (canonical diff, tableau vs default)"
+  "$batch_bin" --jobs "$batch_jobs" --quiet --canonical --substrate tableau \
+    "$repo_root/examples/specs" > "$build_dir/batch-smoke-tableau.txt"
+  diff "$build_dir/batch-smoke-plain.txt" "$build_dir/batch-smoke-tableau.txt"
   # Substrate smoke: every spec, auto included, resolves through the
-  # substrate registry. A solo symbolic run never abstains on Table I, so
-  # its canonical report must be byte-identical to the default's (an
-  # abstaining solo tableau may differ, but only by that abstention).
+  # substrate registry, so a solo symbolic run's canonical report must be
+  # byte-identical to the default's.
   echo "speccc_batch substrate smoke (Table I canonical diff, symbolic vs default)"
   "$batch_bin" --jobs "$batch_jobs" --quiet --canonical --corpus table1 \
     > "$build_dir/batch-smoke-t1-default.txt"

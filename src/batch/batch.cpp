@@ -116,11 +116,7 @@ AgreementStats check_substrates(const core::PipelineResult& pipeline_result,
 
   const std::vector<ltl::Formula> formulas =
       pipeline_result.translation.formulas();
-  synth::IoSignature signature;
-  signature.inputs.assign(pipeline_result.partition.inputs.begin(),
-                          pipeline_result.partition.inputs.end());
-  signature.outputs.assign(pipeline_result.partition.outputs.begin(),
-                           pipeline_result.partition.outputs.end());
+  const synth::IoSignature signature = pipeline_result.partition.signature();
 
   synth::SynthesisOptions options;
   options.bounded = bounded_options;
@@ -191,8 +187,7 @@ TaskResult TaskRunner::run(const SpecTask& task, const RunLimits& limits) {
     result.formulas = pipeline_result.num_formulas();
     result.inputs = pipeline_result.num_inputs();
     result.outputs = pipeline_result.num_outputs();
-    result.refined = pipeline_result.refinement.has_value() &&
-                     pipeline_result.refinement->consistent;
+    result.refined = pipeline_result.refined();
     result.unsatisfiable_requirements =
         pipeline_result.unsatisfiable_requirements;
     if (pipeline_result.refinement.has_value()) {
@@ -213,9 +208,6 @@ TaskResult TaskRunner::run(const SpecTask& task, const RunLimits& limits) {
         result.correction_sets.push_back(std::move(ids));
       }
     }
-    result.translation_seconds = pipeline_result.translation_seconds;
-    result.synthesis_seconds = pipeline_result.synthesis_seconds;
-    result.refinement_seconds = pipeline_result.refinement_seconds;
     if (pipeline_result.synthesis.substrate_used == "symbolic") {
       result.bdd = pipeline_result.synthesis.bdd_stats;
     }
@@ -270,16 +262,12 @@ BatchReport check(const std::vector<SpecTask>& tasks,
   std::mutex report_mutex;  // guards results slots' publication + on_result
   std::atomic<std::size_t> total_steals{0};
 
-  RunnerOptions runner_options;
-  runner_options.pipeline = options.pipeline;
-  runner_options.check_agreement = options.check_agreement;
-  runner_options.agreement_bounded = options.agreement_bounded;
   RunLimits limits;
   limits.budget_seconds = options.task_time_budget_seconds;
   limits.cancel = options.cancel;
 
   const auto worker_loop = [&](std::size_t worker_id) {
-    TaskRunner worker(static_cast<int>(worker_id), runner_options);
+    TaskRunner worker(static_cast<int>(worker_id), options);
     std::size_t index = 0;
     std::size_t steals = 0;
     while (queues.next(worker_id, index, steals)) {

@@ -126,9 +126,6 @@ struct TaskResult {
   /// these input-impure.
   cache::StatsSnapshot cache;
   double seconds = 0.0;  // whole-task wall clock on its worker
-  double translation_seconds = 0.0;
-  double synthesis_seconds = 0.0;
-  double refinement_seconds = 0.0;
   int worker = -1;  // which worker ran it
   /// BDD-manager counters of the task's initial synthesis (zero when the
   /// bounded engine decided it). Every worker owns its managers, so these
@@ -150,16 +147,21 @@ struct BddAggregate {
 };
 
 /// Configuration of one warm task-execution engine (TaskRunner below):
-/// the per-worker slice of BatchOptions, reused by the serve worker pool.
+/// the per-worker base of BatchOptions, reused by the serve worker pool.
 struct RunnerOptions {
   /// Pipeline configuration. PipelineOptions::cancelled is overwritten by
-  /// the runner (it carries the budget/cancel polling); cache, when set,
-  /// may be shared across runners (the store is thread-safe).
+  /// the runner (it carries the budget/cancel polling). PipelineOptions::
+  /// cache, when set, is shared by every runner (the sharded, thread-safe
+  /// store is the sanctioned exception to per-worker isolation); persist
+  /// one across batches for cross-batch reuse.
   core::PipelineOptions pipeline;
-  /// Re-decide every spec with both synthesis engines and record
-  /// agreement (see BatchOptions::check_agreement).
+  /// Re-decide every spec with every registered substrate's own check
+  /// (never auto's completion, never pipeline.cache) and record agreement;
+  /// roughly doubles the cost. kUnknown never counts as disagreement.
   bool check_agreement = false;
-  /// Caps for the agreement pass's bounded run.
+  /// Caps for the agreement pass's bounded run. Defaults mirror the
+  /// difftest oracle's give-up caps -- the pipeline's own unbounded
+  /// defaults would let one adversarial spec stall the whole batch.
   synth::BoundedOptions agreement_bounded = {.max_k = 4,
                                              .extract = false,
                                              .max_game_positions = 20'000,
@@ -194,40 +196,17 @@ class TaskRunner {
   std::unique_ptr<Impl> impl_;
 };
 
-struct BatchOptions {
+struct BatchOptions : RunnerOptions {
   /// Worker threads; 0 means std::thread::hardware_concurrency().
   int jobs = 0;
-  /// Per-worker pipeline configuration. PipelineOptions::cancelled is
-  /// overwritten by the scheduler (it carries the budget/cancel polling).
-  /// PipelineOptions::cache, when set, is shared by every worker (the
-  /// store is sharded and thread-safe -- the sanctioned exception to the
-  /// per-worker-isolation rule); persist one store across batches for
-  /// cross-batch reuse. Repeated and revised specifications then skip
-  /// re-parsing unchanged sentences and re-deciding unchanged formulas.
-  core::PipelineOptions pipeline;
-  /// Per-task wall-clock budget in seconds; 0 means unlimited. Polled at
-  /// pipeline stage boundaries (cooperative -- a stage in flight finishes).
-  /// Bound the stages themselves with pipeline.synthesis.bounded caps.
+  /// Per-task wall-clock budget in seconds; 0 means unlimited. Polled
+  /// cooperatively through PipelineOptions::cancelled (stage boundaries
+  /// and every substrate engine; stage 1 finishes once started).
   double task_time_budget_seconds = 0.0;
   /// Batch-wide cancellation: raise to drain the queue. Running tasks stop
-  /// at their next stage boundary; queued tasks are marked kCancelled
-  /// without running.
+  /// at their next poll; queued tasks are marked kCancelled without
+  /// running.
   const std::atomic<bool>* cancel = nullptr;
-  /// Re-decide every spec with both synthesis engines and record
-  /// agreement (roughly doubles the cost; the bounded engine gives up as
-  /// kUnknown beyond its caps, which never counts as disagreement). The
-  /// agreement pass always runs the engines directly -- it is never
-  /// answered from pipeline.cache, so a cached batch still cross-checks
-  /// for real.
-  bool check_agreement = false;
-  /// Caps for the agreement pass's bounded run. Defaults mirror the
-  /// difftest oracle's give-up caps -- the pipeline's own unbounded
-  /// defaults would let one adversarial spec stall the whole batch.
-  synth::BoundedOptions agreement_bounded = {.max_k = 4,
-                                             .extract = false,
-                                             .max_game_positions = 20'000,
-                                             .max_ucw_states = 150,
-                                             .cancelled = {}};
   /// Completion callback, invoked under the scheduler lock in completion
   /// order (not input order). Keep it cheap; it may run on any worker.
   std::function<void(const TaskResult&)> on_result;

@@ -1,7 +1,6 @@
 #include "cache/snapshot.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -48,7 +47,6 @@ class Writer {
     for (int i = 0; i < 8; ++i) buf_.push_back(static_cast<char>(v >> (8 * i)));
   }
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
   void boolean(bool v) { u8(v ? 1 : 0); }
   void str(const std::string& s) {
     u64(s.size());
@@ -94,7 +92,6 @@ class Reader {
     return v;
   }
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  double f64() { return std::bit_cast<double>(u64()); }
   bool boolean() { return u8() != 0; }
   std::string str() {
     const std::uint64_t n = u64();
@@ -286,7 +283,6 @@ synth::MealyMachine read_mealy(Reader& r) {
 void write_value(Writer& w, const synth::SynthesisResult& v) {
   w.u32(static_cast<std::uint32_t>(v.verdict));
   w.str(v.substrate_used);
-  w.f64(v.seconds);
   w.u64(v.state_bits);
   w.u64(v.ucw_states);
   w.u64(v.game_positions);
@@ -304,7 +300,6 @@ void write_value(Writer& w, const synth::SynthesisResult& v) {
 void read_value(Reader& r, synth::SynthesisResult& v) {
   v.verdict = static_cast<synth::Realizability>(r.u32());
   v.substrate_used = r.str();
-  v.seconds = r.f64();
   v.state_bits = r.u64();
   v.ucw_states = r.u64();
   v.game_positions = r.u64();

@@ -3,7 +3,7 @@
 // every artifact from scratch (ROADMAP item 4's "make cache::Store
 // serializable to disk" half).
 //
-// Format (version 2): a fixed-width little-endian binary layout,
+// Format (version 3): a fixed-width little-endian binary layout,
 //
 //   magic "SPCCSNP1" (8 bytes)
 //   u32   format version
@@ -15,9 +15,9 @@
 //           entries sorted by key (hi, then lo): key hi, key lo, value
 //   u64   body checksum hi, u64 lo         (util::DigestBuilder over body)
 //
-// Determinism: entries are sorted by key before writing, every integer is
-// fixed-width little-endian, and doubles are bit-cast -- the same store
-// contents produce the same bytes on every platform (cache_test pins a
+// Determinism: entries are sorted by key before writing and every integer
+// is fixed-width little-endian -- the same store contents produce the same
+// bytes on every platform (cache_test pins a
 // golden snapshot to guard the format).
 //
 // Validation is all-or-nothing and structured: save() writes to a
@@ -46,10 +46,9 @@
 namespace speccc::cache {
 
 /// Current snapshot format version; load() rejects everything else.
-/// Version 2 dropped the synthesis record's engine enum and re-derived the
-/// synthesis and abstraction keys (the substrate spec and the SMT encoder
-/// are folded in directly), so version-1 files are rejected as bad-version.
-inline constexpr std::uint32_t kSnapshotVersion = 2;
+/// Version 3 dropped the synthesis record's seconds; a version-2 file can
+/// hold a solo tableau's kUnknown, which stage 2 now completes with auto.
+inline constexpr std::uint32_t kSnapshotVersion = 3;
 
 /// Why a snapshot was rejected (load) or could not be written (save).
 enum class SnapshotErrorKind {

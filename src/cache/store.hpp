@@ -311,9 +311,9 @@ template <Kind K, typename KeyFn, typename ComputeFn>
 [[nodiscard]] util::Digest satisfiability_key(ltl::Formula formula);
 
 /// Level 2: whole-spec synthesis (formulas in order, signature, options,
-/// and the substrate spec string -- "auto", "tableau", "race:...": different
-/// specs are different computations, and a tableau abstention must not
-/// shadow auto's definite verdict).
+/// and the substrate spec string -- "auto", "tableau", "race:...": every
+/// spec reaches the same verdict, but the result names the engine that
+/// answered).
 [[nodiscard]] util::Digest synthesis_key(const std::vector<ltl::Formula>& formulas,
                                          const synth::IoSignature& signature,
                                          const synth::SynthesisOptions& options,
@@ -322,7 +322,9 @@ template <Kind K, typename KeyFn, typename ComputeFn>
 /// Level 2: stage-3 refinement (formulas, initial partition via the
 /// signature it induces, synthesis options, localization options -- the
 /// cached outcome embeds the correction sets, which depend on the
-/// enumeration cap).
+/// enumeration cap). No substrate spec: a probe reads "kRealizable or
+/// not", and only bounded or symbolic (under these options) answer
+/// kRealizable, so the outcome is the same under every spec.
 [[nodiscard]] util::Digest refinement_key(
     const std::vector<ltl::Formula>& formulas,
     const synth::IoSignature& signature,

@@ -94,22 +94,11 @@ PipelineResult Pipeline::run(
 
   // ---- Stage 2: realizability -------------------------------------------------
   poll_cancel("synthesis");
-  synth::IoSignature signature;
-  signature.inputs.assign(result.partition.inputs.begin(),
-                          result.partition.inputs.end());
-  signature.outputs.assign(result.partition.outputs.begin(),
-                           result.partition.outputs.end());
+  const synth::IoSignature signature = result.partition.signature();
 
-  // Stage-2 dispatch: the spec (the per-run override beats the configured
-  // one) resolves through the registry -- auto to the router substrate, a
-  // name to that substrate, a race to its racers. One substrate is checked
-  // directly; several race (core/portfolio.hpp). Auto, symbolic and any race
-  // reach the same canonical verdict (the substrates agree, and a race
-  // tie-breaks deterministically); a solo substrate that abstains (tableau
-  // on a satisfiable spec, bounded past its caps) leaves kUnknown, so stage
-  // 3 runs and the canonical row may differ -- but only by that abstention.
-  // The cache key folds the spec string: an abstention must never answer
-  // for a definite verdict.
+  // Every realizability question of the run goes through core::decide with
+  // the run's spec (the per-run override beats the configured one), options
+  // and CancelFn.
   const SubstrateSpec& spec =
       substrate_override != nullptr ? *substrate_override : options_.substrate;
   util::Stopwatch stage2;
@@ -120,19 +109,14 @@ PipelineResult Pipeline::run(
                                     spec.to_string());
       },
       [&] {
-        const SubstrateRegistry& registry = SubstrateRegistry::global();
-        const std::vector<const Substrate*> resolved = registry.resolve(spec);
-        if (resolved.size() == 1) {
-          return resolved.front()->check(formulas, signature, options_.synthesis,
-                                         options_.cancelled);
-        }
         PortfolioStats stats;
-        synth::SynthesisResult raced =
-            PortfolioRunner(registry, spec)
-                .run(formulas, signature, options_.synthesis,
-                     options_.cancelled, &stats);
-        result.portfolio = std::move(stats);
-        return raced;
+        synth::SynthesisResult decided =
+            decide(spec, formulas, signature, options_.synthesis,
+                   options_.cancelled, &stats);
+        if (spec.mode == SubstrateSpec::Mode::kRace) {
+          result.portfolio = std::move(stats);
+        }
+        return decided;
       });
   result.synthesis_seconds = stage2.seconds();
   result.consistent =
@@ -142,6 +126,12 @@ PipelineResult Pipeline::run(
   if (!result.consistent && options_.refine_on_failure) {
     poll_cancel("refinement");
     util::Stopwatch stage3;
+    const synth::Decide probe = [&](const std::vector<ltl::Formula>& subset,
+                                    const synth::IoSignature& probe_signature) {
+      return decide(spec, subset, probe_signature, options_.synthesis,
+                    options_.cancelled)
+          .verdict;
+    };
     result.refinement = cache::memoize<cache::Kind::kRefinement>(
         store,
         [&] {
@@ -149,11 +139,11 @@ PipelineResult Pipeline::run(
                                        options_.localization);
         },
         [&] {
-          return refine::refine(formulas, result.partition, options_.synthesis,
+          return refine::refine(formulas, result.partition, probe,
                                 options_.localization);
         });
     result.refinement_seconds = stage3.seconds();
-    if (result.refinement->consistent) {
+    if (result.refined()) {
       result.consistent = true;
       result.partition = result.refinement->partition;
     }

@@ -36,14 +36,13 @@ struct PipelineOptions {
   /// byte-identical across encoders -- the abstraction is unique.
   timeabs::SmtEncoder smt_encoder = timeabs::SmtEncoder::kCutMap;
   synth::SynthesisOptions synthesis;
-  /// Stage-2 decision substrate(s): "auto" (symbolic when applicable, else
-  /// bounded), a solo substrate name, or "race:a,b,..." for
-  /// first-verdict-wins portfolio racing (core/substrate.hpp). Canonical
-  /// output is byte-identical under auto, symbolic, and any race (the
-  /// substrates agree; see core/portfolio.hpp). A solo substrate that
-  /// abstains -- tableau on every satisfiable spec, bounded past its caps --
-  /// may differ, but only by that abstention: stage 2 stays kUnknown, so
-  /// stage 3 runs (e.g. refined=1 where auto decides outright).
+  /// Decision substrate(s) of every realizability question of the run --
+  /// stage 2 and each stage-3 probe (core::decide): "auto" (symbolic when
+  /// applicable, else bounded), a solo substrate name, or "race:a,b,..."
+  /// for first-verdict-wins portfolio racing (core/substrate.hpp). An
+  /// abstention (tableau on every satisfiable spec, bounded past its caps)
+  /// is completed by auto, so canonical output is byte-identical under
+  /// every spec (the substrates agree; see core/portfolio.hpp).
   SubstrateSpec substrate;
   partition::Overrides partition_overrides;
   /// Stage 3: run localization + partition adjustment when unrealizable.
@@ -62,10 +61,11 @@ struct PipelineOptions {
   std::optional<nlp::Lexicon> lexicon;
   std::optional<semantics::AntonymDictionary> dictionary;
   /// Cooperative cancellation: polled at stage boundaries (before
-  /// translation, synthesis, and refinement) and inside the stage-2
-  /// substrate's engine, whatever the spec (auto included). When it returns
-  /// true the run throws util::CancelledError. Stages 1 and 3 run to
-  /// completion once started. Null means never cancelled.
+  /// translation, synthesis, and refinement) and inside the substrate
+  /// engine of every realizability question -- stage 2 and each stage-3
+  /// probe -- whatever the spec (auto included). When it returns true the
+  /// run throws util::CancelledError. Stage 1 runs to completion once
+  /// started. Null means never cancelled.
   std::function<bool()> cancelled;
   /// Cross-spec memoization (cache/store.hpp); null disables caching.
   /// The store is thread-safe and content-addressed: share ONE store
@@ -95,6 +95,10 @@ struct PipelineResult {
   double synthesis_seconds = 0.0;    // stage 2 wall clock (Table I column)
   double refinement_seconds = 0.0;   // stage 3 wall clock
 
+  /// Consistent through a stage-3 partition flip (report and batch read this).
+  [[nodiscard]] bool refined() const {
+    return refinement.has_value() && refinement->consistent;
+  }
   [[nodiscard]] std::size_t num_formulas() const {
     return translation.requirements.size();
   }

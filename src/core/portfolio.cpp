@@ -148,4 +148,21 @@ synth::SynthesisResult PortfolioRunner::run(
   throw util::CancelledError("portfolio race ended with no result");
 }
 
+synth::SynthesisResult decide(const SubstrateSpec& spec,
+                              const std::vector<ltl::Formula>& formulas,
+                              const synth::IoSignature& signature,
+                              const synth::SynthesisOptions& options,
+                              const CancelFn& cancelled, PortfolioStats* stats) {
+  const SubstrateRegistry& registry = SubstrateRegistry::global();
+  const std::vector<const Substrate*> resolved = registry.resolve(spec);
+  synth::SynthesisResult result =
+      resolved.size() == 1
+          ? resolved.front()->check(formulas, signature, options, cancelled)
+          : PortfolioRunner(registry, spec)
+                .run(formulas, signature, options, cancelled, stats);
+  if (definite(result.verdict) || spec.is_auto()) return result;
+  return registry.resolve(SubstrateSpec{}).front()->check(formulas, signature,
+                                                          options, cancelled);
+}
+
 }  // namespace speccc::core

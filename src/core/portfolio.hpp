@@ -77,4 +77,15 @@ class PortfolioRunner {
   SubstrateSpec spec_;
 };
 
+/// Every realizability question of a run (stage 2 and each stage-3 probe).
+/// `spec` resolves through the global registry: one substrate is checked
+/// with `cancelled`, several race (filling `stats` when non-null). When a
+/// non-auto spec reaches no definite verdict, the auto router decides, so
+/// every spec reaches auto's verdict; the result names the engine that
+/// decided. Throws what the substrates throw.
+[[nodiscard]] synth::SynthesisResult decide(
+    const SubstrateSpec& spec, const std::vector<ltl::Formula>& formulas,
+    const synth::IoSignature& signature, const synth::SynthesisOptions& options,
+    const CancelFn& cancelled, PortfolioStats* stats = nullptr);
+
 }  // namespace speccc::core

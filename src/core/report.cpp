@@ -18,9 +18,7 @@ TableRow to_row(const std::string& group, const std::string& number,
   row.seconds = result.synthesis_seconds + result.refinement_seconds;
   row.paper_seconds = paper_seconds;
   row.consistent = result.consistent;
-  row.refined = result.refinement.has_value() &&
-                result.refinement->consistent &&
-                result.refinement->adjustment.has_value();
+  row.refined = result.refined();
   return row;
 }
 

@@ -44,7 +44,6 @@ class TableauSubstrate final : public Substrate {
       throw util::InvalidInputError(
           "cannot synthesize from an empty specification");
     }
-    util::Stopwatch timer;
     synth::SynthesisResult result;
     result.substrate_used = "tableau";
     const auto nbw = automata::ltl_to_nbw_bounded(ltl::land(formulas),
@@ -55,7 +54,6 @@ class TableauSubstrate final : public Substrate {
                            ? synth::Realizability::kUnknown
                            : synth::Realizability::kUnrealizable;
     }
-    result.seconds = timer.seconds();
     return result;
   }
 };
@@ -66,12 +64,12 @@ class TableauSubstrate final : public Substrate {
 /// symbolic engine once per fixpoint round.
 class EngineSubstrate final : public Substrate {
  public:
-  using Decide = synth::SynthesisResult (*)(const std::vector<ltl::Formula>&,
-                                            const synth::IoSignature&,
-                                            const synth::SynthesisOptions&);
+  using Lane = synth::SynthesisResult (*)(const std::vector<ltl::Formula>&,
+                                          const synth::IoSignature&,
+                                          const synth::SynthesisOptions&);
 
-  EngineSubstrate(std::string_view name, Decide decide)
-      : name_(name), decide_(decide) {}
+  EngineSubstrate(std::string_view name, Lane lane)
+      : name_(name), lane_(lane) {}
 
   [[nodiscard]] std::string_view name() const override { return name_; }
 
@@ -83,12 +81,12 @@ class EngineSubstrate final : public Substrate {
     synth::SynthesisOptions polled = options;
     polled.bounded.cancelled = cancelled;
     polled.symbolic.cancelled = cancelled;
-    return decide_(formulas, signature, polled);
+    return lane_(formulas, signature, polled);
   }
 
  private:
   std::string_view name_;
-  Decide decide_;
+  Lane lane_;
 };
 
 synth::SynthesisResult decide_bounded(const std::vector<ltl::Formula>& formulas,

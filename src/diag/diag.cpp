@@ -116,11 +116,19 @@ Diagnosis diagnose(std::size_t num_requirements, const CoreOracle& oracle,
   return diagnosis;
 }
 
+synth::Decide synthesize_decide(synth::SynthesisOptions options) {
+  return [options = std::move(options)](
+             const std::vector<ltl::Formula>& formulas,
+             const synth::IoSignature& signature) {
+    return synth::synthesize(formulas, signature, options).verdict;
+  };
+}
+
 CoreOracle synthesis_oracle(std::vector<ltl::Formula> requirements,
                             synth::IoSignature signature,
-                            synth::SynthesisOptions options) {
+                            synth::Decide decide) {
   return [requirements = std::move(requirements),
-          signature = std::move(signature), options = std::move(options)](
+          signature = std::move(signature), decide = std::move(decide)](
              const std::vector<std::size_t>& subset)
              -> std::optional<std::vector<std::size_t>> {
     if (subset.empty()) return std::nullopt;  // empty conjunction: realizable
@@ -130,8 +138,7 @@ CoreOracle synthesis_oracle(std::vector<ltl::Formula> requirements,
       speccc_check(i < requirements.size(), "oracle subset index out of range");
       formulas.push_back(requirements[i]);
     }
-    const auto result = synth::synthesize(formulas, signature, options);
-    if (result.verdict == synth::Realizability::kRealizable) {
+    if (decide(formulas, signature) == synth::Realizability::kRealizable) {
       return std::nullopt;
     }
     return subset;  // no finer core available: echo the query

@@ -88,13 +88,18 @@ struct Diagnosis {
                                  const CoreOracle& oracle,
                                  const Options& options = {});
 
-/// Oracle over realizability: a subset is consistent iff the conjunction
-/// of its formulas is realizable under the (fixed) signature. kUnknown
-/// counts as inconsistent, matching refine's conservative reading. No real
-/// cores -- inconsistent queries are echoed back.
+/// synth::synthesize's verdict under `options` (auto routing, never
+/// cancelled); the pipeline passes core::decide bound to its run instead.
+[[nodiscard]] synth::Decide synthesize_decide(
+    synth::SynthesisOptions options = {});
+
+/// Oracle over realizability: a subset is consistent iff `decide` finds
+/// the conjunction of its formulas realizable under the (fixed) signature.
+/// kUnknown counts as inconsistent, matching refine's conservative
+/// reading. No real cores -- inconsistent queries are echoed back.
 [[nodiscard]] CoreOracle synthesis_oracle(
     std::vector<ltl::Formula> requirements, synth::IoSignature signature,
-    synth::SynthesisOptions options = {});
+    synth::Decide decide = synthesize_decide());
 
 /// Oracle over a CNF group instance: group i is enabled by asserting the
 /// selector literal selectors[i], so a subset query is one incremental

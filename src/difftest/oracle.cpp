@@ -129,9 +129,7 @@ SpecCase build_spec_case(
 
   SpecCase result;
   result.requirements = translation.formulas();
-  const partition::Partition part = partition::unify(result.requirements);
-  result.signature.inputs.assign(part.inputs.begin(), part.inputs.end());
-  result.signature.outputs.assign(part.outputs.begin(), part.outputs.end());
+  result.signature = partition::unify(result.requirements).signature();
   return result;
 }
 

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "ltl/formula.hpp"
+#include "synth/mealy.hpp"
 
 namespace speccc::partition {
 
@@ -28,6 +29,10 @@ struct Partition {
 
   [[nodiscard]] bool is_input(const std::string& name) const {
     return inputs.count(name) > 0;
+  }
+  /// The partition as the synthesis engines' I/O signature (sorted names).
+  [[nodiscard]] synth::IoSignature signature() const {
+    return {{inputs.begin(), inputs.end()}, {outputs.begin(), outputs.end()}};
   }
 };
 

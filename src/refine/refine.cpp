@@ -13,21 +13,6 @@ namespace {
 
 using ltl::Formula;
 
-synth::IoSignature signature_from(const partition::Partition& partition) {
-  synth::IoSignature sig;
-  sig.inputs.assign(partition.inputs.begin(), partition.inputs.end());
-  sig.outputs.assign(partition.outputs.begin(), partition.outputs.end());
-  return sig;
-}
-
-bool realizable(const std::vector<Formula>& formulas,
-                const synth::IoSignature& signature,
-                const synth::SynthesisOptions& options, std::size_t& checks) {
-  ++checks;
-  const auto result = synth::synthesize(formulas, signature, options);
-  return result.verdict == synth::Realizability::kRealizable;
-}
-
 std::vector<std::size_t> all_indices(std::size_t n) {
   std::vector<std::size_t> out(n);
   std::iota(out.begin(), out.end(), std::size_t{0});
@@ -38,21 +23,15 @@ std::vector<std::size_t> all_indices(std::size_t n) {
 
 Localization localize(const std::vector<Formula>& requirements,
                       const synth::IoSignature& signature,
-                      const synth::SynthesisOptions& options,
-                      const LocalizeOptions& localize_options) {
+                      const synth::Decide& decide) {
   Localization out;
   const diag::CoreOracle oracle =
-      diag::synthesis_oracle(requirements, signature, options);
-  const std::vector<std::size_t> universe = all_indices(requirements.size());
+      diag::synthesis_oracle(requirements, signature, decide);
   ++out.checks;
-  const auto full = oracle(universe);
+  const auto full = oracle(all_indices(requirements.size()));
   speccc_check(full.has_value(),
                "localize precondition: full specification must be unrealizable");
   out.core = diag::shrink_mus(*full, oracle, out.checks);
-  if (localize_options.max_correction_sets > 0) {
-    out.correction_sets = diag::correction_sets(
-        universe, oracle, localize_options.max_correction_sets, out.checks);
-  }
 
   // Filtering step: requirements sharing propositions with the core.
   const std::vector<std::size_t>& core = out.core;
@@ -74,23 +53,14 @@ Localization localize(const std::vector<Formula>& requirements,
 
 RefinementOutcome refine(const std::vector<Formula>& requirements,
                          const partition::Partition& initial,
-                         const synth::SynthesisOptions& options,
+                         const synth::Decide& decide,
                          const LocalizeOptions& localize_options) {
   RefinementOutcome outcome;
   outcome.partition = initial;
 
-  const synth::IoSignature signature = signature_from(initial);
-  if (realizable(requirements, signature, options, outcome.checks)) {
-    outcome.consistent = true;
-    return outcome;
-  }
-
-  // Correction sets are deferred to the genuinely-inconsistent exit below:
-  // a spec a partition flip rescues never pays for the MaxSAT loop.
-  LocalizeOptions mus_only = localize_options;
-  mus_only.max_correction_sets = 0;
-  outcome.localization = localize(requirements, signature, options, mus_only);
-  outcome.checks += outcome.localization.checks;
+  const synth::IoSignature signature = initial.signature();
+  outcome.localization = localize(requirements, signature, decide);
+  outcome.checks = outcome.localization.checks;
 
   // Candidate variables: propositions of the core, ranked by occurrence
   // count over the core and related requirements (most implicated first).
@@ -125,8 +95,9 @@ RefinementOutcome refine(const std::vector<Formula>& requirements,
       flipped.inputs.insert(variable);
     }
     if (flipped.inputs.empty()) continue;  // a system needs some input
-    if (realizable(requirements, signature_from(flipped), options,
-                   outcome.checks)) {
+    ++outcome.checks;
+    if (decide(requirements, flipped.signature()) ==
+        synth::Realizability::kRealizable) {
       outcome.consistent = true;
       outcome.adjustment = Adjustment{variable, !was_input};
       outcome.partition = flipped;
@@ -143,12 +114,20 @@ RefinementOutcome refine(const std::vector<Formula>& requirements,
     std::size_t checks = 0;
     outcome.localization.correction_sets = diag::correction_sets(
         all_indices(requirements.size()),
-        diag::synthesis_oracle(requirements, signature, options),
+        diag::synthesis_oracle(requirements, signature, decide),
         localize_options.max_correction_sets, checks);
     outcome.localization.checks += checks;
     outcome.checks += checks;
   }
   return outcome;
+}
+
+RefinementOutcome refine(const std::vector<Formula>& requirements,
+                         const partition::Partition& initial,
+                         const synth::SynthesisOptions& options,
+                         const LocalizeOptions& localize_options) {
+  return refine(requirements, initial, diag::synthesize_decide(options),
+                localize_options);
 }
 
 }  // namespace speccc::refine

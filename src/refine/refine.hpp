@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "diag/diag.hpp"
 #include "ltl/formula.hpp"
 #include "partition/partition.hpp"
 #include "synth/synthesizer.hpp"
@@ -25,9 +26,9 @@ namespace speccc::refine {
 
 struct LocalizeOptions {
   /// Minimal correction sets to enumerate for genuinely inconsistent
-  /// specifications (0 disables the diag MaxSAT loop). localize() honors
-  /// this directly; refine() defers it until partition adjustment has
-  /// failed, so consistent-after-refinement specs never pay for it.
+  /// specifications (0 disables the diag MaxSAT loop). refine() runs it
+  /// only after partition adjustment has failed, so
+  /// consistent-after-refinement specs never pay for it.
   std::size_t max_correction_sets = 0;
 };
 
@@ -35,8 +36,8 @@ struct Localization {
   /// Indices of a minimal inconsistent requirement subset (MUS).
   std::vector<std::size_t> core;
   /// Minimal correction sets (diag::correction_sets order: smallest
-  /// first): removing any one restores consistency. Empty unless
-  /// LocalizeOptions::max_correction_sets asked for them.
+  /// first): removing any one restores consistency. Filled by refine()
+  /// when LocalizeOptions::max_correction_sets asked for them.
   std::vector<std::vector<std::size_t>> correction_sets;
   /// Indices of requirements sharing propositions with the core (the
   /// paper's filtering step) -- includes the core itself.
@@ -46,12 +47,12 @@ struct Localization {
 };
 
 /// Locate a minimal inconsistent core (paper V-B bullet 1) with the diag
-/// MUS engine. Precondition: the full conjunction is unrealizable under
-/// `signature`.
-[[nodiscard]] Localization localize(const std::vector<ltl::Formula>& requirements,
-                                    const synth::IoSignature& signature,
-                                    const synth::SynthesisOptions& options = {},
-                                    const LocalizeOptions& localize_options = {});
+/// MUS engine, every probe answered by `decide`. Precondition (checked):
+/// the full conjunction is not realizable under `signature`.
+[[nodiscard]] Localization localize(
+    const std::vector<ltl::Formula>& requirements,
+    const synth::IoSignature& signature,
+    const synth::Decide& decide = diag::synthesize_decide());
 
 struct Adjustment {
   std::string variable;
@@ -67,10 +68,18 @@ struct RefinementOutcome {
 };
 
 /// The full stage-3 loop: localize, then try single-variable partition flips
-/// on the core/related propositions (paper V-B bullet 2). Candidates are
-/// ranked by how often they occur in the core and related requirements.
-/// When no flip helps and max_correction_sets > 0, the outcome's
-/// localization additionally carries the minimal correction sets.
+/// on the core/related propositions (paper V-B bullet 2), every question
+/// answered by `decide`; the outcome is consistent only through a flip.
+/// Candidates are ranked by how often they occur in the core and related
+/// requirements. When no flip helps and max_correction_sets > 0, the
+/// outcome's localization additionally carries the minimal correction sets.
+/// Precondition: localize's, under `initial`.
+[[nodiscard]] RefinementOutcome refine(const std::vector<ltl::Formula>& requirements,
+                                       const partition::Partition& initial,
+                                       const synth::Decide& decide,
+                                       const LocalizeOptions& localize_options = {});
+
+/// refine() answered by synth::synthesize under `options`.
 [[nodiscard]] RefinementOutcome refine(const std::vector<ltl::Formula>& requirements,
                                        const partition::Partition& initial,
                                        const synth::SynthesisOptions& options = {},

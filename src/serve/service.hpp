@@ -82,7 +82,8 @@ struct Request {
   /// Per-request substrate override (the wire protocol's optional
   /// "substrate" field): replaces the service pipeline's configured spec
   /// for this request only. Canonical output is unaffected -- substrates
-  /// agree -- so mixed-substrate traffic stays byte-comparable with batch.
+  /// agree and auto completes abstentions -- so mixed-substrate traffic
+  /// stays byte-comparable with batch.
   std::optional<core::SubstrateSpec> substrate;
 };
 

@@ -19,7 +19,6 @@ std::optional<SynthesisResult> synthesize_symbolic(
     const std::vector<ltl::Formula>& requirements, const IoSignature& signature,
     const SymbolicOptions& options) {
   require_nonempty(requirements);
-  util::Stopwatch timer;
   const auto outcome = symbolic_synthesize(requirements, signature, options);
   if (!outcome.has_value()) return std::nullopt;
   SynthesisResult result;
@@ -30,7 +29,6 @@ std::optional<SynthesisResult> synthesize_symbolic(
   result.bdd_stats = outcome->bdd_stats;
   result.iterations = outcome->fixpoint_iterations;
   result.controller = outcome->controller;
-  result.seconds = timer.seconds();
   return result;
 }
 
@@ -38,7 +36,6 @@ SynthesisResult synthesize_bounded(const std::vector<ltl::Formula>& requirements
                                    const IoSignature& signature,
                                    const BoundedOptions& options) {
   require_nonempty(requirements);
-  util::Stopwatch timer;
   const auto outcome =
       bounded_synthesize(ltl::land(requirements), signature, options);
   SynthesisResult result;
@@ -48,7 +45,6 @@ SynthesisResult synthesize_bounded(const std::vector<ltl::Formula>& requirements
   result.game_positions = outcome.game_positions;
   result.iterations = outcome.k_used;
   result.controller = outcome.controller;
-  result.seconds = timer.seconds();
   return result;
 }
 

@@ -13,6 +13,7 @@
 // "auto", "symbolic" and "bounded" through them.
 #pragma once
 
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -34,8 +35,6 @@ struct SynthesisResult {
   /// Name of the engine or core::Substrate that produced the verdict
   /// ("tableau", "bounded", "symbolic"). Non-canonical diagnostic.
   std::string substrate_used;
-  /// Wall-clock seconds of the realizability check (Table I's time column).
-  double seconds = 0.0;
   /// Engine statistics (whichever engine ran).
   std::size_t state_bits = 0;        // symbolic: monitor state bits
   std::size_t ucw_states = 0;        // bounded: UCW size
@@ -49,6 +48,11 @@ struct SynthesisResult {
     return verdict == Realizability::kRealizable;
   }
 };
+
+/// A realizability question: the verdict on the conjunction of `formulas`
+/// under `signature`. Stage 3 (refine, diag::synthesis_oracle) asks one.
+using Decide = std::function<Realizability(const std::vector<ltl::Formula>&,
+                                           const IoSignature&)>;
 
 /// Decide realizability of the conjunction of `requirements`: the symbolic
 /// lane when it applies, else the bounded lane. Throws InvalidInputError on

@@ -539,9 +539,9 @@ TEST(Snapshot, GoldenBytesArePinned) {
   cache::save_snapshot(store, path, kStampA);
   EXPECT_EQ(
       to_hex(read_file(path)),
-      // header: magic "SPCCSNP1", version 2, fingerprint, body length 79
+      // header: magic "SPCCSNP1", version 3, fingerprint, body length 79
       "53504343534e5031"  // SPCCSNP1
-      "02000000"          // version 2
+      "03000000"          // version 3
       "1111111111111111" "2222222222222222"  // lexicon fingerprint hi, lo
       "4f00000000000000"  // body: 79 bytes
       // body: 5 sections in kind order, entries sorted by key
@@ -621,9 +621,10 @@ TEST(Snapshot, RejectsWrongFormatVersion) {
   fill_golden(store);
   cache::save_snapshot(store, path, kStampA);
   const std::string bytes = read_file(path);
-  // A future version and the retired version 1 (whose synthesis records
-  // and keys differ) are both rejected, never misread.
-  for (const char version : {char{99}, char{1}}) {
+  // A future version and the retired versions 1 and 2 (whose synthesis
+  // records differ; a version-2 entry can hold a solo tableau's kUnknown)
+  // are all rejected, never misread.
+  for (const char version : {char{99}, char{1}, char{2}}) {
     std::string patched = bytes;
     patched[8] = version;  // version field follows the 8-byte magic
     write_file(path, patched);

@@ -2,14 +2,18 @@
 // case-study corpora, reproducing the paper's Table I verdicts.
 #include <gtest/gtest.h>
 
+#include <fstream>
+
 #include "corpus/cara.hpp"
 #include "corpus/generator.hpp"
+#include "corpus/loaders.hpp"
 #include "corpus/robot.hpp"
 #include "corpus/telepromise.hpp"
 #include "core/pipeline.hpp"
 #include "core/report.hpp"
 #include "ltl/formula.hpp"
 #include "synth/verify.hpp"
+#include "util/diagnostics.hpp"
 
 namespace core = speccc::core;
 namespace corpus = speccc::corpus;
@@ -226,6 +230,34 @@ TEST(PipelineRobot, ExtractedControllerIsExhaustivelyCorrect) {
         speccc::synth::verify(*result.synthesis.controller, req.formula);
     EXPECT_TRUE(check.holds) << req.id << ": " << req.text;
   }
+}
+
+TEST(PipelineCancel, StageThreeProbesPollTheCancelPredicate) {
+  std::ifstream in(SPECCC_EXAMPLES_DIR "/specs/faults/reservation.txt");
+  ASSERT_TRUE(in);
+  const auto spec = speccc::corpus::load_requirements(in);
+
+  // Without stage 3: the translation and synthesis boundaries plus the
+  // stage-2 engine's own polls.
+  std::size_t polls = 0;
+  core::PipelineOptions options;
+  options.refine_on_failure = false;
+  options.cancelled = [&polls] {
+    ++polls;
+    return false;
+  };
+  ASSERT_FALSE(core::Pipeline(options).run("reservation", spec).consistent);
+  const std::size_t n = polls;
+
+  // Poll n + 1 is the refinement boundary; every later poll is inside a
+  // stage-3 realizability probe, so firing from n + 2 on must cancel the
+  // run mid-refinement.
+  polls = 0;
+  options.refine_on_failure = true;
+  options.cancelled = [&polls, n] { return ++polls >= n + 2; };
+  EXPECT_THROW((void)core::Pipeline(options).run("reservation", spec),
+               speccc::util::CancelledError);
+  EXPECT_EQ(polls, n + 2);
 }
 
 }  // namespace

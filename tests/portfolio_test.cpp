@@ -5,8 +5,11 @@
 // Table I corpus for every jobs count and cache mode.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <fstream>
 #include <memory>
 #include <thread>
 
@@ -15,11 +18,13 @@
 #include "cache/store.hpp"
 #include "core/portfolio.hpp"
 #include "core/substrate.hpp"
+#include "corpus/loaders.hpp"
 #include "difftest/harness.hpp"
 #include "ltl/parser.hpp"
 #include "util/diagnostics.hpp"
 
 namespace batch = speccc::batch;
+namespace fs = std::filesystem;
 namespace core = speccc::core;
 namespace ltl = speccc::ltl;
 namespace synth = speccc::synth;
@@ -130,6 +135,30 @@ TEST(TableauSubstrate, UnsatIsUnrealizableSatAbstains) {
   const auto sat = tableau->check({ltl::parse("G (p -> F q)")}, signature,
                                   options, {});
   EXPECT_EQ(sat.verdict, Realizability::kUnknown);
+}
+
+TEST(Decide, AutoCompletesAbstentionsAndDefiniteVerdictsStand) {
+  const synth::IoSignature signature{{"p"}, {"q"}};
+  const synth::SynthesisOptions options;
+  // The tableau abstains on a satisfiable spec, alone or racing bounded
+  // under caps too small to decide; auto completes both abstentions and
+  // the result names the engine that decided.
+  synth::SynthesisOptions capped = options;
+  capped.bounded.max_k = 0;
+  capped.bounded.max_ucw_states = 1;
+  for (const char* spec : {"tableau", "race:tableau,bounded"}) {
+    const auto sat = core::decide(SubstrateSpec::parse(spec),
+                                  {ltl::parse("G (p -> F q)")}, signature,
+                                  capped, {});
+    EXPECT_EQ(sat.verdict, Realizability::kRealizable) << spec;
+    EXPECT_EQ(sat.substrate_used, "symbolic") << spec;
+  }
+  // A definite verdict is never re-decided.
+  const auto unsat = core::decide(SubstrateSpec::parse("tableau"),
+                                  {ltl::parse("G p"), ltl::parse("G !p")},
+                                  signature, options, {});
+  EXPECT_EQ(unsat.verdict, Realizability::kUnrealizable);
+  EXPECT_EQ(unsat.substrate_used, "tableau");
 }
 
 // ---------------------------------------------------------------------------
@@ -358,8 +387,7 @@ TEST(PortfolioDeterminism, RaceMatchesAutoOnTableOneForAllJobsAndCaches) {
   const std::string baseline =
       batch::canonical(batch::check(tasks, baseline_options));
 
-  // A race and a solo symbolic run never abstain on Table I, so both must
-  // match auto byte for byte (an abstaining solo tableau would not).
+  // A race and a solo symbolic run must match auto byte for byte.
   for (const char* spec : {"race:tableau,bounded,symbolic", "symbolic"}) {
     for (const int jobs : {1, 4, 8}) {
       for (const bool cache_on : {false, true}) {
@@ -376,6 +404,33 @@ TEST(PortfolioDeterminism, RaceMatchesAutoOnTableOneForAllJobsAndCaches) {
             << " cache=" << (cache_on ? "on" : "off");
       }
     }
+  }
+}
+
+TEST(PortfolioDeterminism, SoloTableauMatchesAutoOnExampleSpecs) {
+  // The tableau abstains on every satisfiable spec and every satisfiable
+  // stage-3 probe; auto completes each abstention, so a solo tableau run
+  // is byte-identical to the default -- with and without diagnosis.
+  for (const char* dir : {"specs", "specs/faults"}) {
+    std::vector<fs::path> files;
+    for (const auto& entry :
+         fs::directory_iterator(fs::path(SPECCC_EXAMPLES_DIR) / dir)) {
+      if (entry.path().extension() == ".txt") files.push_back(entry.path());
+    }
+    std::sort(files.begin(), files.end());
+    ASSERT_FALSE(files.empty()) << dir;
+    std::vector<batch::SpecTask> tasks;
+    for (const fs::path& file : files) {
+      std::ifstream in(file);
+      tasks.push_back({file.string(), speccc::corpus::load_requirements(in)});
+    }
+
+    batch::BatchOptions options;
+    options.jobs = 1;
+    options.pipeline.localization.max_correction_sets = 4;
+    const std::string baseline = batch::canonical(batch::check(tasks, options));
+    options.pipeline.substrate = SubstrateSpec::parse("tableau");
+    EXPECT_EQ(batch::canonical(batch::check(tasks, options)), baseline) << dir;
   }
 }
 

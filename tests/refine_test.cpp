@@ -4,6 +4,7 @@
 
 #include "ltl/parser.hpp"
 #include "refine/refine.hpp"
+#include "util/diagnostics.hpp"
 
 namespace refine = speccc::refine;
 namespace ltl = speccc::ltl;
@@ -61,13 +62,13 @@ TEST(Localize, CoreIsMinimal) {
 }
 
 TEST(Refine, RealizableSpecNeedsNothing) {
+  // Stage 3 runs only on stage 2's "not realizable"; refine does not
+  // re-decide the whole spec, and localize asserts the precondition.
   const auto spec = parse_all({"G (a -> x)"});
   speccc::partition::Partition p;
   p.inputs = {"a"};
   p.outputs = {"x"};
-  const auto outcome = refine::refine(spec, p);
-  EXPECT_TRUE(outcome.consistent);
-  EXPECT_FALSE(outcome.adjustment.has_value());
+  EXPECT_THROW((void)refine::refine(spec, p), speccc::util::InternalError);
 }
 
 TEST(Refine, FlipsMisclassifiedInputToOutput) {
