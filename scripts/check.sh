@@ -113,6 +113,22 @@ if [[ -x "$batch_bin" ]]; then
     cat "$fault_report" >&2
     exit 1
   fi
+  # infusion_pump's R2 is unsatisfiable on its own: the satisfiability
+  # screen must flag it.
+  if ! grep -q 'infusion_pump\.txt .* unsat=R2 mus=' "$fault_report"; then
+    echo "error: the infusion_pump row is missing unsat=R2:" >&2
+    cat "$fault_report" >&2
+    exit 1
+  fi
+  # The screen and stage 3 ask the run's substrate (core::decide), so a
+  # race and a solo tableau must reproduce the faults report byte for byte.
+  for substrate in race:tableau,bounded,symbolic tableau; do
+    echo "speccc_batch faults smoke (canonical diff, --substrate $substrate vs default)"
+    "$batch_bin" --jobs "$batch_jobs" --quiet --canonical --diagnose \
+      --substrate "$substrate" "$repo_root/examples/specs/faults" \
+      > "$build_dir/batch-smoke-faults-${substrate%%:*}.txt" || [[ $? -eq 2 ]]
+    diff "$fault_report" "$build_dir/batch-smoke-faults-${substrate%%:*}.txt"
+  done
   # Encoder smoke: the CNF encoder is verdict-transparent -- the Table I
   # canonical report through the SMT time-abstraction backend must be
   # byte-identical between the cut mapper and the Tseitin lane, with the

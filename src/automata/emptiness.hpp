@@ -2,8 +2,8 @@
 // satisfiability.
 //
 // Used three ways:
-//   * sanity-checking translated requirements (an unsatisfiable requirement
-//     can never be implemented and is reported before synthesis runs);
+//   * the tableau substrate (core/substrate.cpp: an empty NBW of the
+//     conjunction proves it unrealizable) and the difftest oracle;
 //   * generating witness traces for satisfiable formulas (property tests
 //     cross-check the witness against the trace semantics);
 //   * the model checker in synth/verify.hpp (emptiness of a product).

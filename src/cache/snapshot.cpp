@@ -223,10 +223,6 @@ nlp::ClauseGroup read_group(Reader& r) {
   return g;
 }
 
-void write_value(Writer& w, bool v) { w.boolean(v); }
-
-void read_value(Reader& r, bool& v) { v = r.boolean(); }
-
 void write_value(Writer& w, const nlp::Sentence& s) {
   w.str(s.text);
   write_vec(w, s.conditions,

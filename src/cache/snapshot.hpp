@@ -3,14 +3,14 @@
 // every artifact from scratch (ROADMAP item 4's "make cache::Store
 // serializable to disk" half).
 //
-// Format (version 3): a fixed-width little-endian binary layout,
+// Format (version 4): a fixed-width little-endian binary layout,
 //
 //   magic "SPCCSNP1" (8 bytes)
 //   u32   format version
 //   u64   lexicon fingerprint hi, u64 lo   (nlp::Lexicon::fingerprint())
 //   u64   body length in bytes
 //   body: per artifact kind, in the kind table's order (cache/store.hpp:
-//         sentences, satisfiability, synthesis, refinement, abstraction):
+//         sentences, synthesis, refinement, abstraction):
 //           u8 kind tag, u64 entry count,
 //           entries sorted by key (hi, then lo): key hi, key lo, value
 //   u64   body checksum hi, u64 lo         (util::DigestBuilder over body)
@@ -46,9 +46,11 @@
 namespace speccc::cache {
 
 /// Current snapshot format version; load() rejects everything else.
-/// Version 3 dropped the synthesis record's seconds; a version-2 file can
-/// hold a solo tableau's kUnknown, which stage 2 now completes with auto.
-inline constexpr std::uint32_t kSnapshotVersion = 3;
+/// Version 4 dropped the per-requirement satisfiability section (the
+/// screen is no longer memoized); version 3 dropped the synthesis record's
+/// seconds; a version-2 file can hold a solo tableau's kUnknown, which
+/// stage 2 now completes with auto.
+inline constexpr std::uint32_t kSnapshotVersion = 4;
 
 /// Why a snapshot was rejected (load) or could not be written (save).
 enum class SnapshotErrorKind {

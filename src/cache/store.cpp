@@ -128,7 +128,6 @@ std::size_t ShardedMap<Value>::size() const {
 
 // One instantiation per row of the kind table.
 template class ShardedMap<ValueOf<Kind::kSentence>>;
-template class ShardedMap<ValueOf<Kind::kSatisfiable>>;
 template class ShardedMap<ValueOf<Kind::kSynthesis>>;
 template class ShardedMap<ValueOf<Kind::kRefinement>>;
 template class ShardedMap<ValueOf<Kind::kAbstraction>>;
@@ -217,12 +216,6 @@ util::Digest sentence_key(std::string_view normalized_text,
   return util::DigestBuilder("sentence")
       .str(normalized_text)
       .digest(lexicon_fingerprint)
-      .finalize();
-}
-
-util::Digest satisfiability_key(ltl::Formula formula) {
-  return util::DigestBuilder("sat")
-      .digest(ltl::canonical_digest(formula))
       .finalize();
 }
 

@@ -10,14 +10,13 @@
 //     abstraction re-translates -- so this level hits even within a single
 //     run.
 //
-//   Level 2 (per formula / per spec): decision artifacts keyed by
-//     ltl::canonical_digest -- per-requirement tableau satisfiability, the
-//     whole-spec synthesis verdict (keyed by formulas + I/O signature +
-//     engine options + substrate spec), the refinement outcome, and the
-//     time-abstraction solution (keyed by Theta + budget + backend +
-//     encoder). A repeated spec skips synthesis entirely; a revised spec
-//     still reuses every per-formula artifact of its unchanged
-//     requirements.
+//   Level 2 (per spec): decision artifacts keyed by ltl::canonical_digest
+//     -- the whole-spec synthesis verdict (keyed by formulas + I/O
+//     signature + engine options + substrate spec), the refinement
+//     outcome, and the time-abstraction solution (keyed by Theta + budget
+//     + backend + encoder). A repeated spec skips synthesis entirely. The
+//     per-requirement satisfiability screen is not memoized: it is a
+//     symbolic all-outputs check that costs about one cache lookup.
 //
 // One kind table (Kind + KindInfo below) gives every artifact its value
 // type, counter level and snapshot tag; Store's find<K>/put<K>/for_each<K>,
@@ -89,10 +88,10 @@ enum class Eviction {
 struct StoreOptions {
   /// Mutex shards per artifact kind; more shards = less contention.
   std::size_t shards = 16;
-  /// Global entry cap per artifact kind (sentences, satisfiability,
-  /// synthesis, refinement, abstraction each get their own cap), enforced
-  /// exactly across shards (per-shard caps differ by at most one and sum
-  /// to this). 0 means unlimited.
+  /// Global entry cap per artifact kind (sentences, synthesis, refinement,
+  /// abstraction each get their own cap), enforced exactly across shards
+  /// (per-shard caps differ by at most one and sum to this). 0 means
+  /// unlimited.
   std::size_t max_entries = 1 << 16;
   /// Replacement policy applied when a shard is at capacity.
   Eviction eviction = Eviction::kFifo;
@@ -159,18 +158,18 @@ class ShardedMap {
 /// Every memoized artifact kind, in snapshot section order.
 enum class Kind : std::uint8_t {
   kSentence,
-  kSatisfiable,
   kSynthesis,
   kRefinement,
   kAbstraction,
 };
-inline constexpr std::size_t kKindCount = 5;
+inline constexpr std::size_t kKindCount = 4;
 
 /// Which StatsSnapshot counters a kind's lookups count against.
 enum class Level { kL1, kL2 };
 
 /// One row per kind: value type, counter level, snapshot section tag (the
-/// tags are part of the on-disk format, cache/snapshot.hpp).
+/// tags are part of the on-disk format, cache/snapshot.hpp; tag 2 was the
+/// version-3 satisfiability section and stays retired).
 template <typename V, Level L, std::uint8_t Tag>
 struct KindRow {
   using Value = V;
@@ -181,8 +180,6 @@ template <Kind K>
 struct KindInfo;
 template <>
 struct KindInfo<Kind::kSentence> : KindRow<nlp::Sentence, Level::kL1, 1> {};
-template <>
-struct KindInfo<Kind::kSatisfiable> : KindRow<bool, Level::kL2, 2> {};
 template <>
 struct KindInfo<Kind::kSynthesis> : KindRow<synth::SynthesisResult, Level::kL2, 3> {};
 template <>
@@ -306,9 +303,6 @@ template <Kind K, typename KeyFn, typename ComputeFn>
 /// blanks to single spaces. Case is preserved -- mid-sentence
 /// capitalization is grammatically meaningful (proper names).
 [[nodiscard]] std::string normalize_sentence(std::string_view text);
-
-/// Level 2: per-formula tableau satisfiability.
-[[nodiscard]] util::Digest satisfiability_key(ltl::Formula formula);
 
 /// Level 2: whole-spec synthesis (formulas in order, signature, options,
 /// and the substrate spec string -- "auto", "tableau", "race:...": every

@@ -1,9 +1,7 @@
 #include "core/pipeline.hpp"
 
 #include <map>
-
-#include "automata/emptiness.hpp"
-#include "ltl/rewrite.hpp"
+#include <set>
 
 #include "util/diagnostics.hpp"
 
@@ -73,23 +71,6 @@ PipelineResult Pipeline::run(
 
   const std::vector<ltl::Formula> formulas = result.translation.formulas();
   result.partition = partition::unify(formulas, options_.partition_overrides);
-
-  // Per-requirement satisfiability screening: an unsatisfiable requirement
-  // makes the whole specification unimplementable regardless of the
-  // partition, so it is reported as early diagnostics.
-  if (options_.satisfiability_check) {
-    for (const auto& req : result.translation.requirements) {
-      if (ltl::max_next_chain(req.formula) > options_.satisfiability_chain_cap) {
-        continue;
-      }
-      const bool satisfiable = cache::memoize<cache::Kind::kSatisfiable>(
-          store, [&] { return cache::satisfiability_key(req.formula); },
-          [&] { return automata::satisfiable(req.formula); });
-      if (!satisfiable) {
-        result.unsatisfiable_requirements.push_back(req.id);
-      }
-    }
-  }
   result.translation_seconds = stage1.seconds();
 
   // ---- Stage 2: realizability -------------------------------------------------
@@ -122,9 +103,8 @@ PipelineResult Pipeline::run(
   result.consistent =
       result.synthesis.verdict == synth::Realizability::kRealizable;
 
-  // ---- Stage 3: refinement loop -------------------------------------------------
-  if (!result.consistent && options_.refine_on_failure) {
-    poll_cancel("refinement");
+  // ---- Stage 3: satisfiability screen and refinement loop --------------------
+  if (!result.consistent) {
     util::Stopwatch stage3;
     const synth::Decide probe = [&](const std::vector<ltl::Formula>& subset,
                                     const synth::IoSignature& probe_signature) {
@@ -132,21 +112,38 @@ PipelineResult Pipeline::run(
                     options_.cancelled)
           .verdict;
     };
-    result.refinement = cache::memoize<cache::Kind::kRefinement>(
-        store,
-        [&] {
-          return cache::refinement_key(formulas, signature, options_.synthesis,
-                                       options_.localization);
-        },
-        [&] {
-          return refine::refine(formulas, result.partition, probe,
-                                options_.localization);
-        });
-    result.refinement_seconds = stage3.seconds();
-    if (result.refined()) {
-      result.consistent = true;
-      result.partition = result.refinement->partition;
+
+    // An unsatisfiable requirement makes the whole specification
+    // unimplementable regardless of the partition. With every proposition
+    // an output there is no environment, so {f} is realizable exactly when
+    // f is satisfiable. A realizable conjunction has no unsatisfiable
+    // conjunct, so the screen only runs here.
+    for (const auto& req : result.translation.requirements) {
+      const std::set<std::string> atoms = req.formula.atoms();
+      if (probe({req.formula}, {{}, {atoms.begin(), atoms.end()}}) ==
+          synth::Realizability::kUnrealizable) {
+        result.unsatisfiable_requirements.push_back(req.id);
+      }
     }
+
+    if (options_.refine_on_failure) {
+      poll_cancel("refinement");
+      result.refinement = cache::memoize<cache::Kind::kRefinement>(
+          store,
+          [&] {
+            return cache::refinement_key(formulas, signature, options_.synthesis,
+                                         options_.localization);
+          },
+          [&] {
+            return refine::refine(formulas, result.partition, probe,
+                                  options_.localization);
+          });
+      if (result.refined()) {
+        result.consistent = true;
+        result.partition = result.refinement->partition;
+      }
+    }
+    result.refinement_seconds = stage3.seconds();
   }
   return result;
 }

@@ -4,8 +4,9 @@
 //   stage 1: structured English -> LTL (translation + semantic reasoning +
 //            time abstraction + input/output partition);
 //   stage 2: realizability checking via synthesis;
-//   stage 3: heuristic refinement on failure (inconsistency localization and
-//            partition adjustment), feeding back into stage 2.
+//   stage 3: on failure, the per-requirement satisfiability screen and
+//            heuristic refinement (inconsistency localization and partition
+//            adjustment), feeding back into stage 2.
 #pragma once
 
 #include <functional>
@@ -37,12 +38,13 @@ struct PipelineOptions {
   timeabs::SmtEncoder smt_encoder = timeabs::SmtEncoder::kCutMap;
   synth::SynthesisOptions synthesis;
   /// Decision substrate(s) of every realizability question of the run --
-  /// stage 2 and each stage-3 probe (core::decide): "auto" (symbolic when
-  /// applicable, else bounded), a solo substrate name, or "race:a,b,..."
-  /// for first-verdict-wins portfolio racing (core/substrate.hpp). An
-  /// abstention (tableau on every satisfiable spec, bounded past its caps)
-  /// is completed by auto, so canonical output is byte-identical under
-  /// every spec (the substrates agree; see core/portfolio.hpp).
+  /// stage 2, the satisfiability screen and each stage-3 probe
+  /// (core::decide): "auto" (symbolic when applicable, else bounded), a
+  /// solo substrate name, or "race:a,b,..." for first-verdict-wins
+  /// portfolio racing (core/substrate.hpp). An abstention (tableau on
+  /// every satisfiable spec, bounded past its caps) is completed by auto,
+  /// so canonical output is byte-identical under every spec (the
+  /// substrates agree; see core/portfolio.hpp).
   SubstrateSpec substrate;
   partition::Overrides partition_overrides;
   /// Stage 3: run localization + partition adjustment when unrealizable.
@@ -50,22 +52,24 @@ struct PipelineOptions {
   /// Stage-3 localization knob: how many minimal correction sets to
   /// enumerate for genuinely inconsistent specifications.
   refine::LocalizeOptions localization;
-  /// Flag individually unsatisfiable requirements (tableau emptiness) before
-  /// synthesis. Requirements whose abstracted Next chains still exceed
-  /// satisfiability_chain_cap are skipped (the tableau is exponential in
-  /// the chain length).
-  bool satisfiability_check = true;
-  std::size_t satisfiability_chain_cap = 12;
+  /// Not settable: the satisfiability screen always runs when stage 2 is
+  /// not realizable, through core::decide, on every requirement. These two
+  /// constants exist only for the end-to-end benchmark's replica of the old
+  /// tableau screen (perfbench/driver.cpp) and its stratum draw, which
+  /// must keep drawing the same pools.
+  static constexpr bool satisfiability_check = true;
+  static constexpr std::size_t satisfiability_chain_cap = 12;
   /// Custom vocabulary; defaults to the builtins (see corpus/loaders.hpp for
   /// file-based extension).
   std::optional<nlp::Lexicon> lexicon;
   std::optional<semantics::AntonymDictionary> dictionary;
   /// Cooperative cancellation: polled at stage boundaries (before
   /// translation, synthesis, and refinement) and inside the substrate
-  /// engine of every realizability question -- stage 2 and each stage-3
-  /// probe -- whatever the spec (auto included). When it returns true the
-  /// run throws util::CancelledError. Stage 1 runs to completion once
-  /// started. Null means never cancelled.
+  /// engine of every realizability question -- stage 2, each
+  /// satisfiability-screen question and each stage-3 probe -- whatever the
+  /// spec (auto included). When it returns true the run throws
+  /// util::CancelledError. Stage 1 runs to completion once started. Null
+  /// means never cancelled.
   std::function<bool()> cancelled;
   /// Cross-spec memoization (cache/store.hpp); null disables caching.
   /// The store is thread-safe and content-addressed: share ONE store
@@ -87,13 +91,14 @@ struct PipelineResult {
   std::optional<PortfolioStats> portfolio;
   std::optional<refine::RefinementOutcome> refinement;
   /// Requirements that are unsatisfiable on their own (no implementation of
-  /// the whole specification can exist; reported before synthesis).
+  /// the whole specification can exist). Screened only when stage 2 is not
+  /// realizable; a realizable conjunction has none.
   std::vector<std::string> unsatisfiable_requirements;
   /// Realizable, possibly after refinement (the paper's "consistent").
   bool consistent = false;
   double translation_seconds = 0.0;  // stage 1 wall clock
   double synthesis_seconds = 0.0;    // stage 2 wall clock (Table I column)
-  double refinement_seconds = 0.0;   // stage 3 wall clock
+  double refinement_seconds = 0.0;   // stage 3 wall clock (screen included)
 
   /// Consistent through a stage-3 partition flip (report and batch read this).
   [[nodiscard]] bool refined() const {

@@ -22,18 +22,28 @@
 #include "ltl/parser.hpp"
 #include "nlp/lexicon.hpp"
 #include "semantics/antonyms.hpp"
+#include "timeabs/abstraction.hpp"
 #include "translate/translator.hpp"
 #include "util/digest.hpp"
 
 namespace cache = speccc::cache;
 namespace ltl = speccc::ltl;
 namespace nlp = speccc::nlp;
+namespace timeabs = speccc::timeabs;
 using speccc::util::Digest;
 using speccc::util::DigestBuilder;
 
 namespace {
 
-constexpr cache::Kind kSat = cache::Kind::kSatisfiable;
+// The store and snapshot tests below use the abstraction kind (level 2):
+// its value is plain data, and a bare divisor tells two values apart.
+constexpr cache::Kind kAbs = cache::Kind::kAbstraction;
+
+timeabs::Abstraction divisor(std::uint32_t d) {
+  timeabs::Abstraction a;
+  a.divisor = d;
+  return a;
+}
 
 std::vector<speccc::translate::RequirementText> door_lock_spec() {
   return {
@@ -216,13 +226,16 @@ TEST(CacheKeys, SynthesisKeyCoversFormulasSignatureAndOptions) {
 
 TEST(Store, CountsHitsAndMissesPerLevel) {
   cache::Store store;
-  const Digest key = cache::satisfiability_key(ltl::parse("F p"));
+  timeabs::Request request;
+  request.thetas = {10, 20};
+  const Digest key = cache::abstraction_key(
+      request, timeabs::Backend::kEnumeration, timeabs::SmtEncoder::kCutMap);
 
-  EXPECT_FALSE(store.find<kSat>(key).has_value());
-  store.put<kSat>(key, true);
-  const auto hit = store.find<kSat>(key);
+  EXPECT_FALSE(store.find<kAbs>(key).has_value());
+  store.put<kAbs>(key, divisor(10));
+  const auto hit = store.find<kAbs>(key);
   ASSERT_TRUE(hit.has_value());
-  EXPECT_TRUE(*hit);
+  EXPECT_EQ(hit->divisor, 10u);
 
   const cache::StatsSnapshot stats = store.stats();
   EXPECT_EQ(stats.l2_misses, 1u);
@@ -242,15 +255,15 @@ TEST(Store, EvictsOldestFirstUnderMaxEntries) {
   std::vector<Digest> keys;
   for (int i = 0; i < 6; ++i) {
     keys.push_back(DigestBuilder("test").u64(i).finalize());
-    store.put<kSat>(keys.back(), i % 2 == 0);
+    store.put<kAbs>(keys.back(), divisor(i + 1));
   }
 
   EXPECT_EQ(store.size(), 4u);
   EXPECT_EQ(store.stats().evictions, 2u);
-  EXPECT_FALSE(store.find<kSat>(keys[0]).has_value());  // evicted
-  EXPECT_FALSE(store.find<kSat>(keys[1]).has_value());  // evicted
+  EXPECT_FALSE(store.find<kAbs>(keys[0]).has_value());  // evicted
+  EXPECT_FALSE(store.find<kAbs>(keys[1]).has_value());  // evicted
   for (int i = 2; i < 6; ++i) {
-    EXPECT_TRUE(store.find<kSat>(keys[i]).has_value()) << i;
+    EXPECT_TRUE(store.find<kAbs>(keys[i]).has_value()) << i;
   }
 }
 
@@ -265,7 +278,7 @@ TEST(Store, GlobalCapIsExactEvenWhenShardsDoNotDivideIt) {
   cache::Store store(options);
 
   for (int i = 0; i < 200; ++i) {
-    store.put<kSat>(DigestBuilder("cap").u64(i).finalize(), true);
+    store.put<kAbs>(DigestBuilder("cap").u64(i).finalize(), divisor(1));
   }
   EXPECT_LE(store.size(), 10u);
   // Keys spread over 4 shards; 200 inserts certainly filled every shard,
@@ -283,7 +296,7 @@ TEST(Store, CapBelowShardCountStillAdmitsSomewhereAndNeverExceeds) {
   options.max_entries = 3;
   cache::Store store(options);
   for (int i = 0; i < 100; ++i) {
-    store.put<kSat>(DigestBuilder("tiny").u64(i).finalize(), true);
+    store.put<kAbs>(DigestBuilder("tiny").u64(i).finalize(), divisor(1));
   }
   EXPECT_LE(store.size(), 3u);
   EXPECT_GT(store.size(), 0u);
@@ -305,19 +318,19 @@ TEST(Store, LruKeepsRecentlyUsedWhereFifoEvictsByAge) {
     options.eviction = policy;
     cache::Store store(options);
 
-    store.put<kSat>(a, true);
-    store.put<kSat>(b, true);
-    EXPECT_TRUE(store.find<kSat>(a).has_value());  // touch A
-    store.put<kSat>(c, true);
+    store.put<kAbs>(a, divisor(1));
+    store.put<kAbs>(b, divisor(1));
+    EXPECT_TRUE(store.find<kAbs>(a).has_value());  // touch A
+    store.put<kAbs>(c, divisor(1));
 
     EXPECT_EQ(store.size(), 2u);
-    EXPECT_TRUE(store.find<kSat>(c).has_value());
+    EXPECT_TRUE(store.find<kAbs>(c).has_value());
     if (policy == cache::Eviction::kFifo) {
-      EXPECT_FALSE(store.find<kSat>(a).has_value()) << "fifo";
-      EXPECT_TRUE(store.find<kSat>(b).has_value()) << "fifo";
+      EXPECT_FALSE(store.find<kAbs>(a).has_value()) << "fifo";
+      EXPECT_TRUE(store.find<kAbs>(b).has_value()) << "fifo";
     } else {
-      EXPECT_TRUE(store.find<kSat>(a).has_value()) << "lru";
-      EXPECT_FALSE(store.find<kSat>(b).has_value()) << "lru";
+      EXPECT_TRUE(store.find<kAbs>(a).has_value()) << "lru";
+      EXPECT_FALSE(store.find<kAbs>(b).has_value()) << "lru";
     }
   }
   EXPECT_STREQ(cache::eviction_name(cache::Eviction::kFifo), "fifo");
@@ -334,15 +347,15 @@ TEST(Store, ThreadStatsAttributeWorkToTheCallingThread) {
 
   std::thread other([&] {
     for (int i = 0; i < 5; ++i) {
-      (void)store.find<kSat>(there);  // 5 misses on the other thread
+      (void)store.find<kAbs>(there);  // 5 misses on the other thread
     }
   });
   other.join();
 
   const cache::StatsSnapshot before = cache::Store::thread_stats();
-  (void)store.find<kSat>(here);  // miss
-  store.put<kSat>(here, true);
-  (void)store.find<kSat>(here);  // hit
+  (void)store.find<kAbs>(here);  // miss
+  store.put<kAbs>(here, divisor(1));
+  (void)store.find<kAbs>(here);  // hit
   const cache::StatsSnapshot delta =
       cache::Store::thread_stats().since(before);
   EXPECT_EQ(delta.l2_misses, 1u);
@@ -355,9 +368,9 @@ TEST(Store, ThreadStatsAttributeWorkToTheCallingThread) {
 TEST(Store, PutIsFirstWriterWinsAndIdempotent) {
   cache::Store store;
   const Digest key = DigestBuilder("test").u64(1).finalize();
-  store.put<kSat>(key, true);
-  store.put<kSat>(key, false);  // racing duplicate: ignored
-  EXPECT_TRUE(*store.find<kSat>(key));
+  store.put<kAbs>(key, divisor(2));
+  store.put<kAbs>(key, divisor(3));  // racing duplicate: ignored
+  EXPECT_EQ(store.find<kAbs>(key)->divisor, 2u);
   EXPECT_EQ(store.size(), 1u);
 }
 
@@ -459,9 +472,9 @@ std::string to_hex(const std::string& bytes) {
 constexpr Digest kStampA{0x1111111111111111ULL, 0x2222222222222222ULL};
 
 void fill_golden(cache::Store& store) {
-  store.put<kSat>(Digest{1, 2}, true);
-  store.put<kSat>(Digest{0x0123456789abcdefULL, 0xfedcba9876543210ULL},
-                        false);
+  store.put<kAbs>(Digest{1, 2}, divisor(2));
+  store.put<kAbs>(Digest{0x0123456789abcdefULL, 0xfedcba9876543210ULL},
+                  divisor(3));
 }
 
 }  // namespace
@@ -539,21 +552,26 @@ TEST(Snapshot, GoldenBytesArePinned) {
   cache::save_snapshot(store, path, kStampA);
   EXPECT_EQ(
       to_hex(read_file(path)),
-      // header: magic "SPCCSNP1", version 3, fingerprint, body length 79
+      // header: magic "SPCCSNP1", version 4, fingerprint, body length 140
       "53504343534e5031"  // SPCCSNP1
-      "03000000"          // version 3
+      "04000000"          // version 4
       "1111111111111111" "2222222222222222"  // lexicon fingerprint hi, lo
-      "4f00000000000000"  // body: 79 bytes
-      // body: 5 sections in kind order, entries sorted by key
+      "8c00000000000000"  // body: 140 bytes
+      // body: 4 sections in kind order, entries sorted by key
       "01" "0000000000000000"  // sentences: none
-      "02" "0200000000000000"  // satisfiable: 2 entries
-      "0100000000000000" "0200000000000000" "01"  // {1,2} -> true
-      "efcdab8967452301" "1032547698badcfe" "00"  // {0123...,fedc...} -> false
       "03" "0000000000000000"  // synthesis: none
       "04" "0000000000000000"  // refinement: none
-      "05" "0000000000000000"  // abstraction: none
+      "05" "0200000000000000"  // abstraction: 2 entries
+      // {1,2} -> divisor 2; reduced, errors empty; both sums 0
+      "0100000000000000" "0200000000000000" "02000000"
+      "0000000000000000" "0000000000000000"
+      "0000000000000000" "0000000000000000"
+      // {0123...,fedc...} -> divisor 3
+      "efcdab8967452301" "1032547698badcfe" "03000000"
+      "0000000000000000" "0000000000000000"
+      "0000000000000000" "0000000000000000"
       // footer: DigestBuilder("snapshot-body") checksum of the body
-      "748dcd324d7d3dbdcae9cd5c8c6a481e");
+      "852b25a9b5251ecd3fc310f723fdc162");
 }
 
 TEST(Snapshot, SaveIsAtomicAndOverwritesInPlace) {
@@ -604,7 +622,7 @@ TEST(Snapshot, RejectsCorruptedBody) {
   write_file(path, bytes);
 
   cache::Store target;
-  target.put<kSat>(Digest{9, 9}, true);  // pre-existing entry
+  target.put<kAbs>(Digest{9, 9}, divisor(1));  // pre-existing entry
   try {
     cache::load_snapshot(target, path, kStampA);
     FAIL() << "corrupted snapshot was accepted";
@@ -621,10 +639,10 @@ TEST(Snapshot, RejectsWrongFormatVersion) {
   fill_golden(store);
   cache::save_snapshot(store, path, kStampA);
   const std::string bytes = read_file(path);
-  // A future version and the retired versions 1 and 2 (whose synthesis
-  // records differ; a version-2 entry can hold a solo tableau's kUnknown)
-  // are all rejected, never misread.
-  for (const char version : {char{99}, char{1}, char{2}}) {
+  // A future version and the retired versions 1, 2 and 3 (whose synthesis
+  // records differ; a version-2 entry can hold a solo tableau's kUnknown;
+  // version 3 has a satisfiability section) are all rejected, never misread.
+  for (const char version : {char{99}, char{1}, char{2}, char{3}}) {
     std::string patched = bytes;
     patched[8] = version;  // version field follows the 8-byte magic
     write_file(path, patched);
@@ -698,17 +716,17 @@ TEST(Snapshot, RejectsForeignLexiconFingerprint) {
 
 TEST(StoreMerge, FirstWriterWinsAndOnlyNewEntriesCount) {
   cache::Store a;
-  a.put<kSat>(Digest{1, 1}, true);
+  a.put<kAbs>(Digest{1, 1}, divisor(2));
   cache::Store b;
-  b.put<kSat>(Digest{1, 1}, false);  // conflicting duplicate
-  b.put<kSat>(Digest{2, 2}, true);
+  b.put<kAbs>(Digest{1, 1}, divisor(3));  // conflicting duplicate
+  b.put<kAbs>(Digest{2, 2}, divisor(2));
   b.put<cache::Kind::kSentence>(
       cache::sentence_key("the door opens", kStampA), nlp::Sentence{});
 
   EXPECT_EQ(a.merge(b), 2u);  // the duplicate is not an insert
   EXPECT_EQ(a.size(), 3u);
-  EXPECT_TRUE(*a.find<kSat>(Digest{1, 1}));  // a's value survived
-  EXPECT_TRUE(*a.find<kSat>(Digest{2, 2}));
+  EXPECT_EQ(a.find<kAbs>(Digest{1, 1})->divisor, 2u);  // a's value survived
+  EXPECT_EQ(a.find<kAbs>(Digest{2, 2})->divisor, 2u);
   EXPECT_EQ(a.merge(b), 0u);  // idempotent
 }
 
@@ -718,10 +736,10 @@ TEST(StoreMerge, ShardSnapshotsMergeIntoTheUnion) {
   const std::string path_a = snapshot_path("shard-a.snap");
   const std::string path_b = snapshot_path("shard-b.snap");
   cache::Store shard_a, shard_b;
-  shard_a.put<kSat>(Digest{1, 1}, true);
-  shard_a.put<kSat>(Digest{2, 2}, false);
-  shard_b.put<kSat>(Digest{2, 2}, false);  // shared work
-  shard_b.put<kSat>(Digest{3, 3}, true);
+  shard_a.put<kAbs>(Digest{1, 1}, divisor(2));
+  shard_a.put<kAbs>(Digest{2, 2}, divisor(3));
+  shard_b.put<kAbs>(Digest{2, 2}, divisor(3));  // shared work
+  shard_b.put<kAbs>(Digest{3, 3}, divisor(2));
   cache::save_snapshot(shard_a, path_a, kStampA);
   cache::save_snapshot(shard_b, path_b, kStampA);
 
@@ -729,7 +747,7 @@ TEST(StoreMerge, ShardSnapshotsMergeIntoTheUnion) {
   cache::load_snapshot(merged, path_a, kStampA);
   cache::load_snapshot(merged, path_b, kStampA);
   EXPECT_EQ(merged.size(), 3u);
-  EXPECT_TRUE(*merged.find<kSat>(Digest{1, 1}));
-  EXPECT_FALSE(*merged.find<kSat>(Digest{2, 2}));
-  EXPECT_TRUE(*merged.find<kSat>(Digest{3, 3}));
+  EXPECT_EQ(merged.find<kAbs>(Digest{1, 1})->divisor, 2u);
+  EXPECT_EQ(merged.find<kAbs>(Digest{2, 2})->divisor, 3u);
+  EXPECT_EQ(merged.find<kAbs>(Digest{3, 3})->divisor, 2u);
 }

@@ -347,6 +347,33 @@ TEST(PipelineDiagnosis, PinsTheVentMonitorDiagnosis) {
             (std::vector<std::string>{"R2", "R6"}));
 }
 
+TEST(PipelineDiagnosis, PinsTheInfusionPumpDiagnosis) {
+  // Fault A is R2 alone (unsatisfiable, so the screen flags it); fault B
+  // the direct contradiction R3 vs R5.
+  const auto result = diagnose_spec("infusion_pump",
+      "R1: If the start button is pressed, the infusion pump is activated.\n"
+      "R2: The occlusion alarm is raised and the occlusion alarm is not "
+      "raised.\n"
+      "R3: If the door sensor is detected, the status light is updated in 10 "
+      "seconds.\n"
+      "R4: When the mode button is pressed, eventually the monitor light is "
+      "activated.\n"
+      "R5: If the door sensor is detected, the status light is not updated "
+      "in 10 seconds.\n");
+  EXPECT_FALSE(result.consistent);
+  EXPECT_EQ(result.unsatisfiable_requirements,
+            (std::vector<std::string>{"R2"}));
+  ASSERT_TRUE(result.refinement.has_value());
+  const auto& loc = result.refinement->localization;
+  EXPECT_EQ(ids_of(result, loc.core),
+            (std::vector<std::string>{"R3", "R5"}));
+  ASSERT_EQ(loc.correction_sets.size(), 2u);
+  EXPECT_EQ(ids_of(result, loc.correction_sets[0]),
+            (std::vector<std::string>{"R2", "R3"}));
+  EXPECT_EQ(ids_of(result, loc.correction_sets[1]),
+            (std::vector<std::string>{"R2", "R5"}));
+}
+
 TEST(PipelineDiagnosis, ConsistentSpecCarriesNoDiagnosis) {
   const auto result = diagnose_spec("all_fine",
       "R1: If the start button is pressed, the pump is activated.\n"

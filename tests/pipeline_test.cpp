@@ -12,6 +12,7 @@
 #include "core/pipeline.hpp"
 #include "core/report.hpp"
 #include "ltl/formula.hpp"
+#include "ltl/rewrite.hpp"
 #include "synth/verify.hpp"
 #include "util/diagnostics.hpp"
 
@@ -189,29 +190,23 @@ TEST(Report, TableRowAndDescribe) {
 TEST(PipelineDiagnostics, UnsatisfiableRequirementIsFlagged) {
   core::PipelineOptions options;
   options.refine_on_failure = false;
+  options.time_abstraction = false;  // keep the 13-step Next chain
   core::Pipeline pipeline(options);
   const std::vector<translate::RequirementText> spec = {
       {"ok", "If the pump is detected, the alarm is issued."},
       // "available and not available" in one clause group: unsatisfiable.
       {"bad", "The cuff is available and the cuff is not available."},
+      // G (cuff && X^13 !cuff): Next chains longer than 12 are screened too.
+      {"long",
+       "The cuff is available and the cuff is not available in 13 seconds."},
   };
   const auto result = pipeline.run("diag", spec);
+  EXPECT_EQ(
+      speccc::ltl::max_next_chain(result.translation.requirements[2].formula),
+      13u);
   EXPECT_FALSE(result.consistent);
   EXPECT_EQ(result.unsatisfiable_requirements,
-            (std::vector<std::string>{"bad"}));
-}
-
-TEST(PipelineDiagnostics, SatisfiabilityCheckCanBeDisabled) {
-  core::PipelineOptions options;
-  options.satisfiability_check = false;
-  options.refine_on_failure = false;
-  core::Pipeline pipeline(options);
-  const std::vector<translate::RequirementText> spec = {
-      {"bad", "The cuff is available and the cuff is not available."},
-  };
-  const auto result = pipeline.run("diag", spec);
-  EXPECT_TRUE(result.unsatisfiable_requirements.empty());
-  EXPECT_FALSE(result.consistent);
+            (std::vector<std::string>{"bad", "long"}));
 }
 
 TEST(PipelineRobot, ExtractedControllerIsExhaustivelyCorrect) {
@@ -258,6 +253,42 @@ TEST(PipelineCancel, StageThreeProbesPollTheCancelPredicate) {
   EXPECT_THROW((void)core::Pipeline(options).run("reservation", spec),
                speccc::util::CancelledError);
   EXPECT_EQ(polls, n + 2);
+}
+
+TEST(PipelineCancel, SatisfiabilityScreenPollsTheCancelPredicate) {
+  const std::vector<translate::RequirementText> spec = {
+      {"ok", "If the pump is detected, the alarm is issued."},
+      {"bad", "The cuff is available and the cuff is not available."},
+  };
+  core::PipelineOptions options;
+  options.refine_on_failure = false;  // and no cache
+  const auto reference = core::Pipeline(options).run("screen", spec);
+  ASSERT_FALSE(reference.consistent);
+
+  // D: the polls of the run's stage-2 question on its own.
+  std::size_t d = 0;
+  (void)core::decide(options.substrate, reference.translation.formulas(),
+                     reference.partition.signature(), options.synthesis,
+                     [&d] {
+                       ++d;
+                       return false;
+                     });
+
+  // The translation and synthesis boundaries plus stage 2 take 2 + D
+  // polls; the screen's questions poll after them.
+  std::size_t polls = 0;
+  options.cancelled = [&polls] {
+    ++polls;
+    return false;
+  };
+  ASSERT_FALSE(core::Pipeline(options).run("screen", spec).consistent);
+  EXPECT_GT(polls, 2 + d);
+
+  polls = 0;
+  options.cancelled = [&polls, d] { return ++polls >= 2 + d + 1; };
+  EXPECT_THROW((void)core::Pipeline(options).run("screen", spec),
+               speccc::util::CancelledError);
+  EXPECT_EQ(polls, 2 + d + 1);
 }
 
 }  // namespace
