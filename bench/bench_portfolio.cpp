@@ -1,14 +1,8 @@
-// Portfolio racing latency on the standing slow seed of the fuzz corpus
-// (seed 6 / spec case 21 -- the spec whose auto path escalates into the
-// expensive bounded run). The acceptance bar the CI bench job tracks:
-// the raced latency must sit within a small constant factor of the
-// fastest solo substrate, because the race IS the fastest substrate plus
-// cancellation overhead. Each solo substrate rides alongside so a
-// regression names the lane that slowed down.
+// Substrate latency on the standing slow seed of the fuzz corpus (seed 6 /
+// spec case 21 -- the spec whose auto path escalates into the expensive
+// bounded run): auto next to each solo engine, so a regression names the
+// lane that slowed down.
 #include <benchmark/benchmark.h>
-
-#include <string>
-#include <vector>
 
 #include "core/pipeline.hpp"
 #include "core/substrate.hpp"
@@ -18,7 +12,7 @@ namespace {
 
 using speccc::core::Pipeline;
 using speccc::core::PipelineOptions;
-using speccc::core::SubstrateSpec;
+using speccc::core::Substrate;
 
 /// The pinned slow spec, generated once per process.
 const speccc::difftest::GeneratedSpec& slow_seed_spec() {
@@ -27,17 +21,14 @@ const speccc::difftest::GeneratedSpec& slow_seed_spec() {
   return spec;
 }
 
-void run_with_spec(benchmark::State& state, const std::string& substrate) {
+void run_with(benchmark::State& state, Substrate substrate) {
   PipelineOptions options;
-  options.substrate = SubstrateSpec::parse(substrate);
-  // Measure the decision substrate, not stage 3: an abstaining solo lane
-  // (tableau on a realizable spec) would otherwise drag refinement into
-  // its lap time and the cross-lane comparison would be apples to oranges.
+  options.substrate = substrate;
+  // Measure the decision substrate, not stage 3.
   options.refine_on_failure = false;
   // The difftest oracle's give-up caps, applied uniformly to every lane:
-  // uncapped bounded synthesis grinds for minutes on this seed, which is
-  // exactly the pathology racing routes around -- but a pinned CI bench
-  // must abstain at the caps, not reproduce the grind.
+  // uncapped bounded synthesis grinds for minutes on this seed, and a
+  // pinned CI bench must abstain at the caps, not reproduce the grind.
   options.synthesis.bounded.max_k = 4;
   options.synthesis.bounded.max_game_positions = 20'000;
   options.synthesis.bounded.max_ucw_states = 150;
@@ -50,47 +41,21 @@ void run_with_spec(benchmark::State& state, const std::string& substrate) {
 }
 
 void BM_PortfolioSlowSeedAuto(benchmark::State& state) {
-  run_with_spec(state, "auto");
+  run_with(state, Substrate::kAuto);
 }
 BENCHMARK(BM_PortfolioSlowSeedAuto)->Unit(benchmark::kMillisecond)->UseRealTime();
 
-void BM_PortfolioSlowSeedSoloTableau(benchmark::State& state) {
-  run_with_spec(state, "tableau");
-}
-BENCHMARK(BM_PortfolioSlowSeedSoloTableau)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
 void BM_PortfolioSlowSeedSoloBounded(benchmark::State& state) {
-  run_with_spec(state, "bounded");
+  run_with(state, Substrate::kBounded);
 }
 BENCHMARK(BM_PortfolioSlowSeedSoloBounded)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
 void BM_PortfolioSlowSeedSoloSymbolic(benchmark::State& state) {
-  run_with_spec(state, "symbolic");
+  run_with(state, Substrate::kSymbolic);
 }
 BENCHMARK(BM_PortfolioSlowSeedSoloSymbolic)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-void BM_PortfolioSlowSeedRace(benchmark::State& state) {
-  run_with_spec(state, "race:tableau,bounded,symbolic");
-}
-BENCHMARK(BM_PortfolioSlowSeedRace)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-// Same race with the eventual winner listed first (racer 0 runs inline on
-// the caller's thread): on a single-CPU host the canonical ordering above
-// pays a scheduler quantum per losing lane before the winner even starts,
-// while this ordering isolates the true racing overhead -- thread spawn,
-// cancellation polls, join -- over the fastest solo lane.
-void BM_PortfolioSlowSeedRaceWinnerFirst(benchmark::State& state) {
-  run_with_spec(state, "race:symbolic,tableau,bounded");
-}
-BENCHMARK(BM_PortfolioSlowSeedRaceWinnerFirst)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

@@ -64,24 +64,9 @@ if [[ -x "$batch_bin" ]]; then
   "$batch_bin" --jobs "$batch_jobs" --quiet --canonical --cache \
     "$repo_root/examples/specs" > "$build_dir/batch-smoke-cache.txt"
   diff "$build_dir/batch-smoke-plain.txt" "$build_dir/batch-smoke-cache.txt"
-  # Race smoke: portfolio racing is verdict-transparent -- the canonical
-  # report must be byte-identical racing on vs off (core/portfolio.hpp's
-  # determinism contract).
-  echo "speccc_batch race smoke (canonical diff, race on vs off)"
-  "$batch_bin" --jobs "$batch_jobs" --quiet --canonical \
-    --substrate race:tableau,bounded,symbolic \
-    "$repo_root/examples/specs" > "$build_dir/batch-smoke-race.txt"
-  diff "$build_dir/batch-smoke-plain.txt" "$build_dir/batch-smoke-race.txt"
-  # Abstention smoke: a solo tableau abstains on every satisfiable spec,
-  # and auto completes each abstention (core::decide), so its canonical
-  # report must be byte-identical to the default's.
-  echo "speccc_batch abstention smoke (canonical diff, tableau vs default)"
-  "$batch_bin" --jobs "$batch_jobs" --quiet --canonical --substrate tableau \
-    "$repo_root/examples/specs" > "$build_dir/batch-smoke-tableau.txt"
-  diff "$build_dir/batch-smoke-plain.txt" "$build_dir/batch-smoke-tableau.txt"
-  # Substrate smoke: every spec, auto included, resolves through the
-  # substrate registry, so a solo symbolic run's canonical report must be
-  # byte-identical to the default's.
+  # Substrate smoke: the engines agree and auto completes any bounded
+  # abstention (core::decide), so a solo symbolic run's canonical report
+  # must be byte-identical to the default's.
   echo "speccc_batch substrate smoke (Table I canonical diff, symbolic vs default)"
   "$batch_bin" --jobs "$batch_jobs" --quiet --canonical --corpus table1 \
     > "$build_dir/batch-smoke-t1-default.txt"
@@ -121,14 +106,31 @@ if [[ -x "$batch_bin" ]]; then
     exit 1
   fi
   # The screen and stage 3 ask the run's substrate (core::decide), so a
-  # race and a solo tableau must reproduce the faults report byte for byte.
-  for substrate in race:tableau,bounded,symbolic tableau; do
-    echo "speccc_batch faults smoke (canonical diff, --substrate $substrate vs default)"
-    "$batch_bin" --jobs "$batch_jobs" --quiet --canonical --diagnose \
-      --substrate "$substrate" "$repo_root/examples/specs/faults" \
-      > "$build_dir/batch-smoke-faults-${substrate%%:*}.txt" || [[ $? -eq 2 ]]
-    diff "$fault_report" "$build_dir/batch-smoke-faults-${substrate%%:*}.txt"
-  done
+  # solo symbolic run must reproduce the faults report byte for byte.
+  echo "speccc_batch faults smoke (canonical diff, --substrate symbolic vs default)"
+  "$batch_bin" --jobs "$batch_jobs" --quiet --canonical --diagnose \
+    --substrate symbolic "$repo_root/examples/specs/faults" \
+    > "$build_dir/batch-smoke-faults-symbolic.txt" || [[ $? -eq 2 ]]
+  diff "$fault_report" "$build_dir/batch-smoke-faults-symbolic.txt"
+  # Crosscheck smoke: the bounded and the symbolic engine re-decide every
+  # example and faults spec on their own; no row may disagree, and both
+  # must find infusion_pump unrealizable.
+  echo "speccc_batch crosscheck smoke over examples/specs and faults"
+  cross_report="$build_dir/batch-smoke-crosscheck.txt"
+  "$batch_bin" --jobs "$batch_jobs" --quiet --canonical --crosscheck \
+    "$repo_root/examples/specs" "$repo_root/examples/specs/faults" \
+    > "$cross_report" || [[ $? -eq 2 ]]
+  if grep -qv ' agree=1$' "$cross_report"; then
+    echo "error: a crosscheck row is missing agree=1:" >&2
+    cat "$cross_report" >&2
+    exit 1
+  fi
+  if ! grep -q 'infusion_pump\.txt .* bounded=unrealizable symbolic=unrealizable agree=1$' \
+      "$cross_report"; then
+    echo "error: the infusion_pump crosscheck row is not unrealizable twice:" >&2
+    cat "$cross_report" >&2
+    exit 1
+  fi
   # Encoder smoke: the CNF encoder is verdict-transparent -- the Table I
   # canonical report through the SMT time-abstraction backend must be
   # byte-identical between the cut mapper and the Tseitin lane, with the

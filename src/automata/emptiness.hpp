@@ -2,8 +2,7 @@
 // satisfiability.
 //
 // Used three ways:
-//   * the tableau substrate (core/substrate.cpp: an empty NBW of the
-//     conjunction proves it unrealizable) and the difftest oracle;
+//   * the difftest oracle (an empty NBW proves a formula unsatisfiable);
 //   * generating witness traces for satisfiable formulas (property tests
 //     cross-check the witness against the trace semantics);
 //   * the model checker in synth/verify.hpp (emptiness of a product).

@@ -32,7 +32,8 @@ namespace speccc::automata {
 /// minutes. Callers that can live with "don't know" -- the bounded
 /// synthesis engine, the differential harness -- use this. `cancelled` is
 /// polled once per expanded node; returning true raises
-/// util::CancelledError (portfolio racers cancel losing tableaux here).
+/// util::CancelledError (a batch budget or serve deadline stops the
+/// bounded engine's UCW construction here).
 [[nodiscard]] std::optional<Buchi> ltl_to_nbw_bounded(
     ltl::Formula f, std::size_t max_nodes,
     const std::function<bool()>& cancelled = {});

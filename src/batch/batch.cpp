@@ -105,33 +105,35 @@ class StealingQueues {
 };
 
 /// Opposite-definite-verdict cross-check of one already-translated spec:
-/// every registered substrate re-decides it independently (the batch
-/// counterpart of the difftest oracle). Inapplicable substrates --
-/// symbolic outside its fragment, bounded beyond the alphabet cap --
-/// abstain with kUnknown, which never counts as disagreement.
+/// the bounded and the symbolic engine re-decide it independently, without
+/// auto's completion (the batch counterpart of the difftest oracle).
+/// Inapplicable engines -- symbolic outside its fragment, bounded beyond
+/// the alphabet cap -- abstain with kUnknown, which never counts as
+/// disagreement.
 AgreementStats check_substrates(const core::PipelineResult& pipeline_result,
                                 const synth::BoundedOptions& bounded_options) {
-  AgreementStats stats;
-  stats.checked = true;
-
+  using R = synth::Realizability;
   const std::vector<ltl::Formula> formulas =
       pipeline_result.translation.formulas();
   const synth::IoSignature signature = pipeline_result.partition.signature();
-
-  synth::SynthesisOptions options;
-  options.bounded = bounded_options;
-
-  const core::SubstrateRegistry& registry = core::SubstrateRegistry::global();
-  for (const std::string& name : registry.names()) {
-    const core::Substrate* substrate = registry.find(name);
-    synth::Realizability verdict = synth::Realizability::kUnknown;
+  const auto abstain_if_inapplicable = [](const auto& check) {
     try {
-      verdict = substrate->check(formulas, signature, options, {}).verdict;
+      return check();
     } catch (const util::SpecError&) {
-      // Inapplicable: the substrate abstains.
+      return R::kUnknown;
     }
-    stats.verdicts.emplace_back(name, verdict);
-  }
+  };
+
+  AgreementStats stats;
+  stats.checked = true;
+  stats.verdicts.emplace_back("bounded", abstain_if_inapplicable([&] {
+    return synth::synthesize_bounded(formulas, signature, bounded_options)
+        .verdict;
+  }));
+  stats.verdicts.emplace_back("symbolic", abstain_if_inapplicable([&] {
+    const auto result = synth::synthesize_symbolic(formulas, signature, {});
+    return result.has_value() ? result->verdict : R::kUnknown;
+  }));
   return stats;
 }
 
@@ -212,7 +214,6 @@ TaskResult TaskRunner::run(const SpecTask& task, const RunLimits& limits) {
       result.bdd = pipeline_result.synthesis.bdd_stats;
     }
     result.substrate = pipeline_result.synthesis.substrate_used;
-    result.portfolio = pipeline_result.portfolio;
     if (impl_->options.check_agreement) {
       result.agreement =
           check_substrates(pipeline_result, impl_->options.agreement_bounded);
@@ -351,8 +352,8 @@ void canonical_result(std::ostream& os, const TaskResult& r) {
     }
   }
   if (r.agreement.checked) {
-    // One verdict per registered substrate, registry order: input-pure
-    // (every substrate's caps are deterministic), hence canonical.
+    // One verdict per engine, bounded then symbolic: input-pure (every
+    // engine's caps are deterministic), hence canonical.
     for (const auto& entry : r.agreement.verdicts) {
       os << ' ' << entry.first << '=' << realizability_name(entry.second);
     }
@@ -461,23 +462,6 @@ std::string to_json(const BatchReport& report) {
     if (!r.substrate.empty()) {
       os << ", \"substrate\": \"" << json_escape(r.substrate) << "\"";
     }
-    if (r.portfolio.has_value()) {
-      os << ", \"won\": \"" << json_escape(r.portfolio->winner)
-         << "\", \"substrates\": [";
-      for (std::size_t k = 0; k < r.portfolio->runs.size(); ++k) {
-        const core::SubstrateRunStats& run = r.portfolio->runs[k];
-        os << (k > 0 ? ", " : "") << "{\"name\": \"" << json_escape(run.name)
-           << "\", \"verdict\": \"" << realizability_name(run.verdict)
-           << "\", \"seconds\": " << run.wall_seconds
-           << ", \"won\": " << (run.won ? "true" : "false")
-           << ", \"cancelled\": " << (run.cancelled ? "true" : "false");
-        if (!run.error.empty()) {
-          os << ", \"error\": \"" << json_escape(run.error) << "\"";
-        }
-        os << "}";
-      }
-      os << "]";
-    }
     if (r.agreement.checked) {
       for (const auto& entry : r.agreement.verdicts) {
         os << ", \"" << json_escape(entry.first) << "\": \""
@@ -503,11 +487,7 @@ void print_summary(std::ostream& os, const BatchReport& report) {
          << r.outputs << " out";
       if (r.refined) os << ", refined";
       os << ", " << r.seconds << "s";
-      if (r.portfolio.has_value() && !r.portfolio->winner.empty()) {
-        os << ", " << r.portfolio->winner << " won";
-      } else if (!r.substrate.empty()) {
-        os << ", " << r.substrate;
-      }
+      if (!r.substrate.empty()) os << ", " << r.substrate;
       os << ")";
       if (!r.mus.empty()) {
         os << "\n    conflicting sentences:";

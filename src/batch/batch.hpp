@@ -27,7 +27,6 @@
 #include <functional>
 #include <iosfwd>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -59,15 +58,14 @@ enum class TaskStatus {
 
 [[nodiscard]] const char* status_name(TaskStatus status);
 
-/// Substrate cross-check (optional): the same spec re-decided by every
-/// registered substrate separately. Mirrors the difftest oracle's
-/// agreement property: opposite *definite* verdicts are a disagreement,
-/// kUnknown never is.
+/// Substrate cross-check (optional): the same spec re-decided by the
+/// bounded and the symbolic engine separately. Mirrors the difftest
+/// oracle's agreement property: opposite *definite* verdicts are a
+/// disagreement, kUnknown never is.
 struct AgreementStats {
   bool checked = false;
-  /// (substrate name, verdict) in registry order (tableau, bounded,
-  /// symbolic for the builtins). Inapplicable substrates abstain with
-  /// kUnknown. Input-pure, so part of canonical().
+  /// (engine name, verdict): bounded, then symbolic. Inapplicable engines
+  /// abstain with kUnknown. Input-pure, so part of canonical().
   std::vector<std::pair<std::string, synth::Realizability>> verdicts;
 
   /// The verdict of one substrate; kUnknown when absent.
@@ -111,14 +109,10 @@ struct TaskResult {
   std::vector<std::vector<std::string>> correction_sets;
   AgreementStats agreement;
   // Diagnostics (excluded from the canonical form):
-  /// Which substrate produced the stage-2 verdict ("tableau", "bounded",
-  /// "symbolic"; empty for errored/cancelled tasks and pre-substrate cache
-  /// hits). Under a race spec this is the winner -- timing-dependent, so a
-  /// diagnostic like the timings.
+  /// Which engine produced the stage-2 verdict ("bounded" or "symbolic";
+  /// empty for errored/cancelled tasks). A diagnostic: a cache hit names
+  /// the engine of the run that filled the entry.
   std::string substrate;
-  /// Per-racer wall/verdict stats when stage 2 actually raced (kRace spec,
-  /// cache miss); see core/portfolio.hpp.
-  std::optional<core::PortfolioStats> portfolio;
   /// Per-task cache accounting (thread-local deltas, see
   /// cache::Store::thread_stats()): exact hits/misses/evictions this task
   /// caused, meaningful only when the pipeline ran with a store attached.
@@ -155,9 +149,10 @@ struct RunnerOptions {
   /// store is the sanctioned exception to per-worker isolation); persist
   /// one across batches for cross-batch reuse.
   core::PipelineOptions pipeline;
-  /// Re-decide every spec with every registered substrate's own check
-  /// (never auto's completion, never pipeline.cache) and record agreement;
-  /// roughly doubles the cost. kUnknown never counts as disagreement.
+  /// Re-decide every spec with the bounded and the symbolic engine's own
+  /// check (never auto's completion, never pipeline.cache) and record
+  /// agreement; roughly doubles the cost. kUnknown never counts as
+  /// disagreement.
   bool check_agreement = false;
   /// Caps for the agreement pass's bounded run. Defaults mirror the
   /// difftest oracle's give-up caps -- the pipeline's own unbounded
@@ -170,8 +165,8 @@ struct RunnerOptions {
 };
 
 /// Per-run limits, polled cooperatively at pipeline stage boundaries.
-/// Now defined next to the substrate layer it carries the per-request
-/// override for (budget_seconds, cancel, substrate).
+/// Defined next to the substrate it carries the per-request override for
+/// (budget_seconds, cancel, substrate).
 using RunLimits = core::RunLimits;
 
 /// A warm per-worker execution engine: one core::Pipeline built once

@@ -251,12 +251,12 @@ void fold_formulas(util::DigestBuilder& builder,
 util::Digest synthesis_key(const std::vector<ltl::Formula>& formulas,
                            const synth::IoSignature& signature,
                            const synth::SynthesisOptions& options,
-                           std::string_view substrate_spec) {
+                           std::string_view substrate) {
   util::DigestBuilder builder("synthesis");
   fold_formulas(builder, formulas);
   fold_signature(builder, signature);
   fold_options(builder, options);
-  builder.str(substrate_spec);
+  builder.str(substrate);
   return builder.finalize();
 }
 

@@ -18,7 +18,7 @@ Pipeline::Pipeline(PipelineOptions options)
 PipelineResult Pipeline::run(
     const std::string& name,
     const std::vector<translate::RequirementText>& requirements,
-    const SubstrateSpec* substrate_override) const {
+    std::optional<Substrate> substrate_override) const {
   PipelineResult result;
   result.name = name;
 
@@ -78,26 +78,19 @@ PipelineResult Pipeline::run(
   const synth::IoSignature signature = result.partition.signature();
 
   // Every realizability question of the run goes through core::decide with
-  // the run's spec (the per-run override beats the configured one), options
-  // and CancelFn.
-  const SubstrateSpec& spec =
-      substrate_override != nullptr ? *substrate_override : options_.substrate;
+  // the run's substrate (the per-run override beats the configured one),
+  // options and CancelFn.
+  const Substrate substrate = substrate_override.value_or(options_.substrate);
   util::Stopwatch stage2;
   result.synthesis = cache::memoize<cache::Kind::kSynthesis>(
       store,
       [&] {
         return cache::synthesis_key(formulas, signature, options_.synthesis,
-                                    spec.to_string());
+                                    substrate_name(substrate));
       },
       [&] {
-        PortfolioStats stats;
-        synth::SynthesisResult decided =
-            decide(spec, formulas, signature, options_.synthesis,
-                   options_.cancelled, &stats);
-        if (spec.mode == SubstrateSpec::Mode::kRace) {
-          result.portfolio = std::move(stats);
-        }
-        return decided;
+        return decide(substrate, formulas, signature, options_.synthesis,
+                      options_.cancelled);
       });
   result.synthesis_seconds = stage2.seconds();
   result.consistent =
@@ -108,7 +101,7 @@ PipelineResult Pipeline::run(
     util::Stopwatch stage3;
     const synth::Decide probe = [&](const std::vector<ltl::Formula>& subset,
                                     const synth::IoSignature& probe_signature) {
-      return decide(spec, subset, probe_signature, options_.synthesis,
+      return decide(substrate, subset, probe_signature, options_.synthesis,
                     options_.cancelled)
           .verdict;
     };

@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "cache/store.hpp"
-#include "core/portfolio.hpp"
+#include "core/substrate.hpp"
 #include "partition/partition.hpp"
 #include "refine/refine.hpp"
 #include "semantics/antonyms.hpp"
@@ -37,15 +37,12 @@ struct PipelineOptions {
   /// byte-identical across encoders -- the abstraction is unique.
   timeabs::SmtEncoder smt_encoder = timeabs::SmtEncoder::kCutMap;
   synth::SynthesisOptions synthesis;
-  /// Decision substrate(s) of every realizability question of the run --
+  /// Decision substrate of every realizability question of the run --
   /// stage 2, the satisfiability screen and each stage-3 probe
-  /// (core::decide): "auto" (symbolic when applicable, else bounded), a
-  /// solo substrate name, or "race:a,b,..." for first-verdict-wins
-  /// portfolio racing (core/substrate.hpp). An abstention (tableau on
-  /// every satisfiable spec, bounded past its caps) is completed by auto,
-  /// so canonical output is byte-identical under every spec (the
-  /// substrates agree; see core/portfolio.hpp).
-  SubstrateSpec substrate;
+  /// (core::decide; see core/substrate.hpp). An abstention (bounded past
+  /// its caps) is completed by auto, so canonical output is byte-identical
+  /// under every substrate.
+  Substrate substrate = Substrate::kAuto;
   partition::Overrides partition_overrides;
   /// Stage 3: run localization + partition adjustment when unrealizable.
   bool refine_on_failure = true;
@@ -86,9 +83,6 @@ struct PipelineResult {
   std::optional<timeabs::Abstraction> abstraction;
   partition::Partition partition;       // final partition (post-refinement)
   synth::SynthesisResult synthesis;     // the initial stage-2 verdict
-  /// Per-racer diagnostics when stage 2 actually raced (kRace spec, cache
-  /// miss). Non-canonical: which racer wins is timing-dependent.
-  std::optional<PortfolioStats> portfolio;
   std::optional<refine::RefinementOutcome> refinement;
   /// Requirements that are unsatisfiable on their own (no implementation of
   /// the whole specification can exist). Screened only when stage 2 is not
@@ -123,11 +117,11 @@ class Pipeline {
 
   /// Run the full loop on a named specification. `substrate_override`
   /// (serve's per-request "substrate" field) replaces options().substrate
-  /// for this run only; not owned, may be null.
+  /// for this run only.
   [[nodiscard]] PipelineResult run(
       const std::string& name,
       const std::vector<translate::RequirementText>& requirements,
-      const SubstrateSpec* substrate_override = nullptr) const;
+      std::optional<Substrate> substrate_override = std::nullopt) const;
 
   [[nodiscard]] const PipelineOptions& options() const { return options_; }
 

@@ -65,10 +65,6 @@ std::string describe(const PipelineResult& result) {
      << result.translation_seconds << " s\n";
   os << "  stage 2 (synthesis):   " << result.synthesis_seconds
      << " s, substrate " << result.synthesis.substrate_used << "\n";
-  if (result.portfolio.has_value() && !result.portfolio->winner.empty()) {
-    os << "    portfolio race won by " << result.portfolio->winner << " ("
-       << result.portfolio->runs.size() << " racers)\n";
-  }
   if (result.refinement.has_value()) {
     os << "  stage 3 (refinement):  " << result.refinement_seconds << " s, "
        << result.refinement->checks << " realizability checks\n";

@@ -58,7 +58,8 @@ struct SymbolicSolution {
 /// Solve the game. The returned solution holds all BDDs needed for strategy
 /// extraction (see synth::extract_mealy). `cancelled` is polled once per
 /// fixpoint round (outer nu and inner mu); returning true raises
-/// util::CancelledError (portfolio racers cancel losing solves here).
+/// util::CancelledError (a batch budget or serve deadline stops the solve
+/// here).
 [[nodiscard]] SymbolicSolution solve(
     const SymbolicGame& game, const std::function<bool()>& cancelled = {});
 

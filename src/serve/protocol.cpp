@@ -1,6 +1,7 @@
 #include "serve/protocol.hpp"
 
 #include <cmath>
+#include <limits>
 
 #include "serve/json.hpp"
 #include "util/diagnostics.hpp"
@@ -92,34 +93,6 @@ std::string canonical_field(const batch::TaskResult& result) {
   return line;
 }
 
-const char* realizability_name(synth::Realizability r) {
-  switch (r) {
-    case synth::Realizability::kRealizable: return "realizable";
-    case synth::Realizability::kUnrealizable: return "unrealizable";
-    case synth::Realizability::kUnknown: return "unknown";
-  }
-  return "?";
-}
-
-/// Per-racer diagnostics of a raced result. Excluded from the embedded
-/// canonical row (which racer wins is timing-dependent); rides along like
-/// queue_ms/cache.
-json::Value substrates_array(const core::PortfolioStats& portfolio) {
-  json::Array runs;
-  runs.reserve(portfolio.runs.size());
-  for (const core::SubstrateRunStats& run : portfolio.runs) {
-    json::Object o;
-    o["name"] = json::Value(run.name);
-    o["verdict"] = json::Value(realizability_name(run.verdict));
-    put_ms(o, "run_ms", run.wall_seconds);
-    o["won"] = json::Value(run.won);
-    o["cancelled"] = json::Value(run.cancelled);
-    if (!run.error.empty()) o["error"] = json::Value(run.error);
-    runs.push_back(json::Value(std::move(o)));
-  }
-  return json::Value(std::move(runs));
-}
-
 json::Object cache_object(const cache::StatsSnapshot& c) {
   json::Object o;
   o["l1_hits"] = json::Value(static_cast<std::int64_t>(c.l1_hits));
@@ -160,18 +133,27 @@ ParsedRequest parse_request(std::string_view line) {
     if (parsed.id.empty()) parsed.id = request.spec.name;
     request.id = parsed.id;
     request.spec.requirements = parse_requirements(doc);
+    // Casting a double outside int's range is undefined, so an unchecked
+    // 3e9 could land anywhere in the queue order.
     const double priority = optional_number(doc, "priority", 0.0);
+    if (!(priority == std::floor(priority) &&
+          priority >= std::numeric_limits<int>::min() &&
+          priority <= std::numeric_limits<int>::max())) {
+      fail("\"priority\" must be an integer in int range");
+    }
     request.priority = static_cast<int>(priority);
     const double deadline_ms = optional_number(doc, "deadline_ms", 0.0);
-    if (deadline_ms < 0.0) fail("\"deadline_ms\" must be >= 0");
+    if (!(deadline_ms >= 0.0 && deadline_ms / 1000.0 <= kMaxDeadlineSeconds)) {
+      fail("\"deadline_ms\" must be >= 0 and fit the server clock");
+    }
     request.deadline_seconds = deadline_ms / 1000.0;
-    // Optional per-request substrate override ("auto", a substrate name,
-    // or "race:a,b,..."); an unparseable spec is a protocol error like any
-    // other malformed field.
+    // Optional per-request substrate override ("auto", "bounded" or
+    // "symbolic"); anything else is a protocol error like any other
+    // malformed field.
     const std::string substrate = optional_string(doc, "substrate");
     if (!substrate.empty()) {
       try {
-        request.substrate = core::SubstrateSpec::parse(substrate);
+        request.substrate = core::parse_substrate(substrate);
       } catch (const util::InvalidInputError& e) {
         fail(e.what());
       }
@@ -206,13 +188,9 @@ std::string render_response(const Response& response) {
       o["canonical"] = json::Value(canonical_field(r));
       put_ms(o, "queue_ms", response.queue_seconds);
       put_ms(o, "run_ms", r.seconds);
-      // Substrate diagnostics (never part of "canonical"): which substrate
-      // decided the spec, and the per-racer stats when it was raced.
+      // Which engine decided the spec: a diagnostic, never part of
+      // "canonical".
       if (!r.substrate.empty()) o["substrate"] = json::Value(r.substrate);
-      if (r.portfolio.has_value()) {
-        o["won"] = json::Value(r.portfolio->winner);
-        o["substrates"] = substrates_array(*r.portfolio);
-      }
       // Per-request cache accounting (thread-local deltas); all-zero when
       // the server runs without a store, so only emitted when non-zero.
       const cache::StatsSnapshot& c = r.cache;

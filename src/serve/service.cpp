@@ -74,9 +74,11 @@ bool Service::submit(Request request, Callback done) {
       Item item;
       item.seq = next_seq_++;
       item.enqueued_at = Clock::now();
-      double deadline = request.deadline_seconds > 0.0
-                            ? request.deadline_seconds
-                            : options_.default_deadline_seconds;
+      const double deadline =
+          std::min(request.deadline_seconds > 0.0
+                       ? request.deadline_seconds
+                       : options_.default_deadline_seconds,
+                   kMaxDeadlineSeconds);
       if (deadline > 0.0) {
         item.has_deadline = true;
         item.deadline_at =
@@ -174,9 +176,7 @@ void Service::process(Item item, batch::TaskRunner& runner) {
   } else {
     batch::RunLimits limits;
     limits.budget_seconds = budget_seconds;  // 0 = unlimited
-    if (item.request.substrate.has_value()) {
-      limits.substrate = &*item.request.substrate;
-    }
+    limits.substrate = item.request.substrate;
     batch::TaskResult result = runner.run(item.request.spec, limits);
     if (result.status == batch::TaskStatus::kBudgetExhausted &&
         item.has_deadline) {

@@ -39,6 +39,7 @@
 // benchmarked -- bench_serve) fully in-process.
 #pragma once
 
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -77,15 +78,25 @@ struct Request {
   /// Lower = served sooner; FIFO within a priority class.
   int priority = 0;
   /// Relative deadline in seconds, measured from admission (queue time
-  /// counts). <= 0 means "use the service default".
+  /// counts). <= 0 means "use the service default"; longer than
+  /// kMaxDeadlineSeconds is clamped to it.
   double deadline_seconds = 0.0;
   /// Per-request substrate override (the wire protocol's optional
-  /// "substrate" field): replaces the service pipeline's configured spec
-  /// for this request only. Canonical output is unaffected -- substrates
-  /// agree and auto completes abstentions -- so mixed-substrate traffic
-  /// stays byte-comparable with batch.
-  std::optional<core::SubstrateSpec> substrate;
+  /// "substrate" field): replaces the service pipeline's configured
+  /// substrate for this request only. Canonical output is unaffected --
+  /// the engines agree and auto completes abstentions -- so
+  /// mixed-substrate traffic stays byte-comparable with batch.
+  std::optional<core::Substrate> substrate;
 };
+
+/// The longest relative deadline a request can carry: half the steady
+/// clock's range (about 146 years), so pinning it to an absolute instant
+/// at admission cannot overflow. The wire protocol rejects a longer
+/// "deadline_ms".
+inline constexpr double kMaxDeadlineSeconds =
+    std::chrono::duration<double>(std::chrono::steady_clock::duration::max())
+        .count() /
+    2;
 
 enum class ResponseKind {
   kResult,            ///< the pipeline ran to a verdict (see result.status)

@@ -257,13 +257,13 @@ TEST(BatchAgreement, SubstratesAgreeOnTheRobotCorpus) {
   for (const batch::TaskResult& r : report.results) {
     ASSERT_TRUE(r.agreement.checked);
     EXPECT_TRUE(r.agreement.agree()) << r.name;
-    // The symbolic engine decides every robot row definitively; the
-    // tableau can only abstain on these satisfiable specifications.
+    // Exactly the two engines, bounded then symbolic; the symbolic engine
+    // decides every robot row definitively.
+    ASSERT_EQ(r.agreement.verdicts.size(), 2u) << r.name;
+    EXPECT_EQ(r.agreement.verdicts[0].first, "bounded");
+    EXPECT_EQ(r.agreement.verdicts[1].first, "symbolic");
     EXPECT_EQ(r.agreement.verdict_of("symbolic"),
               speccc::synth::Realizability::kRealizable)
-        << r.name;
-    EXPECT_EQ(r.agreement.verdict_of("tableau"),
-              speccc::synth::Realizability::kUnknown)
         << r.name;
   }
 }

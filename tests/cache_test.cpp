@@ -213,7 +213,7 @@ TEST(CacheKeys, SynthesisKeyCoversFormulasSignatureAndOptions) {
   deeper.bounded.max_k = options.bounded.max_k + 1;
   EXPECT_NE(base, cache::synthesis_key(formulas, signature, deeper, "auto"));
 
-  // The substrate spec is part of the computation: auto and a solo
+  // The substrate is part of the computation: auto and a solo
   // symbolic run agree on every verdict but are still distinct entries.
   EXPECT_NE(base, cache::synthesis_key(formulas, signature, options, "symbolic"));
 

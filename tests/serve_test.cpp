@@ -196,80 +196,73 @@ TEST(ServeProtocol, RendersResultWithEmbeddedCanonicalLine) {
 }
 
 TEST(ServeProtocol, ParsesOptionalSubstrateField) {
-  const serve::ParsedRequest raced = serve::parse_request(
+  const serve::ParsedRequest symbolic = serve::parse_request(
       R"({"method":"check","requirements":["x is set"],)"
-      R"("substrate":"race:tableau,bounded"})");
-  ASSERT_TRUE(raced.request.substrate.has_value());
-  EXPECT_EQ(raced.request.substrate->to_string(), "race:tableau,bounded");
+      R"("substrate":"symbolic"})");
+  ASSERT_TRUE(symbolic.request.substrate.has_value());
+  EXPECT_EQ(*symbolic.request.substrate, speccc::core::Substrate::kSymbolic);
 
   const serve::ParsedRequest plain = serve::parse_request(
       R"({"method":"check","requirements":["x is set"]})");
   EXPECT_FALSE(plain.request.substrate.has_value());
 
-  // An unparseable spec is a protocol error like any malformed field.
-  EXPECT_THROW(
-      serve::parse_request(R"({"method":"check","requirements":["x is set"],)"
-                           R"("substrate":"race:tableau"})"),
-      ParseError);
-  EXPECT_THROW(
-      serve::parse_request(R"({"method":"check","requirements":["x is set"],)"
-                           R"("substrate":"warp"})"),
-      ParseError);
+  // Anything but auto, bounded or symbolic is a protocol error like any
+  // malformed field.
+  for (const char* bad : {"tableau", "race:bounded,symbolic", "warp"}) {
+    EXPECT_THROW(
+        serve::parse_request(
+            std::string(R"({"method":"check","requirements":["x is set"],)") +
+            R"("substrate":")" + bad + R"("})"),
+        ParseError)
+        << bad;
+  }
 }
 
-TEST(ServeProtocol, RendersRacedResultWithWonAndSubstrateStats) {
+TEST(ServeProtocol, RejectsPriorityAndDeadlineOutsideTheirRange) {
+  const auto check_line = [](const std::string& fields) {
+    return R"({"method":"check","requirements":["x is set"],)" + fields + "}";
+  };
+  // A priority outside int range used to wrap (3e9 and 1e300 both landed
+  // at INT_MIN, jumping the queue); a fractional one was truncated.
+  for (const char* priority : {"3000000000", "1e300", "-1e300", "1.5"}) {
+    EXPECT_THROW(
+        serve::parse_request(check_line(std::string(R"("priority":)") + priority)),
+        ParseError)
+        << priority;
+  }
+  // A deadline whose nanosecond count overflows the server clock.
+  EXPECT_THROW(serve::parse_request(check_line(R"("deadline_ms":1e300)")),
+               ParseError);
+  // The extremes of the ranges still parse.
+  EXPECT_EQ(serve::parse_request(check_line(R"("priority":-2147483648)"))
+                .request.priority,
+            -2147483647 - 1);
+  EXPECT_EQ(serve::parse_request(check_line(R"("priority":2147483647)"))
+                .request.priority,
+            2147483647);
+  EXPECT_DOUBLE_EQ(serve::parse_request(check_line(R"("deadline_ms":8.64e10)"))
+                       .request.deadline_seconds,
+                   8.64e7);
+}
+
+TEST(ServeProtocol, RendersSubstrateAlongsideCanonical) {
   batch::TaskResult result;
   result.name = "doors";
   result.status = batch::TaskStatus::kConsistent;
   result.substrate = "symbolic";
-  speccc::core::PortfolioStats portfolio;
-  portfolio.winner = "symbolic";
-  speccc::core::SubstrateRunStats tableau_run;
-  tableau_run.name = "tableau";
-  tableau_run.cancelled = true;
-  speccc::core::SubstrateRunStats symbolic_run;
-  symbolic_run.name = "symbolic";
-  symbolic_run.verdict = speccc::synth::Realizability::kRealizable;
-  symbolic_run.wall_seconds = 0.004;
-  symbolic_run.won = true;
-  portfolio.runs = {tableau_run, symbolic_run};
-  result.portfolio = portfolio;
 
   serve::Response response;
   response.id = "r7";
   response.kind = serve::ResponseKind::kResult;
   response.result = result;
 
+  // The deciding engine rides ALONGSIDE the canonical row, never in it.
   const json::Value doc = json::parse(serve::render_response(response));
   EXPECT_EQ(doc.find("substrate")->as_string(), "symbolic");
-  EXPECT_EQ(doc.find("won")->as_string(), "symbolic");
-  const auto& runs = doc.find("substrates")->as_array();
-  ASSERT_EQ(runs.size(), 2u);
-  EXPECT_EQ(runs[0].find("name")->as_string(), "tableau");
-  EXPECT_TRUE(runs[0].find("cancelled")->as_bool());
-  EXPECT_EQ(runs[1].find("name")->as_string(), "symbolic");
-  EXPECT_EQ(runs[1].find("verdict")->as_string(), "realizable");
-  EXPECT_TRUE(runs[1].find("won")->as_bool());
-
-  // The race diagnostics ride ALONGSIDE the canonical row, never in it:
-  // the embedded field stays byte-identical to an unraced result's.
   std::string expected = batch::canonical_line(result);
   expected.pop_back();
   EXPECT_EQ(doc.find("canonical")->as_string(), expected);
-  EXPECT_EQ(expected.find("won"), std::string::npos);
-
-  // Unraced results carry neither field.
-  batch::TaskResult bare;
-  bare.name = "doors";
-  bare.status = batch::TaskStatus::kConsistent;
-  serve::Response bare_response;
-  bare_response.id = "r8";
-  bare_response.kind = serve::ResponseKind::kResult;
-  bare_response.result = bare;
-  const json::Value bare_doc =
-      json::parse(serve::render_response(bare_response));
-  EXPECT_EQ(bare_doc.find("won"), nullptr);
-  EXPECT_EQ(bare_doc.find("substrates"), nullptr);
+  EXPECT_EQ(expected.find("symbolic"), std::string::npos);
 }
 
 TEST(ServeProtocol, RendersRejectionAndErrorKinds) {
@@ -340,9 +333,8 @@ TEST(ServeService, VerdictsAreByteIdenticalToBatch) {
 }
 
 TEST(ServeService, PerRequestSubstrateOverrideKeepsCanonicalParity) {
-  // A raced request must answer the same canonical line as the unraced
-  // default -- mixed-substrate traffic stays byte-comparable with batch --
-  // while carrying the race diagnostics alongside.
+  // A symbolic request must answer the same canonical line as the auto
+  // default -- mixed-substrate traffic stays byte-comparable with batch.
   serve::ServiceOptions options;
   options.workers = 1;
   serve::Service service(options);
@@ -350,18 +342,14 @@ TEST(ServeService, PerRequestSubstrateOverrideKeepsCanonicalParity) {
   const serve::Response plain = service.check(make_request("p", door_spec()));
   ASSERT_EQ(plain.kind, serve::ResponseKind::kResult) << plain.error;
 
-  serve::Request raced_request = make_request("r", door_spec());
-  raced_request.substrate =
-      speccc::core::SubstrateSpec::parse("race:tableau,bounded,symbolic");
-  const serve::Response raced = service.check(std::move(raced_request));
-  ASSERT_EQ(raced.kind, serve::ResponseKind::kResult) << raced.error;
+  serve::Request symbolic_request = make_request("s", door_spec());
+  symbolic_request.substrate = speccc::core::Substrate::kSymbolic;
+  const serve::Response symbolic = service.check(std::move(symbolic_request));
+  ASSERT_EQ(symbolic.kind, serve::ResponseKind::kResult) << symbolic.error;
 
-  EXPECT_EQ(batch::canonical_line(raced.result),
+  EXPECT_EQ(batch::canonical_line(symbolic.result),
             batch::canonical_line(plain.result));
-  ASSERT_TRUE(raced.result.portfolio.has_value());
-  EXPECT_EQ(raced.result.portfolio->runs.size(), 3u);
-  EXPECT_FALSE(raced.result.substrate.empty());
-  EXPECT_FALSE(plain.result.portfolio.has_value());
+  EXPECT_EQ(symbolic.result.substrate, "symbolic");
 }
 
 TEST(ServeService, BackpressureRejectsWithRetryHintAndAnswersEveryRequest) {

@@ -31,17 +31,14 @@
 //                      determinism contract in printable form
 //   --time-budget S    per-task budget in seconds, enforced at pipeline
 //                      stage boundaries (expired tasks: budget-exhausted)
-//   --substrate SPEC   decision substrate: "auto" (default; the staged
-//                      symbolic-then-bounded escalation), a single
-//                      substrate name (tableau | bounded | symbolic), or
-//                      "race:a,b,..." to race two or more substrates per
-//                      spec, first definite verdict wins. Racing is
-//                      verdict-transparent: canonical output is
-//                      byte-identical race-on vs race-off (a solo
-//                      substrate may abstain where auto decides). An
-//                      unparseable SPEC is rejected with a diagnostic
-//   --crosscheck       re-decide each spec with every registered substrate
-//                      and report substrate agreement
+//   --substrate S      decision substrate: auto (default; symbolic when
+//                      the spec is in its pattern fragment, else bounded),
+//                      bounded, or symbolic. Canonical output is
+//                      byte-identical under each (auto completes a
+//                      bounded abstention). Anything else is rejected
+//                      with a diagnostic
+//   --crosscheck       re-decide each spec with the bounded and the
+//                      symbolic engine and report their agreement
 //   --diagnose         enumerate minimal correction sets for genuinely
 //                      inconsistent specs (up to 4; see below). The MUS
 //                      ("mus=" in canonical output, "conflicting
@@ -130,7 +127,7 @@ int usage() {
          "                    [--corpus cara|tele|robot|table1]\n"
          "                    [--generate N] [--seed S] [--jobs N]\n"
          "                    [--json FILE] [--canonical] [--time-budget S]\n"
-         "                    [--substrate auto|NAME|race:a,b,...]\n"
+         "                    [--substrate auto|bounded|symbolic]\n"
          "                    [--crosscheck] [--diagnose]\n"
          "                    [--max-correction-sets N]\n"
          "                    [--timeabs enum|smt] [--smt-encoder mapped|tseitin]\n"
@@ -236,9 +233,8 @@ int main(int argc, char** argv) {
       } else if (arg == "--time-budget") {
         options.task_time_budget_seconds = std::atof(next_arg().c_str());
       } else if (arg == "--substrate") {
-        const std::string spec = next_arg();
         try {
-          options.pipeline.substrate = core::SubstrateSpec::parse(spec);
+          options.pipeline.substrate = core::parse_substrate(next_arg());
         } catch (const util::InvalidInputError& e) {
           std::cerr << "invalid --substrate: " << e.what() << "\n";
           return usage();

@@ -20,11 +20,11 @@
 //                           cycles the workload round-robin)
 //
 // Scheduling mix:
-//   --substrate SPEC        attach a per-request "substrate" field to every
-//                           check ("auto", tableau | bounded | symbolic, or
-//                           "race:a,b,..."); validated locally before the
-//                           run, so a typo fails fast instead of filling
-//                           the report with protocol errors
+//   --substrate S           attach a per-request "substrate" field to every
+//                           check (auto, bounded, or symbolic); validated
+//                           locally before the run, so a typo fails fast
+//                           instead of filling the report with protocol
+//                           errors
 //   --deadline-ms D         deadline on selected requests (default none)
 //   --deadline-fraction F   fraction of requests carrying the deadline
 //                           (default 1.0 when --deadline-ms is set; picked
@@ -75,7 +75,7 @@ int usage() {
       << "usage: speccc_load (--port N | --port-file FILE)\n"
          "                   [--generate N] [--seed S] [--corpus NAME]\n"
          "                   [--requests M] [--connections C] [--rate R]\n"
-         "                   [--substrate auto|NAME|race:a,b,...]\n"
+         "                   [--substrate auto|bounded|symbolic]\n"
          "                   [--duration S] [--deadline-ms D]\n"
          "                   [--deadline-fraction F] [--priority-spread P]\n"
          "                   [--canonical-out FILE] [--quiet]\n";
@@ -292,7 +292,7 @@ int main(int argc, char** argv) {
   double deadline_ms = 0.0;
   double deadline_fraction = -1.0;
   int priority_spread = 1;
-  std::string substrate_spec;
+  std::string substrate;
   std::string canonical_out;
   bool quiet = false;
 
@@ -332,9 +332,9 @@ int main(int argc, char** argv) {
         return usage();
       }
     } else if (arg == "--substrate") {
-      substrate_spec = next_arg();
+      substrate = next_arg();
       try {
-        (void)core::SubstrateSpec::parse(substrate_spec);
+        (void)core::parse_substrate(substrate);
       } catch (const util::InvalidInputError& e) {
         std::cerr << "invalid --substrate: " << e.what() << "\n";
         return usage();
@@ -407,8 +407,8 @@ int main(int argc, char** argv) {
       reqs.push_back(serve::json::Value(std::move(item)));
     }
     o["requirements"] = serve::json::Value(std::move(reqs));
-    if (!substrate_spec.empty()) {
-      o["substrate"] = serve::json::Value(substrate_spec);
+    if (!substrate.empty()) {
+      o["substrate"] = serve::json::Value(substrate);
     }
     if (priority_spread > 1) {
       o["priority"] = serve::json::Value(

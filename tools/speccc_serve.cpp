@@ -37,11 +37,10 @@
 //                         startup failure with a structured diagnostic,
 //                         never a silent cold start. Incompatible with
 //                         --no-cache
-//   --substrate SPEC      default decision substrate for every request:
-//                         "auto" (default), a substrate name (tableau |
-//                         bounded | symbolic), or "race:a,b,...".
+//   --substrate S         default decision substrate for every request:
+//                         auto (default), bounded, or symbolic.
 //                         Per-request "substrate" fields override it.
-//                         An unparseable SPEC is rejected at startup
+//                         Anything else is rejected at startup
 //   --strict-next         translate "next" as a real X operator
 //   --diagnose            enumerate minimal correction sets (up to 4) for
 //                         inconsistent specs, like speccc_batch --diagnose
@@ -86,7 +85,7 @@ int usage() {
          "                    [--no-cache] [--cache-max N]\n"
          "                    [--eviction fifo|lru]\n"
          "                    [--cache-snapshot IN,OUT]\n"
-         "                    [--substrate auto|NAME|race:a,b,...]\n"
+         "                    [--substrate auto|bounded|symbolic]\n"
          "                    [--strict-next]\n"
          "                    [--diagnose] [--max-correction-sets N]\n"
          "                    [--quiet]\n";
@@ -252,9 +251,8 @@ int main(int argc, char** argv) {
         return usage();
       }
     } else if (arg == "--substrate") {
-      const std::string spec = next_arg();
       try {
-        options.pipeline.substrate = core::SubstrateSpec::parse(spec);
+        options.pipeline.substrate = core::parse_substrate(next_arg());
       } catch (const util::InvalidInputError& e) {
         std::cerr << "invalid --substrate: " << e.what() << "\n";
         return usage();

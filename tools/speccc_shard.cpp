@@ -56,6 +56,7 @@
 #include <string>
 #include <vector>
 
+#include "core/substrate.hpp"
 #include "shard/coordinator.hpp"
 #include "util/diagnostics.hpp"
 
@@ -73,7 +74,7 @@ int usage() {
          "                    [--cache] [--cache-max N]\n"
          "                    [--cache-snapshot IN,OUT]\n"
          "                    [--time-budget S]\n"
-         "                    [--substrate auto|NAME|race:a,b,...]\n"
+         "                    [--substrate auto|bounded|symbolic]\n"
          "                    [--crosscheck] [--diagnose]\n"
          "                    [--max-correction-sets N] [--strict-next]\n";
   return 1;
@@ -146,8 +147,19 @@ int main(int argc, char** argv) {
                arg == "--diagnose" || arg == "--strict-next") {
       if (arg == "--cache") want_cache = true;
       options.worker_args.push_back(arg);
+    } else if (arg == "--substrate") {
+      // Validated here so a typo fails fast instead of failing every shard.
+      const std::string substrate = next_arg();
+      try {
+        (void)core::parse_substrate(substrate);
+      } catch (const util::InvalidInputError& e) {
+        std::cerr << "invalid --substrate: " << e.what() << "\n";
+        return usage();
+      }
+      options.worker_args.push_back(arg);
+      options.worker_args.push_back(substrate);
     } else if (arg == "--cache-max" || arg == "--time-budget" ||
-               arg == "--substrate" || arg == "--max-correction-sets" ||
+               arg == "--max-correction-sets" ||
                arg == "--manifest" || arg == "--corpus" ||
                arg == "--generate" || arg == "--seed") {
       // Valued passthrough / input options: forward the pair verbatim.
