@@ -46,30 +46,17 @@ void BM_TimeAbs(benchmark::State& state) {
 }
 BENCHMARK(BM_TimeAbs)->DenseRange(0, 2)->Unit(benchmark::kMillisecond);
 
-// The optimizer itself, both back-ends, on the paper's example.
+// The optimizer itself on the paper's example.
 void BM_OptimizerEnumeration(benchmark::State& state) {
   speccc::timeabs::Request request;
   request.thetas = {3, 180, 60};
   request.error_budget = 5;
   for (auto _ : state) {
-    auto abs = speccc::timeabs::optimize(request,
-                                         speccc::timeabs::Backend::kEnumeration);
-    benchmark::DoNotOptimize(abs->divisor);
+    auto abs = speccc::timeabs::optimize(request);
+    benchmark::DoNotOptimize(abs.divisor);
   }
 }
 BENCHMARK(BM_OptimizerEnumeration);
-
-void BM_OptimizerSmt(benchmark::State& state) {
-  speccc::timeabs::Request request;
-  request.thetas = {3, 180, 60};
-  request.error_budget = 5;
-  for (auto _ : state) {
-    auto abs =
-        speccc::timeabs::optimize(request, speccc::timeabs::Backend::kSmt);
-    benchmark::DoNotOptimize(abs->divisor);
-  }
-}
-BENCHMARK(BM_OptimizerSmt)->Unit(benchmark::kMillisecond);
 
 void print_ablation() {
   std::cout << "\nSection IV-E ablation on the CARA working-mode spec "

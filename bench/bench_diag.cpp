@@ -1,7 +1,6 @@
 // Diagnosis cost study: MUS extraction time vs. specification size on
 // generated multi-fault corpora (the planted-fault generator of
-// difftest/random.hpp), MCS enumeration, and the pure-SAT group MUS path
-// whose incremental assumption cores make the shrinker cheap.
+// difftest/random.hpp) and MCS enumeration.
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
@@ -12,12 +11,10 @@
 #include "difftest/harness.hpp"
 #include "difftest/oracle.hpp"
 #include "refine/refine.hpp"
-#include "sat/solver.hpp"
 
 namespace diag = speccc::diag;
 namespace difftest = speccc::difftest;
 namespace refine = speccc::refine;
-namespace sat = speccc::sat;
 
 namespace {
 
@@ -70,57 +67,6 @@ void BM_McsEnumeration(benchmark::State& state) {
 }
 BENCHMARK(BM_McsEnumeration)
     ->DenseRange(2, 4, 1)
-    ->Unit(benchmark::kMillisecond);
-
-/// SAT-backed group MUS: N innocent unit groups around one gated
-/// pigeonhole contradiction. The solver's assumption core prunes all N
-/// bystanders in one jump, and clauses learned refuting the pigeonhole
-/// once make every later probe of it near-free.
-void BM_SatGroupMus(benchmark::State& state) {
-  const int innocents = static_cast<int>(state.range(0));
-  constexpr int kPigeons = 6;
-  constexpr int kHoles = 5;
-  for (auto _ : state) {
-    state.PauseTiming();  // solver construction is not the measured path
-    sat::Solver solver;
-    std::vector<sat::Lit> selectors;
-    for (int i = 0; i < innocents; ++i) {
-      const sat::Lit sel(solver.new_var(), true);
-      const sat::Lit value(solver.new_var(), true);
-      solver.add_binary(sel.negated(), value);
-      selectors.push_back(sel);
-    }
-    int var[kPigeons][kHoles];
-    for (auto& row : var) {
-      for (int& v : row) v = solver.new_var();
-    }
-    const sat::Lit gate(solver.new_var(), true);
-    for (int i = 0; i < kPigeons; ++i) {
-      sat::Clause clause{gate.negated()};
-      for (int j = 0; j < kHoles; ++j) clause.push_back(sat::Lit(var[i][j], true));
-      solver.add_clause(clause);
-    }
-    for (int j = 0; j < kHoles; ++j) {
-      for (int i1 = 0; i1 < kPigeons; ++i1) {
-        for (int i2 = i1 + 1; i2 < kPigeons; ++i2) {
-          solver.add_ternary(gate.negated(), sat::Lit(var[i1][j], false),
-                             sat::Lit(var[i2][j], false));
-        }
-      }
-    }
-    selectors.push_back(gate);
-    state.ResumeTiming();
-
-    const auto oracle = diag::sat_group_oracle(solver, selectors);
-    diag::Options options;
-    options.max_correction_sets = 0;
-    const diag::Diagnosis d = diag::diagnose(selectors.size(), oracle, options);
-    benchmark::DoNotOptimize(d.mus.data());
-  }
-}
-BENCHMARK(BM_SatGroupMus)
-    ->RangeMultiplier(4)
-    ->Range(16, 256)
     ->Unit(benchmark::kMillisecond);
 
 void print_summary() {

@@ -1,152 +1,15 @@
-// Substrate micro-benchmarks: the CDCL SAT solver, the BDD package, and the
-// GPVW tableau -- the infrastructure every consistency check rides on.
+// Substrate micro-benchmarks: the BDD package, the safety-game fixpoint, and
+// the GPVW tableau -- the infrastructure every consistency check rides on.
 #include <benchmark/benchmark.h>
 
 #include "automata/gpvw.hpp"
 #include "bdd/bdd.hpp"
 #include "game/symbolic.hpp"
 #include "ltl/parser.hpp"
-#include "sat/solver.hpp"
-#include "smt/bitblast.hpp"
 #include "synth/monitors.hpp"
 #include "util/diagnostics.hpp"
 
 namespace {
-
-// Pigeonhole: exponential for resolution-based solvers; n = 6/5 stays sane.
-void BM_SatPigeonhole(benchmark::State& state) {
-  const int pigeons = static_cast<int>(state.range(0));
-  const int holes = pigeons - 1;
-  for (auto _ : state) {
-    speccc::sat::Solver solver;
-    std::vector<std::vector<int>> var(static_cast<std::size_t>(pigeons));
-    for (auto& row : var) {
-      for (int j = 0; j < holes; ++j) row.push_back(solver.new_var());
-    }
-    for (int i = 0; i < pigeons; ++i) {
-      speccc::sat::Clause clause;
-      for (int j = 0; j < holes; ++j) {
-        clause.push_back(speccc::sat::Lit(var[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)], true));
-      }
-      solver.add_clause(clause);
-    }
-    for (int j = 0; j < holes; ++j) {
-      for (int a = 0; a < pigeons; ++a) {
-        for (int b = a + 1; b < pigeons; ++b) {
-          solver.add_binary(
-              speccc::sat::Lit(var[static_cast<std::size_t>(a)][static_cast<std::size_t>(j)], false),
-              speccc::sat::Lit(var[static_cast<std::size_t>(b)][static_cast<std::size_t>(j)], false));
-        }
-      }
-    }
-    auto result = solver.solve();
-    benchmark::DoNotOptimize(result);
-  }
-}
-BENCHMARK(BM_SatPigeonhole)->DenseRange(5, 8)->Unit(benchmark::kMillisecond);
-
-// Random 3-SAT near the phase transition (ratio 4.2).
-void BM_SatRandom3Sat(benchmark::State& state) {
-  const int vars = static_cast<int>(state.range(0));
-  const int clauses = static_cast<int>(4.2 * vars);
-  for (auto _ : state) {
-    speccc::util::Rng rng(0xfeedULL + static_cast<std::uint64_t>(vars));
-    speccc::sat::Solver solver;
-    for (int v = 0; v < vars; ++v) (void)solver.new_var();
-    for (int c = 0; c < clauses; ++c) {
-      speccc::sat::Clause clause;
-      for (int k = 0; k < 3; ++k) {
-        clause.push_back(speccc::sat::Lit(
-            static_cast<int>(rng.below(static_cast<std::uint64_t>(vars))),
-            rng.chance(1, 2)));
-      }
-      solver.add_clause(clause);
-    }
-    auto result = solver.solve();
-    benchmark::DoNotOptimize(result);
-  }
-}
-BENCHMARK(BM_SatRandom3Sat)->RangeMultiplier(2)->Range(25, 100)->Unit(benchmark::kMillisecond);
-
-// Bit-blasted multiplication (the Section IV-E workhorse).
-void BM_SmtMultiplier(benchmark::State& state) {
-  const auto width = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    speccc::sat::Solver solver;
-    speccc::smt::Builder builder(solver);
-    const auto x = builder.var(width);
-    const auto y = builder.var(width);
-    builder.require_eq(builder.mul(x, y),
-                       builder.constant(221, 2 * width));  // 13 * 17
-    builder.require(builder.ule(builder.constant(2, width), x));
-    builder.require(builder.ule(builder.constant(2, width), y));
-    auto result = builder.solve();
-    benchmark::DoNotOptimize(result);
-  }
-}
-BENCHMARK(BM_SmtMultiplier)->DenseRange(8, 16, 4)->Unit(benchmark::kMillisecond);
-
-// Multiplier-miter equivalence: prove x*y == y*x by refuting the miter.
-// The two shift-and-add expansions are structurally different circuits, so
-// this is a genuine UNSAT equivalence proof through the whole
-// AIG -> cut-mapping -> CDCL stack.
-void BM_SmtMultiplierMiter(benchmark::State& state) {
-  const auto width = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    speccc::sat::Solver solver;
-    speccc::smt::Builder builder(solver);
-    const auto x = builder.var(width);
-    const auto y = builder.var(width);
-    const auto lhs = builder.mul(x, y);
-    const auto rhs = builder.mul(y, x);
-    builder.require(builder.eq(lhs, rhs).negated());
-    const auto result = builder.solve();
-    speccc_check(result == speccc::sat::Result::kUnsat,
-                 "commutativity miter must be UNSAT");
-    benchmark::DoNotOptimize(result);
-  }
-}
-BENCHMARK(BM_SmtMultiplierMiter)->DenseRange(4, 6)->Unit(benchmark::kMillisecond);
-
-// CNF size of the multiplier instance under both encoders. The interesting
-// output is the counters: mapped must emit substantially fewer clauses and
-// variables than the per-gate Tseitin lane (the ISSUE pins >= 25% fewer
-// clauses on this family).
-void BM_SmtEncodingSize(benchmark::State& state) {
-  const auto width = static_cast<std::size_t>(state.range(0));
-  const bool mapped = state.range(1) != 0;
-  std::size_t clauses = 0;
-  std::size_t vars = 0;
-  std::size_t literals = 0;
-  for (auto _ : state) {
-    speccc::sat::Solver solver;
-    speccc::smt::BuilderOptions options;
-    options.cnf.encoder = mapped ? speccc::aig::CnfOptions::Encoder::kCutMap
-                                 : speccc::aig::CnfOptions::Encoder::kTseitin;
-    speccc::smt::Builder builder(solver, options);
-    const auto x = builder.var(width);
-    const auto y = builder.var(width);
-    builder.require_eq(builder.mul(x, y), builder.constant(221, 2 * width));
-    builder.require(builder.ule(builder.constant(2, width), x));
-    builder.require(builder.ule(builder.constant(2, width), y));
-    builder.flush();
-    clauses = builder.cnf_stats().clauses;
-    vars = builder.cnf_stats().vars;
-    literals = builder.cnf_stats().literals;
-    benchmark::DoNotOptimize(clauses);
-  }
-  state.counters["clauses"] = static_cast<double>(clauses);
-  state.counters["vars"] = static_cast<double>(vars);
-  state.counters["literals"] = static_cast<double>(literals);
-}
-BENCHMARK(BM_SmtEncodingSize)
-    ->ArgNames({"width", "mapped"})
-    ->Args({8, 0})
-    ->Args({8, 1})
-    ->Args({12, 0})
-    ->Args({12, 1})
-    ->Args({16, 0})
-    ->Args({16, 1});
 
 // BDD: the n-bit adder equivalence x + y == y + x.
 void BM_BddAdderEquivalence(benchmark::State& state) {

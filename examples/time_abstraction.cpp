@@ -31,22 +31,18 @@ int main(int argc, char** argv) {
   request.thetas = thetas;
   request.error_budget = budget;
 
-  for (const auto backend : {timeabs::Backend::kEnumeration, timeabs::Backend::kSmt}) {
-    const auto abs = timeabs::optimize(request, backend);
-    std::cout << (backend == timeabs::Backend::kEnumeration
-                      ? "optimal (enumeration): "
-                      : "optimal (SMT bit-blasting, the paper's route): ");
-    std::cout << "d = " << abs->divisor << ", theta' = {";
-    for (std::size_t i = 0; i < abs->reduced.size(); ++i) {
-      std::cout << (i ? ", " : "") << abs->reduced[i];
-    }
-    std::cout << "}, Delta = {";
-    for (std::size_t i = 0; i < abs->errors.size(); ++i) {
-      std::cout << (i ? ", " : "") << abs->errors[i];
-    }
-    std::cout << "}, total X " << abs->reduced_sum << ", total error "
-              << abs->error_sum << "\n";
+  const timeabs::Abstraction abs = timeabs::optimize(request);
+  std::cout << "optimal (exact divisor enumeration): d = " << abs.divisor
+            << ", theta' = {";
+  for (std::size_t i = 0; i < abs.reduced.size(); ++i) {
+    std::cout << (i ? ", " : "") << abs.reduced[i];
   }
+  std::cout << "}, Delta = {";
+  for (std::size_t i = 0; i < abs.errors.size(); ++i) {
+    std::cout << (i ? ", " : "") << abs.errors[i];
+  }
+  std::cout << "}, total X " << abs.reduced_sum << ", total error "
+            << abs.error_sum << "\n";
 
   // Effect on the full CARA specification: monitor state bits with and
   // without abstraction.

@@ -131,27 +131,6 @@ if [[ -x "$batch_bin" ]]; then
     cat "$cross_report" >&2
     exit 1
   fi
-  # Encoder smoke: the CNF encoder is verdict-transparent -- the Table I
-  # canonical report through the SMT time-abstraction backend must be
-  # byte-identical between the cut mapper and the Tseitin lane, with the
-  # memoization store on or off (the cache key distinguishes encoders, so
-  # a cached tseitin verdict must never answer a mapped query).
-  echo "speccc_batch encoder smoke (Table I canonical diff, mapped vs tseitin, cache on/off)"
-  "$batch_bin" --jobs "$batch_jobs" --quiet --canonical --corpus table1 \
-    --timeabs smt --smt-encoder mapped \
-    > "$build_dir/batch-smoke-enc-mapped.txt"
-  "$batch_bin" --jobs "$batch_jobs" --quiet --canonical --corpus table1 \
-    --timeabs smt --smt-encoder tseitin \
-    > "$build_dir/batch-smoke-enc-tseitin.txt"
-  diff "$build_dir/batch-smoke-enc-mapped.txt" "$build_dir/batch-smoke-enc-tseitin.txt"
-  "$batch_bin" --jobs "$batch_jobs" --quiet --canonical --corpus table1 \
-    --timeabs smt --smt-encoder mapped --cache \
-    > "$build_dir/batch-smoke-enc-mapped-cache.txt"
-  "$batch_bin" --jobs "$batch_jobs" --quiet --canonical --corpus table1 \
-    --timeabs smt --smt-encoder tseitin --cache \
-    > "$build_dir/batch-smoke-enc-tseitin-cache.txt"
-  diff "$build_dir/batch-smoke-enc-mapped.txt" "$build_dir/batch-smoke-enc-mapped-cache.txt"
-  diff "$build_dir/batch-smoke-enc-mapped.txt" "$build_dir/batch-smoke-enc-tseitin-cache.txt"
   # Shard smoke: the subprocess coordinator's interleaved merge must be
   # byte-identical to the unsharded canonical report
   # (shard/coordinator.hpp's determinism contract).

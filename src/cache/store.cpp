@@ -272,9 +272,7 @@ util::Digest refinement_key(const std::vector<ltl::Formula>& formulas,
   return builder.finalize();
 }
 
-util::Digest abstraction_key(const timeabs::Request& request,
-                             timeabs::Backend backend,
-                             timeabs::SmtEncoder encoder) {
+util::Digest abstraction_key(const timeabs::Request& request) {
   util::DigestBuilder builder("abstraction");
   builder.u64(request.thetas.size());
   for (std::uint32_t theta : request.thetas) builder.u64(theta);
@@ -283,13 +281,9 @@ util::Digest abstraction_key(const timeabs::Request& request,
   for (timeabs::ErrorSign sign : request.signs) {
     builder.u64(static_cast<std::uint64_t>(sign));
   }
-  builder.u64(static_cast<std::uint64_t>(backend));
-  // The encoder never changes the (unique) abstraction, but each SMT lane
-  // computes its own entry so the cross-encoder smoke compares two real
-  // computations. Enumeration has no encoder.
-  if (backend == timeabs::Backend::kSmt) {
-    builder.u64(static_cast<std::uint64_t>(encoder));
-  }
+  // The slot of the retired back-end choice (0 was enumeration): folding
+  // it keeps every key, and so every snapshot, byte-for-byte unchanged.
+  builder.u64(0);
   return builder.finalize();
 }
 

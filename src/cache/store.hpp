@@ -14,7 +14,7 @@
 //     -- the whole-spec synthesis verdict (keyed by formulas + I/O
 //     signature + engine options + substrate), the refinement
 //     outcome, and the time-abstraction solution (keyed by Theta + budget
-//     + backend + encoder). A repeated spec skips synthesis entirely. The
+//     + signs). A repeated spec skips synthesis entirely. The
 //     per-requirement satisfiability screen is not memoized: it is a
 //     symbolic all-outputs check that costs about one cache lookup.
 //
@@ -325,10 +325,7 @@ template <Kind K, typename KeyFn, typename ComputeFn>
     const synth::SynthesisOptions& options,
     const refine::LocalizeOptions& localize_options = {});
 
-/// Level 2: the Section IV-E abstraction (Theta, budget, signs, backend,
-/// and -- for the SMT backend only -- the CNF encoder).
-[[nodiscard]] util::Digest abstraction_key(const timeabs::Request& request,
-                                           timeabs::Backend backend,
-                                           timeabs::SmtEncoder encoder);
+/// Level 2: the Section IV-E abstraction (Theta, budget, signs).
+[[nodiscard]] util::Digest abstraction_key(const timeabs::Request& request);
 
 }  // namespace speccc::cache

@@ -45,17 +45,8 @@ PipelineResult Pipeline::run(
     const timeabs::Abstraction abstraction =
         cache::memoize<cache::Kind::kAbstraction>(
             store,
-            [&] {
-              return cache::abstraction_key(request, options_.timeabs_backend,
-                                            options_.smt_encoder);
-            },
-            [&] {
-              auto solved = timeabs::optimize(
-                  request, options_.timeabs_backend, options_.smt_encoder);
-              speccc_check(solved.has_value(),
-                           "abstraction always has d=1 fallback");
-              return *std::move(solved);
-            });
+            [&] { return cache::abstraction_key(request); },
+            [&] { return timeabs::optimize(request); });
     result.abstraction = abstraction;
 
     std::map<unsigned, unsigned> remap;

@@ -31,11 +31,6 @@ struct PipelineOptions {
   /// Section IV-E: rewrite Next chains with the optimal divisor abstraction.
   bool time_abstraction = true;
   std::uint32_t error_budget = 5;  // the paper's B
-  timeabs::Backend timeabs_backend = timeabs::Backend::kEnumeration;
-  /// CNF encoder when timeabs_backend is kSmt (cut-mapped by default; the
-  /// Tseitin lane exists for cross-checking). Canonical output is
-  /// byte-identical across encoders -- the abstraction is unique.
-  timeabs::SmtEncoder smt_encoder = timeabs::SmtEncoder::kCutMap;
   synth::SynthesisOptions synthesis;
   /// Decision substrate of every realizability question of the run --
   /// stage 2, the satisfiability screen and each stage-3 probe
@@ -56,6 +51,12 @@ struct PipelineOptions {
   /// must keep drawing the same pools.
   static constexpr bool satisfiability_check = true;
   static constexpr std::size_t satisfiability_chain_cap = 12;
+  /// Not settable either: timeabs::optimize is the one solver. The same
+  /// replica still names the retired back-end choice.
+  static constexpr timeabs::Backend timeabs_backend =
+      timeabs::Backend::kEnumeration;
+  static constexpr timeabs::SmtEncoder smt_encoder =
+      timeabs::SmtEncoder::kCutMap;
   /// Custom vocabulary; defaults to the builtins (see corpus/loaders.hpp for
   /// file-based extension).
   std::optional<nlp::Lexicon> lexicon;

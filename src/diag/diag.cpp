@@ -145,28 +145,4 @@ CoreOracle synthesis_oracle(std::vector<ltl::Formula> requirements,
   };
 }
 
-CoreOracle sat_group_oracle(sat::Solver& solver,
-                            std::vector<sat::Lit> selectors) {
-  return [&solver, selectors = std::move(selectors)](
-             const std::vector<std::size_t>& subset)
-             -> std::optional<std::vector<std::size_t>> {
-    std::vector<sat::Lit> assumptions;
-    assumptions.reserve(subset.size());
-    for (std::size_t i : subset) {
-      speccc_check(i < selectors.size(), "oracle subset index out of range");
-      assumptions.push_back(selectors[i]);
-    }
-    if (solver.solve(assumptions) == sat::Result::kSat) return std::nullopt;
-    // Map the failed assumptions back to group indices. An empty solver
-    // core (hard clauses alone are unsat) has no consistent subset at all;
-    // report the query so shrink_mus still terminates with a witness.
-    std::vector<std::size_t> core;
-    for (std::size_t k = 0; k < subset.size(); ++k) {
-      if (solver.assumption_failed(assumptions[k])) core.push_back(subset[k]);
-    }
-    if (core.empty()) return subset;
-    return core;
-  };
-}
-
 }  // namespace speccc::diag

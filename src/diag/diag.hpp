@@ -3,11 +3,12 @@
 //
 // The engine is oracle-driven: a CoreOracle answers "is this subset of the
 // requirements consistent?", and on inconsistency may return a smaller
-// inconsistent core of the query (assumption-based SAT cores do; the
-// synthesis oracle just echoes the query). Both algorithms rest on the
-// monotonicity of consistency under subsets -- every subset of a
-// consistent (realizable) conjunction is consistent -- which holds for
-// realizability under a fixed I/O signature and for satisfiability alike:
+// inconsistent core of the query (the synthesis oracle just echoes the
+// query; a finer core lets MUS shrinking jump past innocent elements).
+// Both algorithms rest on the monotonicity of consistency under subsets
+// -- every subset of a consistent (realizable) conjunction is consistent
+// -- which holds for realizability under a fixed I/O signature and for
+// satisfiability alike:
 //
 //   * shrink_mus: deletion-based MUS extraction with core jumps. Each
 //     round either proves one element necessary (removing it restores
@@ -34,7 +35,6 @@
 #include <vector>
 
 #include "ltl/formula.hpp"
-#include "sat/solver.hpp"
 #include "synth/synthesizer.hpp"
 
 namespace speccc::diag {
@@ -100,14 +100,5 @@ struct Diagnosis {
 [[nodiscard]] CoreOracle synthesis_oracle(
     std::vector<ltl::Formula> requirements, synth::IoSignature signature,
     synth::Decide decide = synthesize_decide());
-
-/// Oracle over a CNF group instance: group i is enabled by asserting the
-/// selector literal selectors[i], so a subset query is one incremental
-/// sat::Solver::solve(assumptions) call and inconsistent queries return
-/// the solver's real assumption core mapped back to group indices. The
-/// solver must outlive the oracle; clauses learned by one query speed up
-/// the next (this is what makes SAT-backed MUS shrinking cheap).
-[[nodiscard]] CoreOracle sat_group_oracle(sat::Solver& solver,
-                                          std::vector<sat::Lit> selectors);
 
 }  // namespace speccc::diag

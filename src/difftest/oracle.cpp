@@ -108,7 +108,7 @@ SpecCase build_spec_case(
     timeabs::Request request;
     request.thetas = thetas;
     request.error_budget = 5;
-    const timeabs::Abstraction abstraction = timeabs::optimize_exact(request);
+    const timeabs::Abstraction abstraction = timeabs::optimize(request);
     std::map<unsigned, unsigned> remap;
     for (std::size_t i = 0; i < thetas.size(); ++i) {
       remap[thetas[i]] = abstraction.reduced[i];

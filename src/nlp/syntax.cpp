@@ -1,6 +1,9 @@
 #include "nlp/syntax.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <sstream>
 
@@ -259,7 +262,17 @@ class ClauseParser {
         pos_ + 1 < tokens_.size() && tokens_[pos_ + 1].pos == Pos::kNumber) {
       ++pos_;
       TimeConstraint c;
-      c.value = static_cast<unsigned>(std::stoul(tokens_[pos_].text));
+      // Durations are 32-bit tick counts downstream (snapshots store
+      // them as u32): a value or a value x unit that does not fit is an
+      // input error, never a silent wrap.
+      const std::string& digits = tokens_[pos_].text;
+      std::uint32_t value = 0;
+      const auto [end, ec] =
+          std::from_chars(digits.data(), digits.data() + digits.size(), value);
+      if (ec != std::errc() || end != digits.data() + digits.size()) {
+        fail(text_, "duration " + digits + " does not fit in 32 bits");
+      }
+      c.value = value;
       ++pos_;
       if (peek(Pos::kTimeUnit)) {
         // Unit multiplier resolved against the lexicon by the caller; we
@@ -269,6 +282,11 @@ class ClauseParser {
         else if (u == "hour" || u == "hours") c.unit_seconds = 3600;
         else c.unit_seconds = 1;
         ++pos_;
+      }
+      if (std::uint64_t{c.value} * c.unit_seconds >
+          std::numeric_limits<std::uint32_t>::max()) {
+        fail(text_, "duration " + digits + " " + tokens_[pos_ - 1].text +
+                        " does not fit in 32 bits of seconds");
       }
       clause.constraint = c;
     }

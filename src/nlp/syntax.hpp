@@ -47,6 +47,7 @@ struct NounPhrase {
 struct TimeConstraint {
   unsigned value = 0;          // as written ("in 3 seconds" -> 3)
   unsigned unit_seconds = 1;   // seconds per unit
+  /// Fits: the parser rejects a value x unit beyond 32 bits.
   [[nodiscard]] unsigned total_seconds() const { return value * unit_seconds; }
 };
 

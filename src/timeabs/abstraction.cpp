@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <numeric>
-
-#include "smt/bitblast.hpp"
+#include <optional>
 
 namespace speccc::timeabs {
 
@@ -165,13 +164,17 @@ std::optional<Abstraction> solve_for_divisor(const Request& request,
   return out;
 }
 
-std::optional<Abstraction> optimize_enumeration(const Request& request) {
+}  // namespace
+
+Abstraction optimize(const Request& request) {
+  validate(request);
   const std::uint32_t max_theta =
       *std::max_element(request.thetas.begin(), request.thetas.end());
   std::optional<Abstraction> best;
   // d beyond max_theta only increases errors (every theta collapses to
   // theta'=0 already at d = max_theta+1 if the budget allows; larger d
-  // changes nothing), so the scan is bounded by max_theta + 1.
+  // changes nothing), so the scan is bounded by max_theta + 1. Ascending
+  // d with a strict improvement test keeps the smallest optimal divisor.
   for (std::uint32_t d = 1; d <= max_theta + 1; ++d) {
     auto candidate = solve_for_divisor(request, d);
     if (!candidate) continue;
@@ -181,128 +184,8 @@ std::optional<Abstraction> optimize_enumeration(const Request& request) {
          candidate->error_sum < best->error_sum);
     if (better) best = std::move(candidate);
   }
-  return best;
-}
-
-std::size_t bit_width(std::uint64_t value) {
-  std::size_t w = 1;
-  while ((value >> w) != 0) ++w;
-  return w;
-}
-
-std::optional<Abstraction> optimize_smt(const Request& request,
-                                        SmtEncoder encoder) {
-  const std::size_t n = request.thetas.size();
-  const std::uint32_t max_theta =
-      *std::max_element(request.thetas.begin(), request.thetas.end());
-  const std::size_t w = bit_width(max_theta) + 1;
-
-  sat::Solver solver;
-  smt::BuilderOptions builder_options;
-  builder_options.cnf.encoder = encoder == SmtEncoder::kTseitin
-                                    ? aig::CnfOptions::Encoder::kTseitin
-                                    : aig::CnfOptions::Encoder::kCutMap;
-  smt::Builder builder(solver, builder_options);
-
-  const smt::BitVec d = builder.var(w);
-  builder.require(builder.ule(builder.constant(1, w), d));
-
-  std::vector<smt::BitVec> reduced;
-  std::vector<smt::BitVec> deltas;
-  std::vector<smt::Bit> early_sel;  // only meaningful for kEither
-
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t theta = request.thetas[i];
-    const smt::BitVec theta_c = builder.constant(theta, w);
-    const smt::BitVec ri = builder.var(w);
-    const smt::BitVec di = builder.var(w);
-    builder.require(builder.ult(di, d));  // |Delta| < d
-    const smt::BitVec prod = builder.mul(ri, d);
-
-    const smt::Bit early_eq = builder.eq(theta_c, builder.add(prod, di));
-    const smt::Bit late_eq = builder.eq(builder.add(theta_c, di), prod);
-
-    const ErrorSign sign = sign_of(request, i);
-    smt::Bit sel = smt::Builder::bit_true();
-    switch (sign) {
-      case ErrorSign::kEarly:
-        builder.require(early_eq);
-        break;
-      case ErrorSign::kLate:
-        builder.require(late_eq);
-        break;
-      case ErrorSign::kEither:
-        sel = builder.fresh();
-        builder.require(builder.lor(builder.land(sel, early_eq),
-                                    builder.land(sel.negated(), late_eq)));
-        break;
-    }
-    early_sel.push_back(sel);
-    reduced.push_back(ri);
-    deltas.push_back(di);
-  }
-
-  // sum |Delta_i| <= B.
-  smt::BitVec error_sum = builder.constant(0, 1);
-  for (const auto& di : deltas) error_sum = builder.add(error_sum, di);
-  builder.require(builder.ule_const(error_sum, request.error_budget));
-
-  smt::BitVec reduced_sum = builder.constant(0, 1);
-  for (const auto& ri : reduced) reduced_sum = builder.add(reduced_sum, ri);
-
-  // Primary objective.
-  const auto min_reduced = builder.minimize(reduced_sum);
-  if (!min_reduced) return std::nullopt;
-  builder.require(
-      builder.eq(reduced_sum, builder.constant(*min_reduced, reduced_sum.width())));
-
-  // Secondary objective.
-  const auto min_error = builder.minimize(error_sum);
-  speccc_check(min_error.has_value(), "secondary objective must stay feasible");
-  builder.require(
-      builder.eq(error_sum, builder.constant(*min_error, error_sum.width())));
-
-  // Tertiary objective: minimize the divisor itself. The enumeration
-  // backend scans d ascending and keeps the first optimum, so pinning the
-  // smallest optimal d makes the two backends -- and both CNF encoders --
-  // agree on the full abstraction, not just the objective pair (the
-  // Table I byte-identity smoke relies on this).
-  const auto min_d = builder.minimize(d);
-  speccc_check(min_d.has_value(), "tertiary objective must stay feasible");
-
-  Abstraction out;
-  out.divisor = static_cast<std::uint32_t>(builder.model_value(d));
-  out.reduced_sum = *min_reduced;
-  out.error_sum = *min_error;
-  for (std::size_t i = 0; i < n; ++i) {
-    out.reduced.push_back(
-        static_cast<std::uint32_t>(builder.model_value(reduced[i])));
-    const auto delta =
-        static_cast<std::int64_t>(builder.model_value(deltas[i]));
-    const ErrorSign sign = sign_of(request, i);
-    bool early = sign != ErrorSign::kLate;
-    if (sign == ErrorSign::kEither) {
-      early = builder.value(early_sel[i]);
-    }
-    out.errors.push_back(early ? delta : -delta);
-  }
-  return out;
-}
-
-}  // namespace
-
-std::optional<Abstraction> optimize(const Request& request, Backend backend,
-                                    SmtEncoder encoder) {
-  validate(request);
-  return backend == Backend::kEnumeration ? optimize_enumeration(request)
-                                          : optimize_smt(request, encoder);
-}
-
-Abstraction optimize_exact(const Request& request) {
-  auto result = optimize(request, Backend::kEnumeration);
-  speccc_check(result.has_value(),
-               "enumeration backend always finds d=1 with zero error");
-  return *result;
+  speccc_check(best.has_value(), "d = 1 always decomposes with zero error");
+  return *std::move(best);
 }
 
 }  // namespace speccc::timeabs

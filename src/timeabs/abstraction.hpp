@@ -12,17 +12,14 @@
 //     Delta <= 0, or either), a user bound B on sum |Delta_i|, primary
 //     objective min sum theta'_i and secondary objective min sum |Delta_i|.
 //
-// Two interchangeable back-ends solve the optimization:
-//   * kEnumeration -- exact reference: enumerate the divisor d; for fixed d
-//     and sign the decomposition is unique, and the "either" sign becomes a
-//     small lexicographic knapsack over the error budget.
-//   * kSmt -- the paper's route: bit-blasting to SAT (our Yices 2 stand-in)
-//     with a descending bound search per objective.
-// Property tests assert both back-ends agree on (sum theta', sum |Delta|).
+// optimize solves it exactly by enumerating the divisor d: for a fixed d and
+// sign the decomposition is unique, and the "either" sign becomes a small
+// lexicographic knapsack over the error budget. Among optimal divisors the
+// smallest wins, so the abstraction is unique. (The paper hands the same
+// system to Yices 2; enumeration is exact, so no solver is needed.)
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "util/diagnostics.hpp"
@@ -34,13 +31,6 @@ enum class ErrorSign {
   kLate,    // Delta_i <= 0: the event may arrive later
   kEither,  // solver chooses (still one-sided per requirement)
 };
-
-enum class Backend { kEnumeration, kSmt };
-
-/// CNF encoder for the kSmt backend: cut-based AIG mapping (the default)
-/// or the seed per-gate Tseitin lane. Both must produce identical
-/// abstractions -- the check.sh smoke diffs Table I across encoders.
-enum class SmtEncoder { kCutMap, kTseitin };
 
 struct Request {
   /// Distinct Next-chain lengths, all >= 1.
@@ -64,15 +54,21 @@ struct Abstraction {
 /// non-empty theta list.
 [[nodiscard]] Abstraction gcd_abstraction(const std::vector<std::uint32_t>& thetas);
 
-/// Solve the optimization problem. Returns nullopt iff no divisor admits the
-/// error budget (this cannot happen: d = 1 always yields zero error, so a
-/// nullopt signals an invalid request such as an empty theta list handled by
-/// throwing InvalidInputError instead).
-[[nodiscard]] std::optional<Abstraction> optimize(
-    const Request& request, Backend backend,
-    SmtEncoder encoder = SmtEncoder::kCutMap);
+/// Solve the optimization problem: minimal (sum theta', sum |Delta|), then
+/// the smallest divisor reaching it. Always succeeds on a valid request
+/// (d = 1 yields zero error); an invalid one -- empty thetas, a zero
+/// theta, or signs that do not match thetas in size -- throws
+/// util::InvalidInputError.
+[[nodiscard]] Abstraction optimize(const Request& request);
 
-/// Convenience: optimal abstraction with the enumeration backend.
-[[nodiscard]] Abstraction optimize_exact(const Request& request);
+/// The end-to-end benchmark's stage replica (perfbench/driver.cpp) still
+/// names the retired back-end choice. These one-value enums and the
+/// forwarding overload keep it building; they go with the replica.
+enum class Backend { kEnumeration };
+enum class SmtEncoder { kCutMap };
+[[nodiscard]] inline Abstraction optimize(const Request& request, Backend,
+                                          SmtEncoder) {
+  return optimize(request);
+}
 
 }  // namespace speccc::timeabs

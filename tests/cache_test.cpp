@@ -222,14 +222,28 @@ TEST(CacheKeys, SynthesisKeyCoversFormulasSignatureAndOptions) {
   EXPECT_NE(base, cache::refinement_key(formulas, signature, options));
 }
 
+// Abstraction keys are persistent (snapshots carry them): these values were
+// computed before the time-abstraction solver lost its back-end choice, and
+// must not move, or every warm snapshot would miss.
+TEST(CacheKeys, AbstractionKeyDigestsArePinned) {
+  timeabs::Request request;
+  request.thetas = {3, 180, 60};
+  request.error_budget = 5;
+  EXPECT_EQ(cache::abstraction_key(request).hex(),
+            "62c7d48df5bfed29a5120224c7e02408");
+  request.signs = {timeabs::ErrorSign::kEarly, timeabs::ErrorSign::kLate,
+                   timeabs::ErrorSign::kEither};
+  EXPECT_EQ(cache::abstraction_key(request).hex(),
+            "fd1cf0186df43e59b783e35cb645d180");
+}
+
 // ---- cache::Store -----------------------------------------------------------
 
 TEST(Store, CountsHitsAndMissesPerLevel) {
   cache::Store store;
   timeabs::Request request;
   request.thetas = {10, 20};
-  const Digest key = cache::abstraction_key(
-      request, timeabs::Backend::kEnumeration, timeabs::SmtEncoder::kCutMap);
+  const Digest key = cache::abstraction_key(request);
 
   EXPECT_FALSE(store.find<kAbs>(key).has_value());
   store.put<kAbs>(key, divisor(10));

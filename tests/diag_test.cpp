@@ -1,9 +1,10 @@
 // Tests for the diagnosis engine (diag/diag.hpp): deletion-based MUS
-// shrinking and the rotation/grow MCS enumeration, over both oracles --
-// sat_group_oracle (incremental assumption cores, brute-force verified)
-// and synthesis_oracle (planted-fault specs where the ground-truth MUSes
-// are known by construction) -- plus pinned end-to-end pipeline diagnoses
-// of the hand-written multi-fault specs in examples/specs/faults/.
+// shrinking and the rotation/grow MCS enumeration, over two oracles -- a
+// test-only truth-table oracle over group CNF instances (real cores,
+// brute-force verified) and synthesis_oracle (planted-fault specs where the
+// ground-truth MUSes are known by construction) -- plus pinned end-to-end
+// pipeline diagnoses of the hand-written multi-fault specs in
+// examples/specs/faults/.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,12 +19,10 @@
 #include "diag/diag.hpp"
 #include "difftest/harness.hpp"
 #include "difftest/oracle.hpp"
-#include "sat/solver.hpp"
 #include "util/diagnostics.hpp"
 
 namespace diag = speccc::diag;
 namespace difftest = speccc::difftest;
-namespace sat = speccc::sat;
 
 namespace {
 
@@ -44,50 +43,68 @@ Subset universe_of(std::size_t n) {
   return out;
 }
 
-// A group CNF instance: groups of clauses enabled per-group by selector
-// assumptions, the classic MUS-extraction encoding.
-struct GroupInstance {
-  std::vector<std::vector<sat::Clause>> groups;
-  sat::Solver solver;
-  std::vector<sat::Lit> selectors;
-
-  explicit GroupInstance(std::vector<std::vector<sat::Clause>> g, int num_vars)
-      : groups(std::move(g)) {
-    for (int v = 0; v < num_vars; ++v) solver.new_var();
-    for (const auto& group : groups) {
-      const sat::Lit selector(solver.new_var(), true);
-      selectors.push_back(selector);
-      for (sat::Clause clause : group) {
-        clause.push_back(selector.negated());  // selector -> clause
-        solver.add_clause(std::move(clause));
-      }
-    }
-  }
+// Group CNF instances: groups of clauses, each switched on or off as a
+// whole -- the classic MUS-extraction shape. Small enough (at most 9
+// variables) to decide by evaluating the whole truth table.
+struct Lit {
+  int var;
+  bool positive;
 };
+using Clause = std::vector<Lit>;
+using Groups = std::vector<std::vector<Clause>>;
 
-// Independent consistency check: a fresh solver with only the chosen
-// groups' clauses asserted outright -- no selectors, no shared learned
-// clauses -- so the incremental oracle is verified against first
-// principles, not against itself.
-bool brute_force_consistent(const std::vector<std::vector<sat::Clause>>& groups,
-                            int num_vars, const Subset& subset) {
-  sat::Solver fresh;
-  for (int v = 0; v < num_vars; ++v) fresh.new_var();
-  for (Index g : subset) {
-    for (const sat::Clause& clause : groups[g]) fresh.add_clause(clause);
+constexpr int kMaxVars = 9;
+
+Lit lit(int var, bool positive) { return Lit{var, positive}; }
+
+// Brute-force consistency: some assignment of the num_vars variables
+// satisfies every clause of every chosen group.
+bool brute_force_consistent(const Groups& groups, int num_vars,
+                            const Subset& subset) {
+  speccc_check(num_vars <= kMaxVars, "truth tables stay small");
+  for (unsigned assignment = 0; assignment < (1u << num_vars); ++assignment) {
+    const auto holds = [assignment](const Lit& l) {
+      return (((assignment >> l.var) & 1u) != 0) == l.positive;
+    };
+    const auto satisfied = [&holds](const Clause& clause) {
+      return std::any_of(clause.begin(), clause.end(), holds);
+    };
+    const bool all = std::all_of(subset.begin(), subset.end(), [&](Index g) {
+      return std::all_of(groups[g].begin(), groups[g].end(), satisfied);
+    });
+    if (all) return true;
   }
-  return fresh.solve() == sat::Result::kSat;
+  return false;
 }
 
-sat::Lit lit(int var, bool positive) { return sat::Lit(var, positive); }
+// Test-only CoreOracle with real cores: an inconsistent query is answered
+// with a MUS of it, found by brute-force deletion (drop each element in
+// turn, keep it dropped while the rest stays inconsistent). The shrinker
+// can then jump past every innocent group in one step.
+diag::CoreOracle truth_table_oracle(Groups groups, int num_vars) {
+  return [groups = std::move(groups), num_vars](
+             const Subset& subset) -> std::optional<Subset> {
+    if (brute_force_consistent(groups, num_vars, subset)) return std::nullopt;
+    Subset core = subset;
+    for (std::size_t k = 0; k < core.size();) {
+      Subset trial = core;
+      trial.erase(trial.begin() + static_cast<std::ptrdiff_t>(k));
+      if (brute_force_consistent(groups, num_vars, trial)) {
+        ++k;
+      } else {
+        core = std::move(trial);
+      }
+    }
+    return core;
+  };
+}
 
 TEST(Diagnose, ConsistentGroupsYieldAnEmptyDiagnosis) {
   // x, y, x || y: jointly satisfiable.
-  GroupInstance inst({{{lit(0, true)}}, {{lit(1, true)}},
-                      {{lit(0, true), lit(1, true)}}},
-                     2);
-  const auto oracle = diag::sat_group_oracle(inst.solver, inst.selectors);
-  const diag::Diagnosis d = diag::diagnose(inst.groups.size(), oracle);
+  const Groups groups{{{lit(0, true)}}, {{lit(1, true)}},
+                      {{lit(0, true), lit(1, true)}}};
+  const auto oracle = truth_table_oracle(groups, 2);
+  const diag::Diagnosis d = diag::diagnose(groups.size(), oracle);
   EXPECT_TRUE(d.consistent());
   EXPECT_TRUE(d.mus.empty());
   EXPECT_TRUE(d.correction_sets.empty());
@@ -97,13 +114,12 @@ TEST(Diagnose, ConsistentGroupsYieldAnEmptyDiagnosis) {
 TEST(Diagnose, PinsTheContradictoryGroupPair) {
   // Groups: {x}, {!x}, {y}, {x || y}. The only MUS is {0, 1}; the two
   // repairs are dropping either unit.
-  GroupInstance inst({{{lit(0, true)}},
+  const Groups groups{{{lit(0, true)}},
                       {{lit(0, false)}},
                       {{lit(1, true)}},
-                      {{lit(0, true), lit(1, true)}}},
-                     2);
-  const auto oracle = diag::sat_group_oracle(inst.solver, inst.selectors);
-  const diag::Diagnosis d = diag::diagnose(inst.groups.size(), oracle);
+                      {{lit(0, true), lit(1, true)}}};
+  const auto oracle = truth_table_oracle(groups, 2);
+  const diag::Diagnosis d = diag::diagnose(groups.size(), oracle);
   EXPECT_FALSE(d.consistent());
   EXPECT_EQ(d.mus, (Subset{0, 1}));
   EXPECT_EQ(d.correction_sets,
@@ -111,18 +127,18 @@ TEST(Diagnose, PinsTheContradictoryGroupPair) {
 }
 
 TEST(Diagnose, CoreJumpsPruneInnocentGroups) {
-  // Eight innocent tautologies around one contradiction: the solver's
-  // assumption core should let the shrinker jump straight past the
-  // bystanders instead of deleting them one by one.
-  std::vector<std::vector<sat::Clause>> groups;
+  // Eight innocent unit groups around one contradiction: the oracle's
+  // core should let the shrinker jump straight past the bystanders
+  // instead of deleting them one by one.
+  Groups groups;
   for (int v = 1; v <= 8; ++v) groups.push_back({{lit(v, true)}});
   groups.push_back({{lit(0, true)}});
   groups.push_back({{lit(0, false)}});
-  GroupInstance inst(std::move(groups), 9);
-  const auto oracle = diag::sat_group_oracle(inst.solver, inst.selectors);
+  const std::size_t num_groups = groups.size();
+  const auto oracle = truth_table_oracle(std::move(groups), kMaxVars);
   diag::Options options;
   options.max_correction_sets = 0;  // measure the MUS extraction alone
-  const diag::Diagnosis d = diag::diagnose(inst.groups.size(), oracle, options);
+  const diag::Diagnosis d = diag::diagnose(num_groups, oracle, options);
   EXPECT_EQ(d.mus, (Subset{8, 9}));
   // 1 universe query + at most 2 per MUS element; without core jumps the
   // deletion loop alone would need 10+ calls.
@@ -130,20 +146,20 @@ TEST(Diagnose, CoreJumpsPruneInnocentGroups) {
 }
 
 TEST(Diagnose, RandomGroupInstancesSatisfyTheMusAndMcsProperties) {
-  // Random group CNF sweep, every diagnosis verified against a fresh
-  // non-incremental solver: the MUS is inconsistent and minimal, every
-  // MCS's removal restores consistency and is minimal.
+  // Random group CNF sweep, every diagnosis verified against the
+  // brute-force consistency test: the MUS is inconsistent and minimal,
+  // every MCS's removal restores consistency and is minimal.
   int inconsistent_seen = 0;
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     speccc::util::Rng rng(seed * 0x9e3779b97f4a7c15ULL);
     const int num_vars = rng.range(3, 5);
     const int num_groups = rng.range(3, 8);
-    std::vector<std::vector<sat::Clause>> groups;
+    Groups groups;
     for (int g = 0; g < num_groups; ++g) {
-      std::vector<sat::Clause> group;
+      std::vector<Clause> group;
       const int num_clauses = rng.range(1, 2);
       for (int c = 0; c < num_clauses; ++c) {
-        sat::Clause clause;
+        Clause clause;
         const int width = rng.range(1, 3);
         for (int k = 0; k < width; ++k) {
           clause.push_back(lit(rng.range(0, num_vars - 1), rng.chance(1, 2)));
@@ -153,8 +169,7 @@ TEST(Diagnose, RandomGroupInstancesSatisfyTheMusAndMcsProperties) {
       groups.push_back(std::move(group));
     }
 
-    GroupInstance inst(groups, num_vars);
-    const auto oracle = diag::sat_group_oracle(inst.solver, inst.selectors);
+    const auto oracle = truth_table_oracle(groups, num_vars);
     diag::Options options;
     options.max_correction_sets = 3;
     const diag::Diagnosis d =

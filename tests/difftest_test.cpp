@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "diag/diag.hpp"
-#include "difftest/circuit.hpp"
 #include "difftest/harness.hpp"
 #include "difftest/oracle.hpp"
 #include "difftest/random.hpp"
@@ -383,22 +382,6 @@ TEST_P(PlantedFaultTest, LocalizationFindsAPlantedFaultOnEverySpec) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PlantedFaultTest,
-                         ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u));
-
-// The circuit encoder lane: seeded random circuits must be
-// equisatisfiable between the cut-based CNF mapper and the Tseitin
-// fallback, round for round, with every SAT model replaying to true
-// through the AIG itself. Same CI seed sweep as the other lanes.
-class CircuitEquisatTest : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(CircuitEquisatTest, EncodersAgreeOnEverySeededCircuit) {
-  const difftest::CircuitReport report =
-      difftest::run_circuits(GetParam(), 25);
-  EXPECT_EQ(report.checked, 25);
-  EXPECT_TRUE(report.ok()) << difftest::describe(report);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, CircuitEquisatTest,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u));
 
 TEST(Harness, SingleCaseReplayReproducesTheFailure) {

@@ -2,6 +2,8 @@
 // the structured-English grammar parser, and typed-dependency extraction.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "nlp/dependency.hpp"
 #include "nlp/lexicon.hpp"
 #include "nlp/syntax.hpp"
@@ -212,6 +214,28 @@ TEST(Syntax, TimeConstraintInAntecedent) {
   ASSERT_TRUE(cond.constraint.has_value());
   EXPECT_EQ(cond.constraint->value, 180u);
   EXPECT_FALSE(s.main.clauses[0].second.constraint.has_value());
+}
+
+TEST(Syntax, DurationsBeyond32BitsAreParseErrors) {
+  const auto sentence = [](const std::string& duration) {
+    return "If the button is pressed, the door is closed in " + duration + ".";
+  };
+  // Too many digits, a value of exactly 2^32, and a product that would
+  // wrap to 1904 seconds: each is rejected, never truncated.
+  for (const char* duration : {"99999999999999999999999 seconds",
+                               "4294967296 seconds", "1193047 hours"}) {
+    EXPECT_THROW((void)nlp::parse_sentence(sentence(duration), lex()),
+                 speccc::util::ParseError)
+        << duration;
+  }
+  // The largest durations that fit still parse.
+  const auto max_seconds =
+      nlp::parse_sentence(sentence("4294967295 seconds"), lex());
+  EXPECT_EQ(max_seconds.main.clauses[0].second.constraint->total_seconds(),
+            4294967295u);
+  const auto max_hours = nlp::parse_sentence(sentence("1193046 hours"), lex());
+  EXPECT_EQ(max_hours.main.clauses[0].second.constraint->total_seconds(),
+            1193046u * 3600u);
 }
 
 TEST(Syntax, PrepositionalPredicateWithCoordination) {

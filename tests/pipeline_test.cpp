@@ -2,8 +2,12 @@
 // case-study corpora, reproducing the paper's Table I verdicts.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
+#include <string>
+#include <vector>
 
+#include "batch/corpus_tasks.hpp"
 #include "corpus/cara.hpp"
 #include "corpus/generator.hpp"
 #include "corpus/loaders.hpp"
@@ -11,13 +15,17 @@
 #include "corpus/telepromise.hpp"
 #include "core/pipeline.hpp"
 #include "core/report.hpp"
+#include "difftest/harness.hpp"
 #include "ltl/formula.hpp"
+#include "ltl/patterns.hpp"
 #include "ltl/rewrite.hpp"
 #include "synth/verify.hpp"
 #include "util/diagnostics.hpp"
 
+namespace batch = speccc::batch;
 namespace core = speccc::core;
 namespace corpus = speccc::corpus;
+namespace difftest = speccc::difftest;
 namespace translate = speccc::translate;
 
 namespace {
@@ -171,6 +179,56 @@ TEST(PipelineGenerator, GeneratedSpecsAlwaysParseAndStayConsistent) {
     EXPECT_EQ(result.num_inputs(), 7u) << "seed " << seed;
     EXPECT_EQ(result.num_outputs(), 9u) << "seed " << seed;
   }
+}
+
+// The translator emits only pattern templates (ltl/patterns.hpp), so the
+// symbolic engine can decide every question the product asks. Pin that as
+// an invariant: ltl::recognize_pattern accepts every formula the pipeline
+// produces on Table I (both Next readings), examples/specs/**, and the
+// generated and planted-fault fuzz specs at seeds 1-8.
+TEST(FragmentInvariant, EveryTranslatedFormulaIsAPatternInstance) {
+  core::PipelineOptions strict_options;
+  strict_options.translation.next_mode = translate::NextMode::kStrict;
+  const core::Pipeline default_pipeline;
+  const core::Pipeline strict_pipeline(strict_options);
+
+  std::size_t formulas = 0;
+  const auto check = [&formulas](const core::Pipeline& pipeline,
+                                 const std::string& name,
+                                 const std::vector<translate::RequirementText>& reqs) {
+    const core::PipelineResult result = pipeline.run(name, reqs);
+    for (const auto& req : result.translation.requirements) {
+      ++formulas;
+      EXPECT_TRUE(speccc::ltl::recognize_pattern(req.formula).has_value())
+          << name << " " << req.id << ": "
+          << speccc::ltl::to_string(req.formula);
+    }
+  };
+
+  for (const batch::SpecTask& task : batch::table1_tasks()) {
+    check(default_pipeline, task.name, task.requirements);
+    check(strict_pipeline, task.name + " (strict Next)", task.requirements);
+  }
+  std::size_t files = 0;
+  for (const auto& entry : std::filesystem::recursive_directory_iterator(
+           SPECCC_EXAMPLES_DIR "/specs")) {
+    if (entry.path().extension() != ".txt") continue;
+    std::ifstream in(entry.path());
+    check(default_pipeline, entry.path().string(),
+          corpus::load_requirements(in));
+    ++files;
+  }
+  EXPECT_GE(files, 7u);
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    for (int index = 0; index < 50; ++index) {
+      const difftest::GeneratedSpec spec = difftest::generated_spec(seed, index);
+      check(default_pipeline, spec.name, spec.requirements);
+      const auto planted = difftest::generated_planted_spec(seed, index);
+      check(default_pipeline, planted.name, planted.requirements);
+    }
+  }
+  // 7,527 formulas at the time of writing: the sweep must keep its reach.
+  EXPECT_GE(formulas, 7000u);
 }
 
 TEST(Report, TableRowAndDescribe) {

@@ -1,14 +1,20 @@
 // Tests for time abstraction (paper Section IV-E): the GCD reduction, the
-// paper's worked example, and enumeration-vs-SMT backend agreement.
+// paper's worked example, and the solver against a brute force over every
+// divisor and decomposition.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstdlib>
+#include <optional>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "timeabs/abstraction.hpp"
 #include "util/diagnostics.hpp"
 
 namespace timeabs = speccc::timeabs;
-using timeabs::Backend;
 using timeabs::ErrorSign;
 
 namespace {
@@ -39,7 +45,7 @@ TEST(TimeAbs, PaperOptimizationExample) {
   timeabs::Request req;
   req.thetas = {3, 180, 60};
   req.error_budget = 5;
-  const auto abs = timeabs::optimize_exact(req);
+  const auto abs = timeabs::optimize(req);
   EXPECT_EQ(abs.divisor, 60u);
   EXPECT_EQ(abs.reduced, (std::vector<std::uint32_t>{0, 3, 1}));
   EXPECT_EQ(abs.errors, (std::vector<std::int64_t>{3, 0, 0}));
@@ -47,30 +53,12 @@ TEST(TimeAbs, PaperOptimizationExample) {
   EXPECT_EQ(abs.error_sum, 3u);
 }
 
-TEST(TimeAbs, PaperExampleViaSmtBackend) {
-  timeabs::Request req;
-  req.thetas = {3, 180, 60};
-  req.error_budget = 5;
-  const auto abs = timeabs::optimize(req, Backend::kSmt);
-  ASSERT_TRUE(abs.has_value());
-  // The SMT backend must reach the same optimum; divisor choice among
-  // equally-optimal solutions may differ, but the objective values must not.
-  EXPECT_EQ(abs->reduced_sum, 4u);
-  EXPECT_EQ(abs->error_sum, 3u);
-  // Verify the arithmetic of the returned witness.
-  for (std::size_t i = 0; i < req.thetas.size(); ++i) {
-    EXPECT_EQ(static_cast<std::int64_t>(req.thetas[i]),
-              static_cast<std::int64_t>(abs->reduced[i]) * abs->divisor +
-                  abs->errors[i]);
-  }
-}
-
 TEST(TimeAbs, ZeroBudgetDegeneratesToDivisorOfAll) {
   // With B = 0 every theta must divide exactly; best divisor is the gcd.
   timeabs::Request req;
   req.thetas = {12, 18, 30};
   req.error_budget = 0;
-  const auto abs = timeabs::optimize_exact(req);
+  const auto abs = timeabs::optimize(req);
   EXPECT_EQ(abs.divisor, 6u);
   EXPECT_EQ(abs.reduced, (std::vector<std::uint32_t>{2, 3, 5}));
   EXPECT_EQ(abs.error_sum, 0u);
@@ -84,7 +72,7 @@ TEST(TimeAbs, LateArrivalSigns) {
   req.thetas = {7};
   req.error_budget = 1;
   req.signs = {ErrorSign::kLate};
-  const auto abs = timeabs::optimize_exact(req);
+  const auto abs = timeabs::optimize(req);
   EXPECT_EQ(abs.reduced_sum, 1u);
   EXPECT_EQ(abs.divisor, 7u);
   EXPECT_EQ(abs.errors[0], 0);
@@ -99,7 +87,7 @@ TEST(TimeAbs, LateArrivalSigns) {
   req2.thetas = {7, 8};
   req2.error_budget = 1;
   req2.signs = {ErrorSign::kLate, ErrorSign::kLate};
-  const auto abs2 = timeabs::optimize_exact(req2);
+  const auto abs2 = timeabs::optimize(req2);
   EXPECT_EQ(abs2.divisor, 8u);
   EXPECT_EQ(abs2.reduced, (std::vector<std::uint32_t>{1, 1}));
   EXPECT_EQ(abs2.errors, (std::vector<std::int64_t>{-1, 0}));
@@ -112,7 +100,7 @@ TEST(TimeAbs, EitherSignPicksBestDirection) {
   req.thetas = {9, 21};
   req.error_budget = 2;
   req.signs = {ErrorSign::kEither, ErrorSign::kEither};
-  const auto abs = timeabs::optimize_exact(req);
+  const auto abs = timeabs::optimize(req);
   EXPECT_LE(abs.reduced_sum, 3u);
   for (std::size_t i = 0; i < req.thetas.size(); ++i) {
     EXPECT_EQ(static_cast<std::int64_t>(req.thetas[i]),
@@ -124,18 +112,18 @@ TEST(TimeAbs, EitherSignPicksBestDirection) {
 
 TEST(TimeAbs, InvalidRequestsThrow) {
   timeabs::Request empty;
-  EXPECT_THROW((void)timeabs::optimize_exact(empty),
+  EXPECT_THROW((void)timeabs::optimize(empty),
                speccc::util::InvalidInputError);
 
   timeabs::Request zero;
   zero.thetas = {0};
-  EXPECT_THROW((void)timeabs::optimize_exact(zero),
+  EXPECT_THROW((void)timeabs::optimize(zero),
                speccc::util::InvalidInputError);
 
   timeabs::Request bad_signs;
   bad_signs.thetas = {3, 5};
   bad_signs.signs = {ErrorSign::kEarly};
-  EXPECT_THROW((void)timeabs::optimize_exact(bad_signs),
+  EXPECT_THROW((void)timeabs::optimize(bad_signs),
                speccc::util::InvalidInputError);
 }
 
@@ -144,17 +132,86 @@ TEST(TimeAbs, SolutionAlwaysExistsWithZeroBudget) {
   timeabs::Request req;
   req.thetas = {13, 17, 19};
   req.error_budget = 0;
-  const auto abs = timeabs::optimize_exact(req);
+  const auto abs = timeabs::optimize(req);
   EXPECT_EQ(abs.divisor, 1u);
   EXPECT_EQ(abs.reduced_sum, 13u + 17u + 19u);
 }
 
-// Property sweep: both backends agree on the objective values, and every
-// witness satisfies the constraint system.
-class BackendAgreementTest
+// Brute-force reference for the constraint system (1)-(2), independent of
+// the solver's per-divisor decomposition: every divisor d up to twice the
+// largest theta, and for each theta every theta' whose error
+// Delta = theta - theta' * d satisfies |Delta| < d and the sign rule, then
+// every combination within the budget. Keeps the lexicographically least
+// (sum theta', sum |Delta|) and, among those, the smallest d.
+struct BruteOptimum {
+  std::uint64_t reduced_sum = 0;
+  std::uint64_t error_sum = 0;
+  std::uint32_t divisor = 0;
+};
+
+bool sign_allows(ErrorSign sign, std::int64_t delta) {
+  switch (sign) {
+    case ErrorSign::kEarly:
+      return delta >= 0;
+    case ErrorSign::kLate:
+      return delta <= 0;
+    case ErrorSign::kEither:
+      return true;
+  }
+  return false;
+}
+
+std::optional<BruteOptimum> brute_force(const timeabs::Request& req) {
+  std::uint32_t max_theta = 0;
+  for (std::uint32_t theta : req.thetas) max_theta = std::max(max_theta, theta);
+  std::optional<BruteOptimum> best;
+  for (std::uint32_t d = 1; d <= 2 * max_theta + 2; ++d) {
+    // Per theta: the (theta', |Delta|) pairs the constraints admit.
+    std::vector<std::vector<std::pair<std::uint64_t, std::uint64_t>>> choices;
+    for (std::size_t i = 0; i < req.thetas.size(); ++i) {
+      const auto theta = static_cast<std::int64_t>(req.thetas[i]);
+      choices.emplace_back();
+      for (std::int64_t reduced = 0; reduced <= theta + 1; ++reduced) {
+        const std::int64_t delta = theta - reduced * d;
+        if (std::abs(delta) < static_cast<std::int64_t>(d) &&
+            sign_allows(req.signs[i], delta)) {
+          choices.back().emplace_back(
+              static_cast<std::uint64_t>(reduced),
+              static_cast<std::uint64_t>(std::abs(delta)));
+        }
+      }
+    }
+    // Odometer over the cartesian product of the per-theta choices.
+    std::vector<std::size_t> pick(choices.size(), 0);
+    bool empty = false;
+    for (const auto& c : choices) empty = empty || c.empty();
+    while (!empty) {
+      std::uint64_t reduced_sum = 0;
+      std::uint64_t error_sum = 0;
+      for (std::size_t i = 0; i < choices.size(); ++i) {
+        reduced_sum += choices[i][pick[i]].first;
+        error_sum += choices[i][pick[i]].second;
+      }
+      if (error_sum <= req.error_budget &&
+          (!best || reduced_sum < best->reduced_sum ||
+           (reduced_sum == best->reduced_sum && error_sum < best->error_sum))) {
+        best = BruteOptimum{reduced_sum, error_sum, d};
+      }
+      std::size_t k = 0;
+      while (k < pick.size() && ++pick[k] == choices[k].size()) pick[k++] = 0;
+      if (k == pick.size()) break;
+    }
+  }
+  return best;
+}
+
+// Property sweep: the solver reaches the brute-force optimum, picks the
+// smallest optimal divisor, and its witness satisfies the constraint
+// system.
+class BruteForceAgreementTest
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
-TEST_P(BackendAgreementTest, EnumerationAndSmtAgree) {
+TEST_P(BruteForceAgreementTest, OptimizeMatchesBruteForce) {
   const auto [seed, budget] = GetParam();
   speccc::util::Rng rng(static_cast<std::uint64_t>(seed) * 31337 + 5);
   timeabs::Request req;
@@ -168,39 +225,32 @@ TEST_P(BackendAgreementTest, EnumerationAndSmtAgree) {
   }
   req.error_budget = static_cast<std::uint32_t>(budget);
 
-  const auto exact = timeabs::optimize(req, Backend::kEnumeration);
-  const auto smt = timeabs::optimize(req, Backend::kSmt);
-  ASSERT_TRUE(exact.has_value());
-  ASSERT_TRUE(smt.has_value());
-  EXPECT_EQ(exact->reduced_sum, smt->reduced_sum)
-      << "primary objective mismatch";
-  EXPECT_EQ(exact->error_sum, smt->error_sum) << "secondary objective mismatch";
+  const auto abs = timeabs::optimize(req);
+  const auto brute = brute_force(req);
+  ASSERT_TRUE(brute.has_value()) << "d = 1 is always feasible";
+  EXPECT_EQ(abs.reduced_sum, brute->reduced_sum) << "primary objective mismatch";
+  EXPECT_EQ(abs.error_sum, brute->error_sum) << "secondary objective mismatch";
+  EXPECT_EQ(abs.divisor, brute->divisor) << "not the smallest optimal divisor";
 
-  for (const auto& abs : {*exact, *smt}) {
-    std::uint64_t err = 0;
-    for (std::size_t i = 0; i < req.thetas.size(); ++i) {
-      EXPECT_EQ(static_cast<std::int64_t>(req.thetas[i]),
-                static_cast<std::int64_t>(abs.reduced[i]) * abs.divisor +
-                    abs.errors[i]);
-      EXPECT_LT(std::abs(abs.errors[i]),
-                static_cast<std::int64_t>(abs.divisor));
-      switch (req.signs[i]) {
-        case ErrorSign::kEarly:
-          EXPECT_GE(abs.errors[i], 0);
-          break;
-        case ErrorSign::kLate:
-          EXPECT_LE(abs.errors[i], 0);
-          break;
-        case ErrorSign::kEither:
-          break;
-      }
-      err += static_cast<std::uint64_t>(std::abs(abs.errors[i]));
-    }
-    EXPECT_LE(err, req.error_budget);
+  ASSERT_EQ(abs.reduced.size(), req.thetas.size());
+  ASSERT_EQ(abs.errors.size(), req.thetas.size());
+  std::uint64_t reduced = 0;
+  std::uint64_t err = 0;
+  for (std::size_t i = 0; i < req.thetas.size(); ++i) {
+    EXPECT_EQ(static_cast<std::int64_t>(req.thetas[i]),
+              static_cast<std::int64_t>(abs.reduced[i]) * abs.divisor +
+                  abs.errors[i]);
+    EXPECT_LT(std::abs(abs.errors[i]), static_cast<std::int64_t>(abs.divisor));
+    EXPECT_TRUE(sign_allows(req.signs[i], abs.errors[i])) << "theta " << i;
+    reduced += abs.reduced[i];
+    err += static_cast<std::uint64_t>(std::abs(abs.errors[i]));
   }
+  EXPECT_EQ(reduced, abs.reduced_sum);
+  EXPECT_EQ(err, abs.error_sum);
+  EXPECT_LE(err, req.error_budget);
 }
 
-INSTANTIATE_TEST_SUITE_P(Sweep, BackendAgreementTest,
+INSTANTIATE_TEST_SUITE_P(Sweep, BruteForceAgreementTest,
                          ::testing::Combine(::testing::Range(0, 10),
                                             ::testing::Values(0, 3, 8)));
 

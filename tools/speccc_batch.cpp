@@ -50,12 +50,6 @@
 //                      --jobs counts and cache modes
 //   --max-correction-sets N
 //                      cap the enumeration at N sets (implies --diagnose)
-//   --timeabs B        time-abstraction backend: enum (default; exact
-//                      divisor enumeration) or smt (the paper's
-//                      bit-blasting route). Canonical output is identical
-//                      either way -- the optimum is unique
-//   --smt-encoder E    CNF encoder for --timeabs smt: mapped (default;
-//                      cut-based AIG mapping) or tseitin (per-gate lane)
 //   --strict-next      translate "next" as a real X operator
 //   --cache            share a cross-spec memoization store (cache/store.hpp)
 //                      across the batch: repeated sentences and formulas are
@@ -114,7 +108,6 @@
 #include "difftest/random.hpp"
 #include "nlp/lexicon.hpp"
 #include "shard/splitter.hpp"
-#include "timeabs/abstraction.hpp"
 #include "util/diagnostics.hpp"
 
 namespace fs = std::filesystem;
@@ -130,7 +123,6 @@ int usage() {
          "                    [--substrate auto|bounded|symbolic]\n"
          "                    [--crosscheck] [--diagnose]\n"
          "                    [--max-correction-sets N]\n"
-         "                    [--timeabs enum|smt] [--smt-encoder mapped|tseitin]\n"
          "                    [--strict-next] [--quiet]\n"
          "                    [--cache] [--cache-max N] [--cache-stats]\n"
          "                    [--cache-snapshot IN,OUT]\n"
@@ -255,26 +247,6 @@ int main(int argc, char** argv) {
             static_cast<std::size_t>(n);
       } else if (arg == "--strict-next") {
         options.pipeline.translation.next_mode = translate::NextMode::kStrict;
-      } else if (arg == "--timeabs") {
-        const std::string spec = next_arg();
-        if (spec == "enum") {
-          options.pipeline.timeabs_backend = timeabs::Backend::kEnumeration;
-        } else if (spec == "smt") {
-          options.pipeline.timeabs_backend = timeabs::Backend::kSmt;
-        } else {
-          std::cerr << "--timeabs must be enum or smt\n";
-          return usage();
-        }
-      } else if (arg == "--smt-encoder") {
-        const std::string spec = next_arg();
-        if (spec == "mapped") {
-          options.pipeline.smt_encoder = timeabs::SmtEncoder::kCutMap;
-        } else if (spec == "tseitin") {
-          options.pipeline.smt_encoder = timeabs::SmtEncoder::kTseitin;
-        } else {
-          std::cerr << "--smt-encoder must be mapped or tseitin\n";
-          return usage();
-        }
       } else if (arg == "--cache") {
         use_cache = true;
       } else if (arg == "--cache-max") {

@@ -3,11 +3,9 @@
 //
 // Draws seeded random LTL formulas and generated specifications, runs the
 // cross-check properties of difftest/oracle.hpp, and greedily shrinks any
-// disagreement before reporting it. A third lane draws seeded random
-// circuits and cross-checks the two AIG -> CNF encoders (cut mapper vs
-// Tseitin) for equisatisfiability plus model replay (difftest/circuit.hpp).
-// Every failure prints a one-command reproduction; re-running it replays
-// generation, oracle randomness, and shrinking bit-for-bit.
+// disagreement before reporting it. Every failure prints a one-command
+// reproduction; re-running it replays generation, oracle randomness, and
+// shrinking bit-for-bit.
 //
 //   $ ./speccc_fuzz --seed 42 --formulas 500 --specs 50
 //
@@ -15,10 +13,8 @@
 //   --seed N          master seed (default 1)
 //   --formulas N      random formula cases (default 500)
 //   --specs N         generated specification cases (default 50)
-//   --circuits N      random circuit encoder cross-checks (default 50)
 //   --formula-case K  replay only formula case K
 //   --spec-case K     replay only spec case K
-//   --circuit-case K  replay only circuit case K
 //   --max-depth D     formula depth budget (default 4)
 //   --props N         proposition pool size (default 3)
 //   --lassos N        random lassos per formula (default 4)
@@ -33,15 +29,13 @@
 #include <iostream>
 #include <string>
 
-#include "difftest/circuit.hpp"
 #include "difftest/harness.hpp"
 
 namespace {
 
 int usage() {
   std::cerr << "usage: speccc_fuzz [--seed N] [--formulas N] [--specs N]\n"
-               "                   [--circuits N] [--formula-case K]\n"
-               "                   [--spec-case K] [--circuit-case K]\n"
+               "                   [--formula-case K] [--spec-case K]\n"
                "                   [--max-depth D] [--props N] [--lassos N]\n"
                "                   [--no-shrink] [--quiet]\n";
   return 2;
@@ -54,8 +48,6 @@ int main(int argc, char** argv) {
   difftest::RunOptions options;
   options.progress = &std::cerr;
   std::size_t props = 0;
-  int circuit_cases = 50;
-  int only_circuit_case = -1;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -80,12 +72,8 @@ int main(int argc, char** argv) {
       options.spec_cases = static_cast<int>(next_int(0));
     } else if (arg == "--formula-case") {
       options.only_formula_case = static_cast<int>(next_int(0));
-    } else if (arg == "--circuits") {
-      circuit_cases = static_cast<int>(next_int(0));
     } else if (arg == "--spec-case") {
       options.only_spec_case = static_cast<int>(next_int(0));
-    } else if (arg == "--circuit-case") {
-      only_circuit_case = static_cast<int>(next_int(0));
     } else if (arg == "--max-depth") {
       options.formula.max_depth = static_cast<std::size_t>(next_int(1));
     } else if (arg == "--props") {
@@ -108,31 +96,12 @@ int main(int argc, char** argv) {
     options.oracle.lasso.props = options.formula.props;
   }
 
-  // Single-case replay discipline matches the harness: replaying one case
-  // of any lane runs nothing else.
-  const bool single_case = options.only_formula_case >= 0 ||
-                           options.only_spec_case >= 0 ||
-                           only_circuit_case >= 0;
-  difftest::RunReport report;
-  if (only_circuit_case < 0 || options.only_formula_case >= 0 ||
-      options.only_spec_case >= 0) {
-    report = difftest::run(options);
-    std::cout << difftest::describe(report);
-  }
+  const bool single_case =
+      options.only_formula_case >= 0 || options.only_spec_case >= 0;
+  const difftest::RunReport report = difftest::run(options);
+  std::cout << difftest::describe(report);
 
-  difftest::CircuitReport circuits;
-  if (!single_case || only_circuit_case >= 0) {
-    if (options.progress != nullptr) {
-      *options.progress << "circuit encoder cross-checks...\n";
-    }
-    const int cases = only_circuit_case >= 0 ? only_circuit_case + 1
-                                             : circuit_cases;
-    circuits = difftest::run_circuits(options.seed, cases, {},
-                                      only_circuit_case);
-    std::cout << difftest::describe(circuits);
-  }
-
-  if (!report.ok() || !circuits.ok()) {
+  if (!report.ok()) {
     std::cout << "\ndifferential check FAILED\n";
     return 1;
   }
