@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <iostream>
+#include <optional>
 
 #include "core/pipeline.hpp"
 #include "core/report.hpp"
@@ -13,6 +14,7 @@
 #include "corpus/generator.hpp"
 #include "partition/partition.hpp"
 #include "semantics/antonyms.hpp"
+#include "timeabs/abstraction.hpp"
 #include "translate/translator.hpp"
 
 namespace {
@@ -44,6 +46,37 @@ BENCHMARK(BM_Stage1Translation)
     ->Range(8, 256)
     ->Unit(benchmark::kMillisecond)
     ->Complexity(benchmark::oN);
+
+// Stage 1 as the pipeline runs it on timed specs: one translation pass
+// whose Theta goes through the time abstraction (Pipeline::translate, no
+// cache). range(0) 0 is the CARA running example (Theta = {3, 180, 60});
+// any other value is a generated spec of that many requirements, half of
+// them timed.
+void BM_Stage1PipelineTimed(benchmark::State& state) {
+  const int formulas = static_cast<int>(state.range(0));
+  std::vector<speccc::translate::RequirementText> texts;
+  if (formulas == 0) {
+    texts = speccc::corpus::cara_working_mode_texts();
+  } else {
+    SpecScale scale{"timed", formulas, std::max(2, formulas / 2),
+                    std::max(2, (2 * formulas) / 3),
+                    /*seed=*/static_cast<std::uint64_t>(formulas) * 97 + 5,
+                    /*response_percent=*/15, /*timed_percent=*/50};
+    texts = speccc::corpus::generate_spec(scale, speccc::corpus::device_theme());
+  }
+  const speccc::core::Pipeline pipeline;
+  for (auto _ : state) {
+    std::optional<speccc::timeabs::Abstraction> abstraction;
+    auto result = pipeline.translate(texts, abstraction);
+    benchmark::DoNotOptimize(result.requirements.size());
+    benchmark::DoNotOptimize(abstraction.has_value());
+  }
+}
+BENCHMARK(BM_Stage1PipelineTimed)
+    ->Arg(0)
+    ->Arg(32)
+    ->Arg(128)
+    ->Unit(benchmark::kMicrosecond);
 
 // Stage 2 alone: realizability checking of the already-translated (and
 // time-abstracted) CARA specification, as stage 2 actually receives it.

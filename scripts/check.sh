@@ -158,6 +158,18 @@ if [[ -x "$batch_bin" ]]; then
   diff "$build_dir/batch-smoke-plain.txt" "$build_dir/batch-smoke-snap-warm.txt"
   grep -q " 0 misses, L2 " "$build_dir/batch-smoke-snap-stats.txt"
   grep -q " 0 misses, 0 evictions" "$build_dir/batch-smoke-snap-stats.txt"
+  # Longest-deadline smoke: the largest legal duration (2^32 - 1 seconds)
+  # abstracts to one tick, so the spec must come back consistent at once,
+  # with no wrap in the divisor scan and no raw Next chain ever built.
+  echo "speccc_batch longest-deadline smoke (4294967295 seconds, 60 s cap)"
+  longest_spec="$build_dir/batch-smoke-longest-deadline.txt"
+  printf '%s\n' \
+    'R1: If the order button is pressed, the confirmation message is displayed.' \
+    'R2: If the payment request is received, the order record is stored in 4294967295 seconds.' \
+    > "$longest_spec"
+  timeout 60 "$batch_bin" --quiet --canonical "$longest_spec" \
+    > "$build_dir/batch-smoke-longest-deadline.out"
+  grep -q ' status=consistent ' "$build_dir/batch-smoke-longest-deadline.out"
 else
   echo "note: $batch_bin not built (SPECCC_BUILD_TOOLS=OFF?); smoke skipped"
 fi

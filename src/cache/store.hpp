@@ -5,10 +5,11 @@
 //   Level 1 (per sentence): the structured-English parse
 //     (nlp::parse_sentence output), keyed by the whitespace-normalized
 //     sentence text plus the lexicon fingerprint. Requirements documents
-//     under revision share most of their sentences across revisions -- and
-//     the pipeline itself parses every sentence twice when time
-//     abstraction re-translates -- so this level hits even within a single
-//     run.
+//     under revision share most of their sentences across revisions, and
+//     repeated specs share all of them. A single run parses each sentence
+//     once (stage 1 is one translation pass, time abstraction included), so
+//     this level hits only across runs or on a sentence repeated within
+//     one spec.
 //
 //   Level 2 (per spec): decision artifacts keyed by ltl::canonical_digest
 //     -- the whole-spec synthesis verdict (keyed by formulas + I/O

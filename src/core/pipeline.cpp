@@ -1,6 +1,5 @@
 #include "core/pipeline.hpp"
 
-#include <map>
 #include <set>
 
 #include "util/diagnostics.hpp"
@@ -14,6 +13,25 @@ Pipeline::Pipeline(PipelineOptions options)
           options_.dictionary.value_or(semantics::AntonymDictionary::builtin())),
       translator_(lexicon_, dictionary_, options_.translation,
                   options_.cache.get()) {}
+
+translate::TranslationResult Pipeline::translate(
+    const std::vector<translate::RequirementText>& requirements,
+    std::optional<timeabs::Abstraction>& abstraction) const {
+  // One pass: the translator hands Theta, read off the parse trees, to the
+  // memoized optimizer and builds every formula with the abstracted counts.
+  return translator_.translate(
+      requirements,
+      [&](const std::vector<std::uint32_t>& thetas) -> translate::TickMapper {
+        if (!options_.time_abstraction || thetas.empty()) return nullptr;
+        timeabs::Request request;
+        request.thetas = thetas;
+        request.error_budget = options_.error_budget;
+        abstraction = cache::memoize<cache::Kind::kAbstraction>(
+            options_.cache.get(), [&] { return cache::abstraction_key(request); },
+            [&] { return timeabs::optimize(request); });
+        return timeabs::tick_mapper(thetas, *abstraction);
+      });
+}
 
 PipelineResult Pipeline::run(
     const std::string& name,
@@ -34,32 +52,7 @@ PipelineResult Pipeline::run(
   // ---- Stage 1: translation ---------------------------------------------------
   poll_cancel("translation");
   util::Stopwatch stage1;
-  result.translation = translator_.translate(requirements);
-
-  // Time abstraction: harvest Theta, optimize, re-translate with the mapper.
-  const auto thetas = result.translation.thetas();
-  if (options_.time_abstraction && !thetas.empty()) {
-    timeabs::Request request;
-    request.thetas = thetas;
-    request.error_budget = options_.error_budget;
-    const timeabs::Abstraction abstraction =
-        cache::memoize<cache::Kind::kAbstraction>(
-            store,
-            [&] { return cache::abstraction_key(request); },
-            [&] { return timeabs::optimize(request); });
-    result.abstraction = abstraction;
-
-    std::map<unsigned, unsigned> remap;
-    for (std::size_t i = 0; i < thetas.size(); ++i) {
-      remap[thetas[i]] = abstraction.reduced[i];
-    }
-    const translate::TickMapper mapper = [remap](unsigned ticks) -> unsigned {
-      const auto it = remap.find(ticks);
-      return it == remap.end() ? ticks : it->second;
-    };
-    result.translation = translator_.translate(requirements, mapper);
-  }
-
+  result.translation = translate(requirements, result.abstraction);
   const std::vector<ltl::Formula> formulas = result.translation.formulas();
   result.partition = partition::unify(formulas, options_.partition_overrides);
   result.translation_seconds = stage1.seconds();

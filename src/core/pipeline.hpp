@@ -124,6 +124,13 @@ class Pipeline {
       const std::vector<translate::RequirementText>& requirements,
       std::optional<Substrate> substrate_override = std::nullopt) const;
 
+  /// Stage 1 up to the formulas: one translation pass whose Theta goes
+  /// through the (memoized) time abstraction. Sets `abstraction` when one
+  /// ran (abstraction on, Theta non-empty). run() starts with this.
+  [[nodiscard]] translate::TranslationResult translate(
+      const std::vector<translate::RequirementText>& requirements,
+      std::optional<timeabs::Abstraction>& abstraction) const;
+
   [[nodiscard]] const PipelineOptions& options() const { return options_; }
 
  private:

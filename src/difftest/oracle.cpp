@@ -1,7 +1,6 @@
 #include "difftest/oracle.hpp"
 
 #include <algorithm>
-#include <map>
 
 #include "automata/emptiness.hpp"
 #include "automata/gpvw.hpp"
@@ -102,30 +101,21 @@ SpecCase build_spec_case(
   const auto dictionary = semantics::AntonymDictionary::builtin();
   const translate::Translator translator(lexicon, dictionary);
 
-  auto translation = translator.translate(texts);
-  const auto thetas = translation.thetas();
-  if (!thetas.empty()) {
-    timeabs::Request request;
-    request.thetas = thetas;
-    request.error_budget = 5;
-    const timeabs::Abstraction abstraction = timeabs::optimize(request);
-    std::map<unsigned, unsigned> remap;
-    for (std::size_t i = 0; i < thetas.size(); ++i) {
-      remap[thetas[i]] = abstraction.reduced[i];
-    }
-    // Both the GPVW tableau and the counter game are exponential in the
-    // Next-chain length, so deadlines are additionally clamped to a few
-    // ticks. The clamp is part of case *generation* -- every substrate sees
-    // the same clamped formulas -- so the cross-check stays meaningful
-    // while the worst case stays time-bounded.
-    static constexpr unsigned kMaxChain = 4;
-    const translate::TickMapper mapper = [remap](unsigned ticks) -> unsigned {
-      const auto it = remap.find(ticks);
-      const unsigned reduced = it == remap.end() ? ticks : it->second;
-      return std::min(reduced, kMaxChain);
-    };
-    translation = translator.translate(texts, mapper);
-  }
+  // Both the GPVW tableau and the counter game are exponential in the
+  // Next-chain length, so deadlines are additionally clamped to a few
+  // ticks after abstraction. The clamp is part of case *generation* --
+  // every substrate sees the same clamped formulas -- so the cross-check
+  // stays meaningful while the worst case stays time-bounded.
+  const auto translation = translator.translate(
+      texts, [](const std::vector<std::uint32_t>& thetas) -> translate::TickMapper {
+        if (thetas.empty()) return nullptr;
+        timeabs::Request request;
+        request.thetas = thetas;
+        request.error_budget = 5;
+        static constexpr unsigned kMaxChain = 4;
+        return [abstracted = timeabs::tick_mapper(thetas, timeabs::optimize(request))](
+                   unsigned ticks) { return std::min(abstracted(ticks), kMaxChain); };
+      });
 
   SpecCase result;
   result.requirements = translation.formulas();

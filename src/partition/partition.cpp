@@ -10,8 +10,10 @@ using ltl::Formula;
 using ltl::Op;
 
 /// Walk the formula; `input_side` is true inside implication antecedents and
-/// Until right-hand sides.
+/// Until right-hand sides. Next chains are skipped in a loop, not one call
+/// per X: an abstracted deadline can leave a chain hundreds of thousands deep.
 void walk(Formula f, bool input_side, Votes& votes) {
+  while (f.op() == Op::kNext) f = f.child(0);
   switch (f.op()) {
     case Op::kAp:
       (input_side ? votes.inputs : votes.outputs).insert(f.ap_name());

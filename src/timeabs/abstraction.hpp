@@ -12,14 +12,17 @@
 //     Delta <= 0, or either), a user bound B on sum |Delta_i|, primary
 //     objective min sum theta'_i and secondary objective min sum |Delta_i|.
 //
-// optimize solves it exactly by enumerating the divisor d: for a fixed d and
-// sign the decomposition is unique, and the "either" sign becomes a small
-// lexicographic knapsack over the error budget. Among optimal divisors the
-// smallest wins, so the abstraction is unique. (The paper hands the same
-// system to Yices 2; enumeration is exact, so no solver is needed.)
+// optimize solves it exactly by enumerating the divisor d (when
+// max_theta > B, only the divisors of max_theta +- r for r <= B can keep
+// the error in budget): for a fixed d and sign the decomposition is unique,
+// and the "either" sign becomes a small lexicographic knapsack over the
+// error budget. Among optimal divisors the smallest wins, so the
+// abstraction is unique. (The paper hands the same system to Yices 2;
+// enumeration is exact, so no solver is needed.)
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "util/diagnostics.hpp"
@@ -60,6 +63,12 @@ struct Abstraction {
 /// theta, or signs that do not match thetas in size -- throws
 /// util::InvalidInputError.
 [[nodiscard]] Abstraction optimize(const Request& request);
+
+/// The Next-chain remap an abstraction of `thetas` implies: thetas[i]
+/// becomes abstraction.reduced[i], any other count is kept. The one place
+/// a caller turns optimize()'s answer into the translator's tick mapper.
+[[nodiscard]] std::function<std::uint32_t(std::uint32_t)> tick_mapper(
+    const std::vector<std::uint32_t>& thetas, const Abstraction& abstraction);
 
 /// The end-to-end benchmark's stage replica (perfbench/driver.cpp) still
 /// names the retired back-end choice. These one-value enums and the

@@ -19,10 +19,11 @@ using nlp::PredicateKind;
 using semantics::PropositionReducer;
 using semantics::Reduction;
 
-/// Builds the proposition (possibly negated) for one subject of a clause.
-struct Literal {
-  Formula formula;
-};
+/// Tick count of a timing constraint before any abstraction.
+unsigned constraint_ticks(const nlp::TimeConstraint& constraint,
+                          const Options& options) {
+  return constraint.total_seconds() / options.seconds_per_tick;
+}
 
 class ClauseTranslator {
  public:
@@ -33,7 +34,7 @@ class ClauseTranslator {
         tick_mapper_(tick_mapper),
         pronoun_referent_(pronoun_referent) {}
 
-  Formula run(const Clause& clause, std::vector<unsigned>* delays) const {
+  Formula run(const Clause& clause) const {
     // One literal per subject, combined with the subject conjunction.
     std::vector<Formula> parts;
     for (const NounPhrase& np : clause.subjects) {
@@ -51,8 +52,7 @@ class ClauseTranslator {
       body = ltl::eventually(body);
     }
     if (timed) {
-      unsigned ticks = clause.constraint->total_seconds() / options_.seconds_per_tick;
-      if (delays != nullptr && ticks > 0) delays->push_back(ticks);
+      unsigned ticks = constraint_ticks(*clause.constraint, options_);
       if (tick_mapper_ != nullptr) ticks = tick_mapper_(ticks);
       body = ltl::next_n(body, ticks);
     }
@@ -180,13 +180,12 @@ nlp::Sentence Translator::parse_cached(const std::string& text) const {
 namespace {
 
 /// Fold a clause group into one formula using the inter-clause connectives.
-Formula group_formula(const ClauseGroup& group, const ClauseTranslator& ct,
-                      std::vector<unsigned>* delays) {
+Formula group_formula(const ClauseGroup& group, const ClauseTranslator& ct) {
   speccc_check(!group.clauses.empty(), "empty clause group");
-  Formula acc = ct.run(group.clauses.front().second, delays);
+  Formula acc = ct.run(group.clauses.front().second);
   for (std::size_t i = 1; i < group.clauses.size(); ++i) {
     const auto& [conn, clause] = group.clauses[i];
-    const Formula f = ct.run(clause, delays);
+    const Formula f = ct.run(clause);
     acc = conn == "or" ? ltl::lor(acc, f) : ltl::land(acc, f);
   }
   return acc;
@@ -210,52 +209,72 @@ std::string main_referent(const nlp::Sentence& sentence,
   return util::join(words, "_");
 }
 
+/// The positive tick counts of a sentence's timing constraints, read off
+/// the parse tree in the order translate_sentence meets them: main group,
+/// until group, then the conditions innermost first.
+std::vector<unsigned> harvest_delays(const nlp::Sentence& sentence,
+                                     const Options& options) {
+  std::vector<unsigned> delays;
+  const auto harvest = [&](const ClauseGroup& group) {
+    for (const auto& [conn, clause] : group.clauses) {
+      if (!clause.constraint.has_value()) continue;
+      const unsigned ticks = constraint_ticks(*clause.constraint, options);
+      if (ticks > 0) delays.push_back(ticks);
+    }
+  };
+  harvest(sentence.main);
+  if (sentence.until.has_value()) harvest(*sentence.until);
+  for (auto it = sentence.conditions.rbegin(); it != sentence.conditions.rend();
+       ++it) {
+    harvest(*it);
+  }
+  return delays;
+}
+
 }  // namespace
 
 ltl::Formula Translator::translate_sentence(const nlp::Sentence& sentence,
                                             const PropositionReducer* reducer,
                                             const TickMapper& tick_mapper) const {
-  return [&]() -> Formula {
-    const std::string referent = main_referent(sentence, reducer);
-    const ClauseTranslator ct(options_, reducer, tick_mapper, referent);
-    std::vector<unsigned> sink;
+  const std::string referent = main_referent(sentence, reducer);
+  const ClauseTranslator ct(options_, reducer, tick_mapper, referent);
 
-    Formula main = group_formula(sentence.main, ct, &sink);
+  Formula main = group_formula(sentence.main, ct);
 
-    // Trailing until-subclause: the paper's template (Req-49),
-    //   main until q  ==>  (!q -> (main W q)).
-    if (sentence.until.has_value()) {
-      const Formula q = group_formula(*sentence.until, ct, &sink);
-      main = ltl::implies(ltl::lnot(q), ltl::weak_until(main, q));
-    }
+  // Trailing until-subclause: the paper's template (Req-49),
+  //   main until q  ==>  (!q -> (main W q)).
+  if (sentence.until.has_value()) {
+    const Formula q = group_formula(*sentence.until, ct);
+    main = ltl::implies(ltl::lnot(q), ltl::weak_until(main, q));
+  }
 
-    // Conditional subclauses nest right-to-left: the first group is the
-    // outermost antecedent (Req-17.4).
-    Formula body = main;
-    for (auto it = sentence.conditions.rbegin(); it != sentence.conditions.rend();
-         ++it) {
-      body = ltl::implies(group_formula(*it, ct, &sink), body);
-    }
+  // Conditional subclauses nest right-to-left: the first group is the
+  // outermost antecedent (Req-17.4).
+  Formula body = main;
+  for (auto it = sentence.conditions.rbegin(); it != sentence.conditions.rend();
+       ++it) {
+    body = ltl::implies(group_formula(*it, ct), body);
+  }
 
-    // Universality wrapper; a bare existential main clause stays F-only
-    // (the Existence pattern).
-    if (sentence.conditions.empty() && !sentence.until.has_value() &&
-        body.op() == ltl::Op::kEventually) {
-      return body;
-    }
-    return ltl::always(body);
-  }();
+  // Universality wrapper; a bare existential main clause stays F-only
+  // (the Existence pattern).
+  if (sentence.conditions.empty() && !sentence.until.has_value() &&
+      body.op() == ltl::Op::kEventually) {
+    return body;
+  }
+  return ltl::always(body);
 }
 
 TranslationResult Translator::translate(
     const std::vector<RequirementText>& requirements,
-    const TickMapper& tick_mapper) const {
+    const AbstractionHook& abstraction) const {
   TranslationResult result;
 
   // Phase 1: parse everything (Algorithm 1 needs the whole specification).
-  // With a cache, revisions and re-translation passes (time abstraction
-  // calls translate() twice) skip re-parsing unchanged sentences.
+  // With a cache, revisions of a specification skip re-parsing unchanged
+  // sentences.
   std::vector<nlp::Sentence> sentences;
+  sentences.reserve(requirements.size());
   for (const RequirementText& req : requirements) {
     sentences.push_back(parse_cached(req.text));
   }
@@ -267,40 +286,39 @@ TranslationResult Translator::translate(
     reducer.emplace(result.reasoning, dictionary_);
   }
 
-  // Phase 3: per-sentence translation.
+  // Phase 3: harvest Theta from the parse trees; the tick counts are fixed
+  // before any formula exists.
+  result.requirements.reserve(requirements.size());
   for (std::size_t i = 0; i < requirements.size(); ++i) {
     TranslatedRequirement tr;
     tr.id = requirements[i].id;
     tr.text = requirements[i].text;
-    tr.sentence = sentences[i];
-
-    const std::string referent =
-        main_referent(sentences[i], reducer ? &*reducer : nullptr);
-    const ClauseTranslator ct(options_, reducer ? &*reducer : nullptr,
-                              tick_mapper, referent);
-    // Re-run the sentence translation but harvesting delays.
-    Formula main = group_formula(sentences[i].main, ct, &tr.delays);
-    if (sentences[i].until.has_value()) {
-      const Formula q = group_formula(*sentences[i].until, ct, &tr.delays);
-      main = ltl::implies(ltl::lnot(q), ltl::weak_until(main, q));
-    }
-    Formula body = main;
-    for (auto it = sentences[i].conditions.rbegin();
-         it != sentences[i].conditions.rend(); ++it) {
-      body = ltl::implies(group_formula(*it, ct, &tr.delays), body);
-    }
-    if (sentences[i].conditions.empty() && !sentences[i].until.has_value() &&
-        body.op() == ltl::Op::kEventually) {
-      tr.formula = body;
-    } else {
-      tr.formula = ltl::always(body);
-    }
-
-    const auto atoms = tr.formula.atoms();
-    result.propositions.insert(atoms.begin(), atoms.end());
+    tr.delays = harvest_delays(sentences[i], options_);
+    tr.sentence = std::move(sentences[i]);
     result.requirements.push_back(std::move(tr));
   }
+
+  // Phase 4: the abstraction hook turns Theta into the tick mapper.
+  const TickMapper tick_mapper =
+      abstraction != nullptr ? abstraction(result.thetas()) : nullptr;
+
+  // Phase 5: build every formula once.
+  for (TranslatedRequirement& tr : result.requirements) {
+    tr.formula =
+        translate_sentence(tr.sentence, reducer ? &*reducer : nullptr, tick_mapper);
+    const auto atoms = tr.formula.atoms();
+    result.propositions.insert(atoms.begin(), atoms.end());
+  }
   return result;
+}
+
+TranslationResult Translator::translate(
+    const std::vector<RequirementText>& requirements,
+    const TickMapper& tick_mapper) const {
+  return translate(requirements,
+                   [&tick_mapper](const std::vector<std::uint32_t>&) {
+                     return tick_mapper;
+                   });
 }
 
 std::vector<ltl::Formula> TranslationResult::formulas() const {

@@ -10,8 +10,11 @@
 //      becomes F, "until" becomes the weak-until template, "in t seconds"
 //      becomes a chain of X operators.
 //
-// Timing constraints are harvested so the Section IV-E abstraction can remap
-// tick counts; translate() accepts a tick mapper for the re-encoding pass.
+// translate() is one pass: parse every sentence, run semantic reasoning,
+// harvest the tick counts of the timing constraints straight from the parse
+// trees (Theta of Section IV-E), hand Theta to the caller's abstraction hook
+// for a tick mapper, then build each formula once with that mapper. No
+// formula is built with the raw tick counts unless the hook keeps them.
 //
 // The "next" subordinator: the grammar maps it to X, but the paper's own
 // appendix drops it from every generated formula (Req-13.1, Req-20, Req-44,
@@ -20,6 +23,7 @@
 // appendix so the golden corpus matches the published formulas.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <set>
@@ -53,6 +57,13 @@ struct Options {
 /// operators. Identity when no abstraction has run.
 using TickMapper = std::function<unsigned(unsigned)>;
 
+/// Receives Theta -- the distinct positive tick counts of a specification,
+/// ascending, harvested from the parse trees before any formula exists --
+/// and returns the mapper the formulas are built with (null: identity).
+/// Called once per translate(), Theta empty or not.
+using AbstractionHook =
+    std::function<TickMapper(const std::vector<std::uint32_t>& thetas)>;
+
 struct RequirementText {
   std::string id;    // "Req-08"
   std::string text;  // the sentence
@@ -74,7 +85,8 @@ struct TranslationResult {
   std::set<std::string> propositions;
 
   [[nodiscard]] std::vector<ltl::Formula> formulas() const;
-  /// All distinct positive delay tick counts (the Theta set of Section IV-E).
+  /// All distinct positive delay tick counts, ascending (the Theta set of
+  /// Section IV-E, as handed to the abstraction hook).
   [[nodiscard]] std::vector<std::uint32_t> thetas() const;
 };
 
@@ -95,14 +107,19 @@ class Translator {
              const semantics::AntonymDictionary& dictionary,
              Options options = {}, cache::Store* cache = nullptr);
 
-  /// Translate a specification. The optional tick mapper re-encodes timing
-  /// constraints (Section IV-E second pass).
+  /// Translate a specification in one pass; `abstraction` (may be null)
+  /// turns Theta into the tick mapper every formula is built with.
+  [[nodiscard]] TranslationResult translate(
+      const std::vector<RequirementText>& requirements,
+      const AbstractionHook& abstraction) const;
+
+  /// The same pass with a fixed tick mapper (null: raw tick counts).
   [[nodiscard]] TranslationResult translate(
       const std::vector<RequirementText>& requirements,
       const TickMapper& tick_mapper = nullptr) const;
 
-  /// Translate a single sentence with a prebuilt reducer (nullptr disables
-  /// reduction). Exposed for tests and the Fig. 2 example binary.
+  /// Build one sentence's formula with a prebuilt reducer (nullptr disables
+  /// reduction); translate() builds every formula through this.
   [[nodiscard]] ltl::Formula translate_sentence(
       const nlp::Sentence& sentence, const semantics::PropositionReducer* reducer,
       const TickMapper& tick_mapper = nullptr) const;

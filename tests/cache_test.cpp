@@ -414,6 +414,20 @@ TEST(TranslatorCache, CachedTranslationIsIdenticalAndHitsOnReuse) {
   EXPECT_EQ(stats.l1_hits, spec.size());    // second pass fully cached
 }
 
+TEST(PipelineCache, TimedRunParsesEachSentenceOnce) {
+  // Stage 1 is one translation pass even with a deadline to abstract, so
+  // a fresh store sees one level-1 miss per sentence and no hit.
+  const auto spec = door_lock_spec();
+  speccc::core::PipelineOptions options;
+  options.cache = std::make_shared<cache::Store>();
+  const speccc::core::Pipeline pipeline(options);
+  const auto result = pipeline.run("door_lock", spec);
+  ASSERT_TRUE(result.abstraction.has_value());
+  const cache::StatsSnapshot stats = options.cache->stats();
+  EXPECT_EQ(stats.l1_hits, 0u);
+  EXPECT_EQ(stats.l1_misses, spec.size());
+}
+
 TEST(PipelineCache, CachedRunMatchesUncachedAndSkipsRecomputation) {
   const auto spec = door_lock_spec();
 

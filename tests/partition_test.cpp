@@ -1,6 +1,7 @@
 // Tests for the input/output partition heuristics (paper Section IV-F).
 #include <gtest/gtest.h>
 
+#include "ltl/formula.hpp"
 #include "ltl/parser.hpp"
 #include "partition/partition.hpp"
 
@@ -82,6 +83,16 @@ TEST(Partition, ResponseConsequentIsOutput) {
   const auto votes = partition::classify(ltl::parse("G (req -> F grant)"));
   EXPECT_EQ(votes.inputs, (std::set<std::string>{"req"}));
   EXPECT_EQ(votes.outputs, (std::set<std::string>{"grant"}));
+}
+
+TEST(Partition, DeepNextChainDoesNotExhaustTheStack) {
+  // An abstracted deadline can leave a Next chain hundreds of thousands
+  // deep ("in 3000000 seconds" beside "in 7 seconds" gives 428,571).
+  const ltl::Formula deep = ltl::always(ltl::implies(
+      ltl::ap("a"), ltl::next_n(ltl::ap("b"), 500000)));
+  const partition::Partition p = partition::unify({deep});
+  EXPECT_EQ(p.inputs, (std::set<std::string>{"a"}));
+  EXPECT_EQ(p.outputs, (std::set<std::string>{"b"}));
 }
 
 }  // namespace

@@ -4,6 +4,9 @@
 
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -181,40 +184,23 @@ TEST(PipelineGenerator, GeneratedSpecsAlwaysParseAndStayConsistent) {
   }
 }
 
-// The translator emits only pattern templates (ltl/patterns.hpp), so the
-// symbolic engine can decide every question the product asks. Pin that as
-// an invariant: ltl::recognize_pattern accepts every formula the pipeline
-// produces on Table I (both Next readings), examples/specs/**, and the
-// generated and planted-fault fuzz specs at seeds 1-8.
-TEST(FragmentInvariant, EveryTranslatedFormulaIsAPatternInstance) {
-  core::PipelineOptions strict_options;
-  strict_options.translation.next_mode = translate::NextMode::kStrict;
-  const core::Pipeline default_pipeline;
-  const core::Pipeline strict_pipeline(strict_options);
-
-  std::size_t formulas = 0;
-  const auto check = [&formulas](const core::Pipeline& pipeline,
-                                 const std::string& name,
-                                 const std::vector<translate::RequirementText>& reqs) {
-    const core::PipelineResult result = pipeline.run(name, reqs);
-    for (const auto& req : result.translation.requirements) {
-      ++formulas;
-      EXPECT_TRUE(speccc::ltl::recognize_pattern(req.formula).has_value())
-          << name << " " << req.id << ": "
-          << speccc::ltl::to_string(req.formula);
-    }
-  };
-
+/// Every spec of the standing sweep, each with the Next reading it runs
+/// under: Table I (default and strict Next), examples/specs/**, and the
+/// generated and planted-fault fuzz specs at seeds 1-8 x 50.
+void for_each_sweep_spec(
+    const std::function<void(translate::NextMode, const std::string&,
+                             const std::vector<translate::RequirementText>&)>& visit) {
   for (const batch::SpecTask& task : batch::table1_tasks()) {
-    check(default_pipeline, task.name, task.requirements);
-    check(strict_pipeline, task.name + " (strict Next)", task.requirements);
+    visit(translate::NextMode::kPaperAppendix, task.name, task.requirements);
+    visit(translate::NextMode::kStrict, task.name + " (strict Next)",
+          task.requirements);
   }
   std::size_t files = 0;
   for (const auto& entry : std::filesystem::recursive_directory_iterator(
            SPECCC_EXAMPLES_DIR "/specs")) {
     if (entry.path().extension() != ".txt") continue;
     std::ifstream in(entry.path());
-    check(default_pipeline, entry.path().string(),
+    visit(translate::NextMode::kPaperAppendix, entry.path().string(),
           corpus::load_requirements(in));
     ++files;
   }
@@ -222,13 +208,100 @@ TEST(FragmentInvariant, EveryTranslatedFormulaIsAPatternInstance) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     for (int index = 0; index < 50; ++index) {
       const difftest::GeneratedSpec spec = difftest::generated_spec(seed, index);
-      check(default_pipeline, spec.name, spec.requirements);
+      visit(translate::NextMode::kPaperAppendix, spec.name, spec.requirements);
       const auto planted = difftest::generated_planted_spec(seed, index);
-      check(default_pipeline, planted.name, planted.requirements);
+      visit(translate::NextMode::kPaperAppendix, planted.name, planted.requirements);
     }
   }
+}
+
+core::PipelineOptions options_for(translate::NextMode mode) {
+  core::PipelineOptions options;
+  options.translation.next_mode = mode;
+  return options;
+}
+
+// The translator emits only pattern templates (ltl/patterns.hpp), so the
+// symbolic engine can decide every question the product asks. Pin that as
+// an invariant: ltl::recognize_pattern accepts every formula the pipeline
+// produces on the standing sweep.
+TEST(FragmentInvariant, EveryTranslatedFormulaIsAPatternInstance) {
+  const core::Pipeline default_pipeline;
+  const core::Pipeline strict_pipeline(options_for(translate::NextMode::kStrict));
+
+  std::size_t formulas = 0;
+  for_each_sweep_spec([&](translate::NextMode mode, const std::string& name,
+                          const std::vector<translate::RequirementText>& reqs) {
+    const core::Pipeline& pipeline =
+        mode == translate::NextMode::kStrict ? strict_pipeline : default_pipeline;
+    const core::PipelineResult result = pipeline.run(name, reqs);
+    for (const auto& req : result.translation.requirements) {
+      ++formulas;
+      EXPECT_TRUE(speccc::ltl::recognize_pattern(req.formula).has_value())
+          << name << " " << req.id << ": "
+          << speccc::ltl::to_string(req.formula);
+    }
+  });
   // 7,527 formulas at the time of writing: the sweep must keep its reach.
   EXPECT_GE(formulas, 7000u);
+}
+
+// Stage 1 translates once, harvesting Theta from the parse trees. It must
+// equal the two-pass composition it replaced: translate with raw tick
+// counts, read Theta, optimize, then translate again under the remap.
+// Formulas are interned, so equal formulas are the same node.
+TEST(OnePassTranslation, EqualsTheTwoPassComposition) {
+  const auto lexicon = speccc::nlp::Lexicon::builtin();
+  const auto dictionary = speccc::semantics::AntonymDictionary::builtin();
+  std::size_t abstracted = 0;
+  for_each_sweep_spec([&](translate::NextMode mode, const std::string& name,
+                          const std::vector<translate::RequirementText>& reqs) {
+    const core::PipelineOptions options = options_for(mode);
+    const core::Pipeline pipeline(options);
+    std::optional<speccc::timeabs::Abstraction> abstraction;
+    const translate::TranslationResult one = pipeline.translate(reqs, abstraction);
+
+    const translate::Translator translator(lexicon, dictionary, options.translation);
+    const translate::TranslationResult raw = translator.translate(reqs);
+    const std::vector<std::uint32_t> thetas = raw.thetas();
+    translate::TranslationResult two = raw;
+    std::optional<speccc::timeabs::Abstraction> expected;
+    if (!thetas.empty()) {
+      speccc::timeabs::Request request;
+      request.thetas = thetas;
+      request.error_budget = options.error_budget;
+      expected = speccc::timeabs::optimize(request);
+      std::map<unsigned, unsigned> remap;
+      for (std::size_t i = 0; i < thetas.size(); ++i) {
+        remap[thetas[i]] = expected->reduced[i];
+      }
+      two = translator.translate(reqs, [&remap](unsigned ticks) {
+        const auto it = remap.find(ticks);
+        return it == remap.end() ? ticks : it->second;
+      });
+      ++abstracted;
+    }
+
+    EXPECT_EQ(one.thetas(), thetas) << name;
+    ASSERT_EQ(abstraction.has_value(), expected.has_value()) << name;
+    if (expected.has_value()) {
+      EXPECT_EQ(abstraction->divisor, expected->divisor) << name;
+      EXPECT_EQ(abstraction->reduced, expected->reduced) << name;
+      EXPECT_EQ(abstraction->errors, expected->errors) << name;
+      EXPECT_EQ(abstraction->reduced_sum, expected->reduced_sum) << name;
+      EXPECT_EQ(abstraction->error_sum, expected->error_sum) << name;
+    }
+    EXPECT_EQ(one.propositions, two.propositions) << name;
+    ASSERT_EQ(one.requirements.size(), two.requirements.size()) << name;
+    for (std::size_t i = 0; i < one.requirements.size(); ++i) {
+      EXPECT_EQ(one.requirements[i].id, two.requirements[i].id) << name;
+      EXPECT_EQ(one.requirements[i].formula, two.requirements[i].formula)
+          << name << " " << one.requirements[i].id;
+      EXPECT_EQ(one.requirements[i].delays, two.requirements[i].delays)
+          << name << " " << one.requirements[i].id;
+    }
+  });
+  EXPECT_GE(abstracted, 300u);
 }
 
 TEST(Report, TableRowAndDescribe) {

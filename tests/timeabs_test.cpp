@@ -137,6 +137,42 @@ TEST(TimeAbs, SolutionAlwaysExistsWithZeroBudget) {
   EXPECT_EQ(abs.reduced_sum, 13u + 17u + 19u);
 }
 
+TEST(TimeAbs, LargestDurationReducesToOneTick) {
+  // max_theta + 1 does not fit in 32 bits; the scan bound must not wrap.
+  timeabs::Request req;
+  req.thetas = {4294967295u};
+  req.error_budget = 5;
+  const auto abs = timeabs::optimize(req);
+  EXPECT_EQ(abs.divisor, 4294967295u);
+  EXPECT_EQ(abs.reduced, (std::vector<std::uint32_t>{1}));
+  EXPECT_EQ(abs.errors, (std::vector<std::int64_t>{0}));
+}
+
+TEST(TimeAbs, LongDeadlineBesideAShortOneKeepsTheShortDivisor) {
+  // Only divisors of 3000000 +- r (r <= B) are solved for; 7 must divide
+  // exactly, so d = 7 with 3000000 = 428571 * 7 + 3.
+  timeabs::Request req;
+  req.thetas = {7, 3000000};
+  req.error_budget = 5;
+  const auto abs = timeabs::optimize(req);
+  EXPECT_EQ(abs.divisor, 7u);
+  EXPECT_EQ(abs.reduced, (std::vector<std::uint32_t>{1, 428571}));
+  EXPECT_EQ(abs.errors, (std::vector<std::int64_t>{0, 3}));
+}
+
+TEST(TimeAbs, TickMapperRemapsThetasAndKeepsOtherCounts) {
+  timeabs::Request req;
+  req.thetas = {3, 180, 60};
+  req.error_budget = 5;
+  const auto abs = timeabs::optimize(req);
+  const auto map = timeabs::tick_mapper(req.thetas, abs);
+  EXPECT_EQ(map(3), 0u);
+  EXPECT_EQ(map(180), 3u);
+  EXPECT_EQ(map(60), 1u);
+  EXPECT_EQ(map(0), 0u);
+  EXPECT_EQ(map(61), 61u);
+}
+
 // Brute-force reference for the constraint system (1)-(2), independent of
 // the solver's per-divisor decomposition: every divisor d up to twice the
 // largest theta, and for each theta every theta' whose error
