@@ -196,18 +196,21 @@ void append_divisors(std::uint64_t n, std::uint64_t limit,
   }
 }
 
-/// The divisors that can keep the error in budget when max_theta > B,
-/// ascending: a feasible d leaves max_theta some error r <= B with
-/// theta' >= 1 (theta' = 0 would cost max_theta > B), so d divides
-/// max_theta - r or max_theta + r. O(B sqrt(theta)) work instead of
+/// Every divisor in [1, max_theta + 1] that can keep the error in budget,
+/// ascending. A feasible d <= max_theta gives max_theta a quotient
+/// theta' >= 1 with error r <= min(B, max_theta - 1), so d divides
+/// max_theta - r or max_theta + r; the one d beyond that is max_theta + 1,
+/// where every theta can abstract to 0. O(B sqrt(theta)) work instead of
 /// O(theta).
 std::vector<std::uint64_t> feasible_divisors(std::uint64_t max_theta,
                                              std::uint64_t budget) {
   std::vector<std::uint64_t> out;
-  for (std::uint64_t r = 0; r <= budget; ++r) {
-    append_divisors(max_theta - r, max_theta + 1, out);
-    append_divisors(max_theta + r, max_theta + 1, out);
+  const std::uint64_t max_error = std::min(budget, max_theta - 1);
+  for (std::uint64_t r = 0; r <= max_error; ++r) {
+    append_divisors(max_theta - r, max_theta, out);
+    append_divisors(max_theta + r, max_theta, out);
   }
+  out.push_back(max_theta + 1);
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
@@ -220,25 +223,18 @@ Abstraction optimize(const Request& request) {
   const std::uint64_t max_theta =
       *std::max_element(request.thetas.begin(), request.thetas.end());
   std::optional<Abstraction> best;
-  const auto consider = [&](std::uint64_t d) {
+  // d beyond max_theta + 1 only increases errors (every theta collapses to
+  // theta' = 0 already at d = max_theta + 1 if the budget allows; larger d
+  // changes nothing), so the candidates stop there, in 64 bits. Ascending
+  // d with a strict improvement test keeps the smallest optimal divisor.
+  for (const std::uint64_t d : feasible_divisors(max_theta, request.error_budget)) {
     auto candidate = solve_for_divisor(request, d);
-    if (!candidate) return;
+    if (!candidate) continue;
     const bool better =
         !best || candidate->reduced_sum < best->reduced_sum ||
         (candidate->reduced_sum == best->reduced_sum &&
          candidate->error_sum < best->error_sum);
     if (better) best = std::move(candidate);
-  };
-  // d beyond max_theta + 1 only increases errors (every theta collapses to
-  // theta' = 0 already at d = max_theta + 1 if the budget allows; larger d
-  // changes nothing), so the scan stops there, in 64 bits. Ascending d
-  // with a strict improvement test keeps the smallest optimal divisor.
-  if (max_theta <= request.error_budget) {
-    for (std::uint64_t d = 1; d <= max_theta + 1; ++d) consider(d);
-  } else {
-    for (const std::uint64_t d : feasible_divisors(max_theta, request.error_budget)) {
-      consider(d);
-    }
   }
   speccc_check(best.has_value(), "d = 1 always decomposes with zero error");
   return *std::move(best);

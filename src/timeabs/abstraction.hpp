@@ -12,9 +12,9 @@
 //     Delta <= 0, or either), a user bound B on sum |Delta_i|, primary
 //     objective min sum theta'_i and secondary objective min sum |Delta_i|.
 //
-// optimize solves it exactly by enumerating the divisor d (when
-// max_theta > B, only the divisors of max_theta +- r for r <= B can keep
-// the error in budget): for a fixed d and sign the decomposition is unique,
+// optimize solves it exactly by enumerating the divisor d (only
+// max_theta + 1 and the divisors of max_theta +- r for r <= B can keep the
+// error in budget): for a fixed d and sign the decomposition is unique,
 // and the "either" sign becomes a small lexicographic knapsack over the
 // error budget. Among optimal divisors the smallest wins, so the
 // abstraction is unique. (The paper hands the same system to Yices 2;
