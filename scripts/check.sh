@@ -64,15 +64,6 @@ if [[ -x "$batch_bin" ]]; then
   "$batch_bin" --jobs "$batch_jobs" --quiet --canonical --cache \
     "$repo_root/examples/specs" > "$build_dir/batch-smoke-cache.txt"
   diff "$build_dir/batch-smoke-plain.txt" "$build_dir/batch-smoke-cache.txt"
-  # Substrate smoke: the engines agree and auto completes any bounded
-  # abstention (core::decide), so a solo symbolic run's canonical report
-  # must be byte-identical to the default's.
-  echo "speccc_batch substrate smoke (Table I canonical diff, symbolic vs default)"
-  "$batch_bin" --jobs "$batch_jobs" --quiet --canonical --corpus table1 \
-    > "$build_dir/batch-smoke-t1-default.txt"
-  "$batch_bin" --jobs "$batch_jobs" --quiet --canonical --corpus table1 \
-    --substrate symbolic > "$build_dir/batch-smoke-t1-symbolic.txt"
-  diff "$build_dir/batch-smoke-t1-default.txt" "$build_dir/batch-smoke-t1-symbolic.txt"
   # Diagnosis smoke 1: over an all-consistent corpus, --diagnose must not
   # change a byte of the canonical report (MCS enumeration only triggers
   # on genuinely inconsistent specs; batch/batch.hpp's input-purity rule).
@@ -103,32 +94,6 @@ if [[ -x "$batch_bin" ]]; then
   if ! grep -q 'infusion_pump\.txt .* unsat=R2 mus=' "$fault_report"; then
     echo "error: the infusion_pump row is missing unsat=R2:" >&2
     cat "$fault_report" >&2
-    exit 1
-  fi
-  # The screen and stage 3 ask the run's substrate (core::decide), so a
-  # solo symbolic run must reproduce the faults report byte for byte.
-  echo "speccc_batch faults smoke (canonical diff, --substrate symbolic vs default)"
-  "$batch_bin" --jobs "$batch_jobs" --quiet --canonical --diagnose \
-    --substrate symbolic "$repo_root/examples/specs/faults" \
-    > "$build_dir/batch-smoke-faults-symbolic.txt" || [[ $? -eq 2 ]]
-  diff "$fault_report" "$build_dir/batch-smoke-faults-symbolic.txt"
-  # Crosscheck smoke: the bounded and the symbolic engine re-decide every
-  # example and faults spec on their own; no row may disagree, and both
-  # must find infusion_pump unrealizable.
-  echo "speccc_batch crosscheck smoke over examples/specs and faults"
-  cross_report="$build_dir/batch-smoke-crosscheck.txt"
-  "$batch_bin" --jobs "$batch_jobs" --quiet --canonical --crosscheck \
-    "$repo_root/examples/specs" "$repo_root/examples/specs/faults" \
-    > "$cross_report" || [[ $? -eq 2 ]]
-  if grep -qv ' agree=1$' "$cross_report"; then
-    echo "error: a crosscheck row is missing agree=1:" >&2
-    cat "$cross_report" >&2
-    exit 1
-  fi
-  if ! grep -q 'infusion_pump\.txt .* bounded=unrealizable symbolic=unrealizable agree=1$' \
-      "$cross_report"; then
-    echo "error: the infusion_pump crosscheck row is not unrealizable twice:" >&2
-    cat "$cross_report" >&2
     exit 1
   fi
   # Shard smoke: the subprocess coordinator's interleaved merge must be
@@ -170,6 +135,19 @@ if [[ -x "$batch_bin" ]]; then
   timeout 60 "$batch_bin" --quiet --canonical "$longest_spec" \
     > "$build_dir/batch-smoke-longest-deadline.out"
   grep -q ' status=consistent ' "$build_dir/batch-smoke-longest-deadline.out"
+  # Deep-chain smoke: "in 7 seconds" beside "in 3000000 seconds"
+  # abstracts to d = 7 and a 428,571-deep Next chain; compiling its
+  # monitor is linear in the chain, so the spec decides well inside a
+  # 10 s budget (an expired budget would print status=budget-exhausted).
+  echo "speccc_batch deep-chain smoke (428,571-deep Next chain, 10 s budget)"
+  deep_spec="$build_dir/batch-smoke-deep-chain.txt"
+  printf '%s\n' \
+    'C1: If the order button is pressed, the confirmation message is displayed in 7 seconds.' \
+    'C2: If the payment request is received, the order record is stored in 3000000 seconds.' \
+    > "$deep_spec"
+  "$batch_bin" --quiet --canonical --time-budget 10 "$deep_spec" \
+    > "$build_dir/batch-smoke-deep-chain.out"
+  grep -q ' status=consistent ' "$build_dir/batch-smoke-deep-chain.out"
 else
   echo "note: $batch_bin not built (SPECCC_BUILD_TOOLS=OFF?); smoke skipped"
 fi

@@ -9,8 +9,6 @@
 #include <sstream>
 #include <thread>
 
-#include "synth/symbolic_engine.hpp"
-#include "synth/synthesizer.hpp"
 #include "util/diagnostics.hpp"
 
 namespace speccc::batch {
@@ -27,15 +25,6 @@ const char* status_name(TaskStatus status) {
 }
 
 namespace {
-
-const char* realizability_name(synth::Realizability r) {
-  switch (r) {
-    case synth::Realizability::kRealizable: return "realizable";
-    case synth::Realizability::kUnrealizable: return "unrealizable";
-    case synth::Realizability::kUnknown: return "unknown";
-  }
-  return "?";
-}
 
 /// Per-task budget state read by the worker pipeline's cancelled functor.
 /// Lives in a shared_ptr because PipelineOptions copies the functor into
@@ -104,39 +93,6 @@ class StealingQueues {
   std::vector<Queue> queues_;
 };
 
-/// Opposite-definite-verdict cross-check of one already-translated spec:
-/// the bounded and the symbolic engine re-decide it independently, without
-/// auto's completion (the batch counterpart of the difftest oracle).
-/// Inapplicable engines -- symbolic outside its fragment, bounded beyond
-/// the alphabet cap -- abstain with kUnknown, which never counts as
-/// disagreement.
-AgreementStats check_substrates(const core::PipelineResult& pipeline_result,
-                                const synth::BoundedOptions& bounded_options) {
-  using R = synth::Realizability;
-  const std::vector<ltl::Formula> formulas =
-      pipeline_result.translation.formulas();
-  const synth::IoSignature signature = pipeline_result.partition.signature();
-  const auto abstain_if_inapplicable = [](const auto& check) {
-    try {
-      return check();
-    } catch (const util::SpecError&) {
-      return R::kUnknown;
-    }
-  };
-
-  AgreementStats stats;
-  stats.checked = true;
-  stats.verdicts.emplace_back("bounded", abstain_if_inapplicable([&] {
-    return synth::synthesize_bounded(formulas, signature, bounded_options)
-        .verdict;
-  }));
-  stats.verdicts.emplace_back("symbolic", abstain_if_inapplicable([&] {
-    const auto result = synth::synthesize_symbolic(formulas, signature, {});
-    return result.has_value() ? result->verdict : R::kUnknown;
-  }));
-  return stats;
-}
-
 }  // namespace
 
 struct TaskRunner::Impl {
@@ -183,7 +139,7 @@ TaskResult TaskRunner::run(const SpecTask& task, const RunLimits& limits) {
   util::Stopwatch task_clock;
   try {
     const core::PipelineResult pipeline_result =
-        impl_->pipeline->run(task.name, task.requirements, limits.substrate);
+        impl_->pipeline->run(task.name, task.requirements);
     result.status = pipeline_result.consistent ? TaskStatus::kConsistent
                                                : TaskStatus::kInconsistent;
     result.formulas = pipeline_result.num_formulas();
@@ -210,14 +166,7 @@ TaskResult TaskRunner::run(const SpecTask& task, const RunLimits& limits) {
         result.correction_sets.push_back(std::move(ids));
       }
     }
-    if (pipeline_result.synthesis.substrate_used == "symbolic") {
-      result.bdd = pipeline_result.synthesis.bdd_stats;
-    }
-    result.substrate = pipeline_result.synthesis.substrate_used;
-    if (impl_->options.check_agreement) {
-      result.agreement =
-          check_substrates(pipeline_result, impl_->options.agreement_bounded);
-    }
+    result.bdd = pipeline_result.synthesis.bdd_stats;
   } catch (const util::CancelledError& e) {
     result.status = budget.externally_cancelled() ? TaskStatus::kCancelled
                                                   : TaskStatus::kBudgetExhausted;
@@ -304,7 +253,6 @@ BatchReport check(const std::vector<SpecTask>& tasks,
       case TaskStatus::kBudgetExhausted: ++report.budget_exhausted; break;
       case TaskStatus::kCancelled: ++report.cancelled; break;
     }
-    if (r.agreement.checked && !r.agreement.agree()) ++report.disagreements;
     if (r.bdd.peak_nodes > 0) {
       ++report.bdd.tasks;
       report.bdd.peak_nodes_max =
@@ -350,14 +298,6 @@ void canonical_result(std::ostream& os, const TaskResult& r) {
         os << r.correction_sets[s][i];
       }
     }
-  }
-  if (r.agreement.checked) {
-    // One verdict per engine, bounded then symbolic: input-pure (every
-    // engine's caps are deterministic), hence canonical.
-    for (const auto& entry : r.agreement.verdicts) {
-      os << ' ' << entry.first << '=' << realizability_name(entry.second);
-    }
-    os << " agree=" << (r.agreement.agree() ? 1 : 0);
   }
   if (r.status == TaskStatus::kError) os << " detail=" << r.detail;
   os << '\n';
@@ -409,8 +349,7 @@ std::string to_json(const BatchReport& report) {
      << ",\n  \"inconsistent\": " << report.inconsistent
      << ",\n  \"errors\": " << report.errors
      << ",\n  \"budget_exhausted\": " << report.budget_exhausted
-     << ",\n  \"cancelled\": " << report.cancelled
-     << ",\n  \"disagreements\": " << report.disagreements;
+     << ",\n  \"cancelled\": " << report.cancelled;
   if (report.cache_enabled) {
     const cache::StatsSnapshot& c = report.cache_stats;
     os << ",\n  \"cache\": {\"l1_hits\": " << c.l1_hits
@@ -459,16 +398,6 @@ std::string to_json(const BatchReport& report) {
          << ", \"bdd_cache_hits\": " << r.bdd.cache_hits
          << ", \"bdd_cache_misses\": " << r.bdd.cache_misses;
     }
-    if (!r.substrate.empty()) {
-      os << ", \"substrate\": \"" << json_escape(r.substrate) << "\"";
-    }
-    if (r.agreement.checked) {
-      for (const auto& entry : r.agreement.verdicts) {
-        os << ", \"" << json_escape(entry.first) << "\": \""
-           << realizability_name(entry.second) << "\"";
-      }
-      os << ", \"agree\": " << (r.agreement.agree() ? "true" : "false");
-    }
     if (!r.detail.empty()) {
       os << ", \"detail\": \"" << json_escape(r.detail) << "\"";
     }
@@ -487,7 +416,6 @@ void print_summary(std::ostream& os, const BatchReport& report) {
          << r.outputs << " out";
       if (r.refined) os << ", refined";
       os << ", " << r.seconds << "s";
-      if (!r.substrate.empty()) os << ", " << r.substrate;
       os << ")";
       if (!r.mus.empty()) {
         os << "\n    conflicting sentences:";
@@ -500,9 +428,6 @@ void print_summary(std::ostream& os, const BatchReport& report) {
     } else if (!r.detail.empty()) {
       os << " (" << r.detail << ")";
     }
-    if (r.agreement.checked && !r.agreement.agree()) {
-      os << "  SUBSTRATE DISAGREEMENT";
-    }
     os << "\n";
   }
   os << report.results.size() << " specs with " << report.jobs << " jobs in "
@@ -510,15 +435,11 @@ void print_summary(std::ostream& os, const BatchReport& report) {
      << "s cpu, " << report.steals << " steals): " << report.consistent
      << " consistent, " << report.inconsistent << " inconsistent, "
      << report.errors << " errors, " << report.budget_exhausted
-     << " budget-exhausted, " << report.cancelled << " cancelled";
-  if (report.disagreements > 0) {
-    os << ", " << report.disagreements << " SUBSTRATE DISAGREEMENTS";
-  }
-  os << "\n";
+     << " budget-exhausted, " << report.cancelled << " cancelled\n";
   if (report.cache_enabled) cache::print_stats(os, report.cache_stats);
   if (report.bdd.tasks > 0) {
     const BddAggregate& b = report.bdd;
-    os << "bdd engine: " << b.tasks << " symbolic tasks, peak "
+    os << "bdd engine: " << b.tasks << " tasks, peak "
        << b.peak_nodes_max << " nodes, " << b.unique_hits << " unique hits, "
        << b.cache_hits << " cache hits / " << b.cache_misses << " misses / "
        << b.cache_evictions << " evictions\n";

@@ -28,15 +28,11 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
-#include <string_view>
-#include <utility>
 #include <vector>
 
 #include "bdd/bdd.hpp"
 #include "cache/store.hpp"
 #include "core/pipeline.hpp"
-#include "core/substrate.hpp"
-#include "synth/bounded.hpp"
 #include "translate/translator.hpp"
 
 namespace speccc::batch {
@@ -58,36 +54,6 @@ enum class TaskStatus {
 
 [[nodiscard]] const char* status_name(TaskStatus status);
 
-/// Substrate cross-check (optional): the same spec re-decided by the
-/// bounded and the symbolic engine separately. Mirrors the difftest
-/// oracle's agreement property: opposite *definite* verdicts are a
-/// disagreement, kUnknown never is.
-struct AgreementStats {
-  bool checked = false;
-  /// (engine name, verdict): bounded, then symbolic. Inapplicable engines
-  /// abstain with kUnknown. Input-pure, so part of canonical().
-  std::vector<std::pair<std::string, synth::Realizability>> verdicts;
-
-  /// The verdict of one substrate; kUnknown when absent.
-  [[nodiscard]] synth::Realizability verdict_of(std::string_view name) const {
-    for (const auto& entry : verdicts) {
-      if (entry.first == name) return entry.second;
-    }
-    return synth::Realizability::kUnknown;
-  }
-
-  [[nodiscard]] bool agree() const {
-    using R = synth::Realizability;
-    bool realizable = false;
-    bool unrealizable = false;
-    for (const auto& entry : verdicts) {
-      realizable |= entry.second == R::kRealizable;
-      unrealizable |= entry.second == R::kUnrealizable;
-    }
-    return !checked || !(realizable && unrealizable);
-  }
-};
-
 struct TaskResult {
   std::string name;
   TaskStatus status = TaskStatus::kError;
@@ -107,12 +73,7 @@ struct TaskResult {
   /// LocalizeOptions asked for them (speccc_batch --diagnose). Input-pure,
   /// part of canonical().
   std::vector<std::vector<std::string>> correction_sets;
-  AgreementStats agreement;
   // Diagnostics (excluded from the canonical form):
-  /// Which engine produced the stage-2 verdict ("bounded" or "symbolic";
-  /// empty for errored/cancelled tasks). A diagnostic: a cache hit names
-  /// the engine of the run that filled the entry.
-  std::string substrate;
   /// Per-task cache accounting (thread-local deltas, see
   /// cache::Store::thread_stats()): exact hits/misses/evictions this task
   /// caused, meaningful only when the pipeline ran with a store attached.
@@ -121,18 +82,18 @@ struct TaskResult {
   cache::StatsSnapshot cache;
   double seconds = 0.0;  // whole-task wall clock on its worker
   int worker = -1;  // which worker ran it
-  /// BDD-manager counters of the task's initial synthesis (zero when the
-  /// bounded engine decided it). Every worker owns its managers, so these
+  /// BDD-manager counters of the task's initial synthesis (zero for
+  /// errored or cancelled tasks). Every worker owns its managers, so these
   /// are per-task-deterministic, but they are engine diagnostics like the
   /// timings and stay out of canonical().
   bdd::Stats bdd;
 };
 
 /// Batch-wide BDD engine aggregate: counters summed over every task that
-/// ran the symbolic engine, peak nodes as the max over tasks (managers are
-/// per-call, so sums of peaks would be meaningless).
+/// reached a stage-2 verdict, peak nodes as the max over tasks (managers
+/// are per-call, so sums of peaks would be meaningless).
 struct BddAggregate {
-  std::size_t tasks = 0;  ///< tasks decided by the symbolic engine
+  std::size_t tasks = 0;  ///< tasks with a stage-2 verdict
   std::size_t peak_nodes_max = 0;
   std::size_t unique_hits = 0;
   std::size_t cache_hits = 0;
@@ -149,24 +110,10 @@ struct RunnerOptions {
   /// store is the sanctioned exception to per-worker isolation); persist
   /// one across batches for cross-batch reuse.
   core::PipelineOptions pipeline;
-  /// Re-decide every spec with the bounded and the symbolic engine's own
-  /// check (never auto's completion, never pipeline.cache) and record
-  /// agreement; roughly doubles the cost. kUnknown never counts as
-  /// disagreement.
-  bool check_agreement = false;
-  /// Caps for the agreement pass's bounded run. Defaults mirror the
-  /// difftest oracle's give-up caps -- the pipeline's own unbounded
-  /// defaults would let one adversarial spec stall the whole batch.
-  synth::BoundedOptions agreement_bounded = {.max_k = 4,
-                                             .extract = false,
-                                             .max_game_positions = 20'000,
-                                             .max_ucw_states = 150,
-                                             .cancelled = {}};
 };
 
-/// Per-run limits, polled cooperatively at pipeline stage boundaries.
-/// Defined next to the substrate it carries the per-request override for
-/// (budget_seconds, cancel, substrate).
+/// Per-run limits (budget_seconds, cancel), polled cooperatively at
+/// pipeline stage boundaries and inside the synthesis engine.
 using RunLimits = core::RunLimits;
 
 /// A warm per-worker execution engine: one core::Pipeline built once
@@ -196,7 +143,7 @@ struct BatchOptions : RunnerOptions {
   int jobs = 0;
   /// Per-task wall-clock budget in seconds; 0 means unlimited. Polled
   /// cooperatively through PipelineOptions::cancelled (stage boundaries
-  /// and every substrate engine; stage 1 finishes once started).
+  /// and the synthesis engine; stage 1 finishes once started).
   double task_time_budget_seconds = 0.0;
   /// Batch-wide cancellation: raise to drain the queue. Running tasks stop
   /// at their next poll; queued tasks are marked kCancelled without
@@ -217,7 +164,6 @@ struct BatchReport {
   std::size_t errors = 0;
   std::size_t budget_exhausted = 0;
   std::size_t cancelled = 0;
-  std::size_t disagreements = 0;  // only when check_agreement
   /// Cache statistics scoped to this batch (stats delta over the run);
   /// meaningful only when cache_enabled. Diagnostics, like timings and
   /// steal counts: concurrent workers race on misses (two workers can
@@ -243,8 +189,8 @@ struct BatchReport {
                                 const BatchOptions& options = {});
 
 /// The determinism contract in printable form: name, status, scale,
-/// refinement, unsatisfiable requirements, and agreement verdicts of every
-/// result in input order -- no timings, worker ids, or steal counts. Equal
+/// refinement, unsatisfiable requirements, and diagnosis of every result
+/// in input order -- no timings, worker ids, or steal counts. Equal
 /// strings for any jobs count, including jobs=1.
 [[nodiscard]] std::string canonical(const BatchReport& report);
 

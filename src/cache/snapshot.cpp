@@ -278,10 +278,7 @@ synth::MealyMachine read_mealy(Reader& r) {
 
 void write_value(Writer& w, const synth::SynthesisResult& v) {
   w.u32(static_cast<std::uint32_t>(v.verdict));
-  w.str(v.substrate_used);
   w.u64(v.state_bits);
-  w.u64(v.ucw_states);
-  w.u64(v.game_positions);
   w.u64(v.peak_bdd_nodes);
   w.u64(v.bdd_stats.peak_nodes);
   w.u64(v.bdd_stats.unique_hits);
@@ -295,10 +292,7 @@ void write_value(Writer& w, const synth::SynthesisResult& v) {
 
 void read_value(Reader& r, synth::SynthesisResult& v) {
   v.verdict = static_cast<synth::Realizability>(r.u32());
-  v.substrate_used = r.str();
   v.state_bits = r.u64();
-  v.ucw_states = r.u64();
-  v.game_positions = r.u64();
   v.peak_bdd_nodes = r.u64();
   v.bdd_stats.peak_nodes = r.u64();
   v.bdd_stats.unique_hits = r.u64();

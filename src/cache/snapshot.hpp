@@ -46,11 +46,13 @@
 namespace speccc::cache {
 
 /// Current snapshot format version; load() rejects everything else.
-/// Version 4 dropped the per-requirement satisfiability section (the
-/// screen is no longer memoized); version 3 dropped the synthesis record's
-/// seconds; a version-2 file can hold a solo tableau's kUnknown, which
-/// stage 2 now completes with auto.
-inline constexpr std::uint32_t kSnapshotVersion = 4;
+/// Version 5 dropped the synthesis record's engine name and bounded-engine
+/// counters, and the substrate and bounded options left the synthesis and
+/// refinement keys; version 4 dropped the per-requirement satisfiability
+/// section (the screen is no longer memoized); version 3 dropped the
+/// synthesis record's seconds; a version-2 file can hold a solo tableau's
+/// kUnknown.
+inline constexpr std::uint32_t kSnapshotVersion = 5;
 
 /// Why a snapshot was rejected (load) or could not be written (save).
 enum class SnapshotErrorKind {

@@ -231,11 +231,6 @@ void fold_signature(util::DigestBuilder& builder,
 
 void fold_options(util::DigestBuilder& builder,
                   const synth::SynthesisOptions& options) {
-  builder.u64(static_cast<std::uint64_t>(options.bounded.max_k));
-  builder.u64(options.bounded.extract ? 1 : 0);
-  builder.u64(options.bounded.max_alphabet_bits);
-  builder.u64(options.bounded.max_game_positions);
-  builder.u64(options.bounded.max_ucw_states);
   builder.u64(options.symbolic.extract ? 1 : 0);
   builder.u64(options.symbolic.max_extract_inputs);
 }
@@ -250,13 +245,11 @@ void fold_formulas(util::DigestBuilder& builder,
 
 util::Digest synthesis_key(const std::vector<ltl::Formula>& formulas,
                            const synth::IoSignature& signature,
-                           const synth::SynthesisOptions& options,
-                           std::string_view substrate) {
+                           const synth::SynthesisOptions& options) {
   util::DigestBuilder builder("synthesis");
   fold_formulas(builder, formulas);
   fold_signature(builder, signature);
   fold_options(builder, options);
-  builder.str(substrate);
   return builder.finalize();
 }
 

@@ -13,7 +13,7 @@
 //
 //   Level 2 (per spec): decision artifacts keyed by ltl::canonical_digest
 //     -- the whole-spec synthesis verdict (keyed by formulas + I/O
-//     signature + engine options + substrate), the refinement
+//     signature + engine options), the refinement
 //     outcome, and the time-abstraction solution (keyed by Theta + budget
 //     + signs). A repeated spec skips synthesis entirely. The
 //     per-requirement satisfiability screen is not memoized: it is a
@@ -305,21 +305,15 @@ template <Kind K, typename KeyFn, typename ComputeFn>
 /// capitalization is grammatically meaningful (proper names).
 [[nodiscard]] std::string normalize_sentence(std::string_view text);
 
-/// Level 2: whole-spec synthesis (formulas in order, signature, options,
-/// and the substrate name -- "auto", "bounded" or "symbolic": every
-/// substrate reaches the same verdict, but the result names the engine
-/// that answered).
+/// Level 2: whole-spec synthesis (formulas in order, signature, options).
 [[nodiscard]] util::Digest synthesis_key(const std::vector<ltl::Formula>& formulas,
                                          const synth::IoSignature& signature,
-                                         const synth::SynthesisOptions& options,
-                                         std::string_view substrate);
+                                         const synth::SynthesisOptions& options);
 
 /// Level 2: stage-3 refinement (formulas, initial partition via the
 /// signature it induces, synthesis options, localization options -- the
 /// cached outcome embeds the correction sets, which depend on the
-/// enumeration cap). No substrate: a probe reads "kRealizable or not",
-/// and every substrate reaches auto's verdict (core::decide), so the
-/// outcome is the same under every substrate.
+/// enumeration cap).
 [[nodiscard]] util::Digest refinement_key(
     const std::vector<ltl::Formula>& formulas,
     const synth::IoSignature& signature,

@@ -2,6 +2,7 @@
 
 #include <set>
 
+#include "diag/diag.hpp"
 #include "util/diagnostics.hpp"
 
 namespace speccc::core {
@@ -12,7 +13,10 @@ Pipeline::Pipeline(PipelineOptions options)
       dictionary_(
           options_.dictionary.value_or(semantics::AntonymDictionary::builtin())),
       translator_(lexicon_, dictionary_, options_.translation,
-                  options_.cache.get()) {}
+                  options_.cache.get()) {
+  // Stage 2, the screen and every stage-3 probe poll this one predicate.
+  options_.synthesis.symbolic.cancelled = options_.cancelled;
+}
 
 translate::TranslationResult Pipeline::translate(
     const std::vector<translate::RequirementText>& requirements,
@@ -35,8 +39,7 @@ translate::TranslationResult Pipeline::translate(
 
 PipelineResult Pipeline::run(
     const std::string& name,
-    const std::vector<translate::RequirementText>& requirements,
-    std::optional<Substrate> substrate_override) const {
+    const std::vector<translate::RequirementText>& requirements) const {
   PipelineResult result;
   result.name = name;
 
@@ -61,21 +64,13 @@ PipelineResult Pipeline::run(
   poll_cancel("synthesis");
   const synth::IoSignature signature = result.partition.signature();
 
-  // Every realizability question of the run goes through core::decide with
-  // the run's substrate (the per-run override beats the configured one),
-  // options and CancelFn.
-  const Substrate substrate = substrate_override.value_or(options_.substrate);
   util::Stopwatch stage2;
   result.synthesis = cache::memoize<cache::Kind::kSynthesis>(
       store,
       [&] {
-        return cache::synthesis_key(formulas, signature, options_.synthesis,
-                                    substrate_name(substrate));
+        return cache::synthesis_key(formulas, signature, options_.synthesis);
       },
-      [&] {
-        return decide(substrate, formulas, signature, options_.synthesis,
-                      options_.cancelled);
-      });
+      [&] { return synth::synthesize(formulas, signature, options_.synthesis); });
   result.synthesis_seconds = stage2.seconds();
   result.consistent =
       result.synthesis.verdict == synth::Realizability::kRealizable;
@@ -83,12 +78,7 @@ PipelineResult Pipeline::run(
   // ---- Stage 3: satisfiability screen and refinement loop --------------------
   if (!result.consistent) {
     util::Stopwatch stage3;
-    const synth::Decide probe = [&](const std::vector<ltl::Formula>& subset,
-                                    const synth::IoSignature& probe_signature) {
-      return decide(substrate, subset, probe_signature, options_.synthesis,
-                    options_.cancelled)
-          .verdict;
-    };
+    const synth::Decide probe = diag::synthesize_decide(options_.synthesis);
 
     // An unsatisfiable requirement makes the whole specification
     // unimplementable regardless of the partition. With every proposition

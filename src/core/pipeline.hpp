@@ -9,6 +9,7 @@
 //            adjustment), feeding back into stage 2.
 #pragma once
 
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -16,7 +17,6 @@
 #include <vector>
 
 #include "cache/store.hpp"
-#include "core/substrate.hpp"
 #include "partition/partition.hpp"
 #include "refine/refine.hpp"
 #include "semantics/antonyms.hpp"
@@ -26,18 +26,33 @@
 
 namespace speccc::core {
 
+/// Cooperative cancellation predicate: polled at stage boundaries and
+/// inside the symbolic engine's fixpoint rounds. Returning true makes the
+/// run throw util::CancelledError at its next poll point. A null functor
+/// is never cancelled.
+using CancelFn = std::function<bool()>;
+
+/// Per-run limits, polled cooperatively at pipeline stage boundaries (and,
+/// through CancelFn plumbing, inside the synthesis engine). Shared by batch
+/// workers and the serve layer (batch::RunLimits is an alias).
+struct RunLimits {
+  /// Wall-clock budget in seconds for this run; 0 means unlimited. The
+  /// serve layer derives it from the request deadline.
+  double budget_seconds = 0.0;
+  /// External cancellation (batch-wide cancel, serve shutdown); null
+  /// means never cancelled.
+  const std::atomic<bool>* cancel = nullptr;
+};
+
 struct PipelineOptions {
   translate::Options translation;
   /// Section IV-E: rewrite Next chains with the optimal divisor abstraction.
   bool time_abstraction = true;
   std::uint32_t error_budget = 5;  // the paper's B
+  /// Options of every realizability question of the run -- stage 2, the
+  /// satisfiability screen and each stage-3 probe (synth::synthesize).
+  /// The pipeline installs `cancelled` as synthesis.symbolic.cancelled.
   synth::SynthesisOptions synthesis;
-  /// Decision substrate of every realizability question of the run --
-  /// stage 2, the satisfiability screen and each stage-3 probe
-  /// (core::decide; see core/substrate.hpp). An abstention (bounded past
-  /// its caps) is completed by auto, so canonical output is byte-identical
-  /// under every substrate.
-  Substrate substrate = Substrate::kAuto;
   partition::Overrides partition_overrides;
   /// Stage 3: run localization + partition adjustment when unrealizable.
   bool refine_on_failure = true;
@@ -45,7 +60,7 @@ struct PipelineOptions {
   /// enumerate for genuinely inconsistent specifications.
   refine::LocalizeOptions localization;
   /// Not settable: the satisfiability screen always runs when stage 2 is
-  /// not realizable, through core::decide, on every requirement. These two
+  /// not realizable, through synth::synthesize, on every requirement. These two
   /// constants exist only for the end-to-end benchmark's replica of the old
   /// tableau screen (perfbench/driver.cpp) and its stratum draw, which
   /// must keep drawing the same pools.
@@ -62,13 +77,12 @@ struct PipelineOptions {
   std::optional<nlp::Lexicon> lexicon;
   std::optional<semantics::AntonymDictionary> dictionary;
   /// Cooperative cancellation: polled at stage boundaries (before
-  /// translation, synthesis, and refinement) and inside the substrate
+  /// translation, synthesis, and refinement) and inside the symbolic
   /// engine of every realizability question -- stage 2, each
-  /// satisfiability-screen question and each stage-3 probe -- whatever the
-  /// spec (auto included). When it returns true the run throws
-  /// util::CancelledError. Stage 1 runs to completion once started. Null
-  /// means never cancelled.
-  std::function<bool()> cancelled;
+  /// satisfiability-screen question and each stage-3 probe. When it
+  /// returns true the run throws util::CancelledError. Stage 1 runs to
+  /// completion once started. Null means never cancelled.
+  CancelFn cancelled;
   /// Cross-spec memoization (cache/store.hpp); null disables caching.
   /// The store is thread-safe and content-addressed: share ONE store
   /// across pipelines and batch workers (batch does this automatically
@@ -116,13 +130,10 @@ class Pipeline {
   Pipeline(const Pipeline&) = delete;
   Pipeline& operator=(const Pipeline&) = delete;
 
-  /// Run the full loop on a named specification. `substrate_override`
-  /// (serve's per-request "substrate" field) replaces options().substrate
-  /// for this run only.
+  /// Run the full loop on a named specification.
   [[nodiscard]] PipelineResult run(
       const std::string& name,
-      const std::vector<translate::RequirementText>& requirements,
-      std::optional<Substrate> substrate_override = std::nullopt) const;
+      const std::vector<translate::RequirementText>& requirements) const;
 
   /// Stage 1 up to the formulas: one translation pass whose Theta goes
   /// through the (memoized) time abstraction. Sets `abstraction` when one

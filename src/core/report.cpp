@@ -64,7 +64,7 @@ std::string describe(const PipelineResult& result) {
   os << "  stage 1 (translation): " << std::fixed << std::setprecision(4)
      << result.translation_seconds << " s\n";
   os << "  stage 2 (synthesis):   " << result.synthesis_seconds
-     << " s, substrate " << result.synthesis.substrate_used << "\n";
+     << " s\n";
   if (result.refinement.has_value()) {
     os << "  stage 3 (refinement):  " << result.refinement_seconds << " s, "
        << result.refinement->checks << " realizability checks\n";

@@ -88,8 +88,9 @@ struct Diagnosis {
                                  const CoreOracle& oracle,
                                  const Options& options = {});
 
-/// synth::synthesize's verdict under `options` (auto routing, never
-/// cancelled); the pipeline passes core::decide bound to its run instead.
+/// synth::synthesize's verdict under `options`, polling
+/// options.symbolic.cancelled (the pipeline installs its run's CancelFn
+/// there).
 [[nodiscard]] synth::Decide synthesize_decide(
     synth::SynthesisOptions options = {});
 

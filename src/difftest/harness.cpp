@@ -1,8 +1,13 @@
 #include "difftest/harness.hpp"
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
 #include <ostream>
 #include <sstream>
 
+#include "batch/corpus_tasks.hpp"
+#include "corpus/loaders.hpp"
 #include "difftest/shrink.hpp"
 #include "util/diagnostics.hpp"
 
@@ -10,44 +15,7 @@ namespace speccc::difftest {
 
 namespace {
 
-// splitmix64 finalizer: decorrelates (seed, kind, index) triples.
 constexpr auto mix = util::Rng::mix;
-
-}  // namespace
-
-std::uint64_t case_seed(std::uint64_t master_seed, CaseKind kind, int index) {
-  std::uint64_t kind_salt = 0;
-  switch (kind) {
-    case CaseKind::kFormula: kind_salt = 0x666f726d756c6130ULL; break;
-    case CaseKind::kSpec: kind_salt = 0x7370656343617365ULL; break;
-    case CaseKind::kPlanted: kind_salt = 0x706c616e74656421ULL; break;
-  }
-  return mix(master_seed + 0x9e3779b97f4a7c15ULL *
-                               (static_cast<std::uint64_t>(index) + 1) +
-             kind_salt);
-}
-
-GeneratedSpec generated_spec(std::uint64_t master_seed, int index,
-                             const SpecConfig& config) {
-  const std::uint64_t cs = case_seed(master_seed, CaseKind::kSpec, index);
-  util::Rng generation(cs);
-  const corpus::SpecScale scale = random_scale(
-      generation, config, "fuzz" + std::to_string(index), mix(cs + 1));
-  const corpus::Theme theme = generation.chance(1, 2)
-                                  ? corpus::device_theme()
-                                  : corpus::application_theme();
-  return {scale.name, corpus::generate_spec(scale, theme)};
-}
-
-PlantedSpec generated_planted_spec(std::uint64_t master_seed, int index,
-                                   const FaultConfig& config) {
-  const std::uint64_t cs = case_seed(master_seed, CaseKind::kPlanted, index);
-  util::Rng generation(cs);
-  return plant_faults(generation, config,
-                      "planted" + std::to_string(index), mix(cs + 1));
-}
-
-namespace {
 
 void narrate(const RunOptions& options, const std::string& line) {
   if (options.progress != nullptr) *options.progress << line << "\n";
@@ -60,6 +28,11 @@ std::string reproduce_command(const RunOptions& options, CaseKind kind,
   static const RunOptions defaults;
   std::ostringstream out;
   out << "speccc_fuzz --seed " << options.seed;
+  if (kind == CaseKind::kFixed) {
+    // Fixed cases need no generation: the seed-only run re-checks them.
+    out << " --formulas 0 --specs 0";
+    return out.str();
+  }
   if (options.formula.max_depth != defaults.formula.max_depth) {
     out << " --max-depth " << options.formula.max_depth;
   }
@@ -120,11 +93,11 @@ void run_formula_case(const RunOptions& options, int index, RunReport& report) {
   report.failures.push_back(std::move(failure));
 }
 
-void run_spec_case(const RunOptions& options, int index, RunReport& report) {
-  const std::uint64_t cs = case_seed(options.seed, CaseKind::kSpec, index);
-  const SpecCase spec = build_spec_case(
-      generated_spec(options.seed, index, options.spec).requirements);
-
+/// Check one specification case and, on failure, shrink and record it.
+void check_spec_case(const RunOptions& options, CaseKind kind, int index,
+                     const std::string& name, const SpecCase& spec,
+                     RunReport& report) {
+  const std::uint64_t cs = case_seed(options.seed, kind, index);
   const std::uint64_t oracle_seed = mix(cs);
   const auto oracle_message = [&](const std::vector<ltl::Formula>& requirements)
       -> std::optional<std::string> {
@@ -132,16 +105,17 @@ void run_spec_case(const RunOptions& options, int index, RunReport& report) {
     return check_spec({requirements, spec.signature}, rng, options.oracle);
   };
 
-  ++report.specs_checked;
+  ++(kind == CaseKind::kFixed ? report.fixed_checked : report.specs_checked);
   const auto message = oracle_message(spec.requirements);
   if (!message) return;
 
   CaseFailure failure;
-  failure.kind = CaseKind::kSpec;
+  failure.kind = kind;
   failure.index = index;
+  failure.name = name;
   failure.case_seed = cs;
   failure.detail = *message;
-  failure.reproduce = reproduce_command(options, CaseKind::kSpec, index);
+  failure.reproduce = reproduce_command(options, kind, index);
   failure.shrunk_spec = spec.requirements;
   if (options.shrink) {
     failure.shrunk_spec = shrink_spec(
@@ -150,12 +124,41 @@ void run_spec_case(const RunOptions& options, int index, RunReport& report) {
         });
   }
   failure.shrunk_detail = oracle_message(failure.shrunk_spec).value_or(*message);
-  narrate(options, "FAIL spec case " + std::to_string(index) + ": " +
-                       failure.shrunk_detail);
+  narrate(options, "FAIL spec case " + std::to_string(index) + " " + name +
+                       ": " + failure.shrunk_detail);
   report.failures.push_back(std::move(failure));
 }
 
+void run_spec_case(const RunOptions& options, int index, RunReport& report) {
+  const GeneratedSpec generated = generated_spec(options.seed, index, options.spec);
+  check_spec_case(options, CaseKind::kSpec, index, generated.name,
+                  build_spec_case(generated.requirements), report);
+}
+
 }  // namespace
+
+std::vector<batch::SpecTask> fixed_spec_cases(const std::string& examples_dir) {
+  namespace fs = std::filesystem;
+  std::vector<batch::SpecTask> cases = batch::table1_tasks();
+  std::vector<fs::path> files;
+  const fs::path specs = fs::path(examples_dir) / "specs";
+  if (fs::is_directory(specs)) {
+    for (const auto& entry : fs::recursive_directory_iterator(specs)) {
+      if (entry.path().extension() == ".txt") files.push_back(entry.path());
+    }
+  }
+  if (files.empty()) {
+    throw util::InvalidInputError("no example specification (*.txt) under " +
+                                  specs.string());
+  }
+  std::sort(files.begin(), files.end());
+  for (const fs::path& file : files) {
+    std::ifstream in(file);
+    cases.push_back({fs::relative(file, specs).generic_string(),
+                     corpus::load_requirements(in)});
+  }
+  return cases;
+}
 
 RunReport run(const RunOptions& options) {
   RunReport report;
@@ -201,6 +204,14 @@ RunReport run(const RunOptions& options) {
                   "lower the formula depth");
     }
   }
+  for (std::size_t i = 0; i < options.fixed_specs.size(); ++i) {
+    if (static_cast<int>(report.failures.size()) >= options.max_failures) {
+      break;
+    }
+    const batch::SpecTask& fixed = options.fixed_specs[i];
+    check_spec_case(options, CaseKind::kFixed, static_cast<int>(i), fixed.name,
+                    build_spec_case(fixed.requirements), report);
+  }
   for (int i = 0; i < options.spec_cases; ++i) {
     if (static_cast<int>(report.failures.size()) >= options.max_failures) {
       break;
@@ -216,13 +227,17 @@ std::string describe(const RunReport& report) {
   if (report.formulas_skipped > 0) {
     out << " (+" << report.formulas_skipped << " skipped at the tableau cap)";
   }
-  out << ", " << report.specs_checked << " spec case(s), "
-      << report.failures.size() << " failure(s)\n";
+  out << ", " << report.fixed_checked << " fixed spec case(s), "
+      << report.specs_checked << " spec case(s), " << report.failures.size()
+      << " failure(s)\n";
   for (const CaseFailure& failure : report.failures) {
     out << "\n"
-        << (failure.kind == CaseKind::kFormula ? "formula" : "spec")
-        << " case " << failure.index << " (case seed " << failure.case_seed
-        << ")\n"
+        << (failure.kind == CaseKind::kFormula ? "formula"
+            : failure.kind == CaseKind::kFixed ? "fixed spec"
+                                               : "spec")
+        << " case " << failure.index;
+    if (!failure.name.empty()) out << " " << failure.name;
+    out << " (case seed " << failure.case_seed << ")\n"
         << "  property:  " << failure.detail << "\n";
     if (failure.kind == CaseKind::kFormula) {
       out << "  minimized: " << ltl::to_string(failure.shrunk) << "\n";

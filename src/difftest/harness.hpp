@@ -6,7 +6,9 @@
 // case_seed(master_seed, kind, index) alone, so a failure report's
 // `reproduce` field ("speccc_fuzz --seed S --formula-case K") replays
 // exactly one case -- generation, oracle randomness, and shrinking
-// included -- without re-running the cases before it.
+// included -- without re-running the cases before it. Fixed cases (the
+// corpus specifications of RunOptions::fixed_specs) need no generation;
+// their oracle randomness derives from the seed and their position.
 #pragma once
 
 #include <cstdint>
@@ -14,17 +16,19 @@
 #include <string>
 #include <vector>
 
+#include "batch/batch.hpp"
 #include "difftest/oracle.hpp"
 #include "difftest/random.hpp"
 
 namespace speccc::difftest {
 
-enum class CaseKind { kFormula, kSpec, kPlanted };
-
 struct RunOptions {
   std::uint64_t seed = 1;
   int formula_cases = 500;
   int spec_cases = 50;
+  /// Fixed specifications checked on every seed, before the generated
+  /// spec cases (see fixed_spec_cases).
+  std::vector<batch::SpecTask> fixed_specs;
   FormulaConfig formula;
   SpecConfig spec;
   OracleOptions oracle;
@@ -42,6 +46,7 @@ struct RunOptions {
 struct CaseFailure {
   CaseKind kind = CaseKind::kFormula;
   int index = 0;
+  std::string name;            // kFixed: the specification's name
   std::uint64_t case_seed = 0;
   std::string detail;          // oracle message for the original case
   std::string reproduce;       // one command to replay exactly this case
@@ -56,37 +61,21 @@ struct RunReport {
   /// OracleOptions::max_tableau_nodes (reported, never silent).
   int formulas_skipped = 0;
   int specs_checked = 0;
+  int fixed_checked = 0;
   std::vector<CaseFailure> failures;
 
   [[nodiscard]] bool ok() const { return failures.empty(); }
 };
 
-/// Derived per-case seed (splitmix64 of master seed and case index).
-[[nodiscard]] std::uint64_t case_seed(std::uint64_t master_seed, CaseKind kind,
-                                      int index);
+/// The fixed corpus cases of the spec lane: the 22 Table I rows, then every
+/// *.txt under `examples_dir`/specs, recursively, in path order (the
+/// example specifications and their faults). Throws util::InvalidInputError
+/// when the directory holds no specification.
+[[nodiscard]] std::vector<batch::SpecTask> fixed_spec_cases(
+    const std::string& examples_dir);
 
-/// The generated requirement texts of spec case `index` under
-/// `master_seed` -- the single home of the scale/theme derivation, shared
-/// by run(), speccc_batch --generate, and batch_test, so "batch task k ==
-/// fuzz spec case k" stays true by construction.
-struct GeneratedSpec {
-  std::string name;  // "fuzz<index>"
-  std::vector<translate::RequirementText> requirements;
-};
-[[nodiscard]] GeneratedSpec generated_spec(std::uint64_t master_seed,
-                                           int index,
-                                           const SpecConfig& config = {});
-
-/// Planted-fault spec case `index` under `master_seed`: a consistent base
-/// spec with known inconsistent sentence groups woven in (see
-/// random.hpp's plant_faults). Its own CaseKind salt, so planted cases
-/// never collide with the ordinary spec stream of the same seed. This is
-/// the ground-truth workload for the diag localization oracle tests.
-[[nodiscard]] PlantedSpec generated_planted_spec(std::uint64_t master_seed,
-                                                 int index,
-                                                 const FaultConfig& config = {});
-
-/// Run the harness: formula cases first, then spec cases.
+/// Run the harness: formula cases first, then the fixed specs, then the
+/// generated spec cases.
 [[nodiscard]] RunReport run(const RunOptions& options);
 
 /// Human-readable report: every failure with its minimized form and

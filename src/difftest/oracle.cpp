@@ -104,7 +104,7 @@ SpecCase build_spec_case(
   // Both the GPVW tableau and the counter game are exponential in the
   // Next-chain length, so deadlines are additionally clamped to a few
   // ticks after abstraction. The clamp is part of case *generation* --
-  // every substrate sees the same clamped formulas -- so the cross-check
+  // every engine sees the same clamped formulas -- so the cross-check
   // stays meaningful while the worst case stays time-bounded.
   const auto translation = translator.translate(
       texts, [](const std::vector<std::uint32_t>& thetas) -> translate::TickMapper {
@@ -177,17 +177,27 @@ std::optional<std::string> check_spec(const SpecCase& spec, util::Rng& rng,
   const Evaluator eval = resolve(options);
   const Formula conjunction = ltl::land(spec.requirements);
 
+  // The bounded engine and controller checking enumerate the alphabet:
+  // past the bounded cap (most Table I rows) bounded abstains and no
+  // controller is extracted, so only the symbolic verdict remains.
+  const bool enumerable =
+      spec.signature.inputs.size() + spec.signature.outputs.size() <=
+      options.bounded.max_alphabet_bits;
+
   synth::SymbolicOptions symbolic_options;
-  symbolic_options.extract = true;
+  symbolic_options.extract = enumerable;
   const auto symbolic = synth::symbolic_synthesize(
       spec.requirements, spec.signature, symbolic_options);
 
   synth::BoundedOptions bounded_options = options.bounded;
   bounded_options.extract = true;
-  const auto bounded =
-      synth::bounded_synthesize(conjunction, spec.signature, bounded_options);
+  synth::BoundedOutcome bounded;
+  if (enumerable) {
+    bounded = synth::bounded_synthesize(conjunction, spec.signature,
+                                        bounded_options);
+  }
 
-  // Engine agreement: opposite definite verdicts are a substrate bug.
+  // Engine agreement: opposite definite verdicts are an engine bug.
   if (symbolic && definite(symbolic->verdict) && definite(bounded.verdict) &&
       symbolic->verdict != bounded.verdict) {
     return std::string("engine disagreement: symbolic says ") +

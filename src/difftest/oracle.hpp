@@ -1,11 +1,12 @@
-// Cross-check properties over the three decision substrates.
+// Cross-check properties: the product engine against the reference oracles.
 //
-// The consistency verdict of the paper rests on independent engines
-// agreeing: the GPVW tableau decides LTL satisfiability, bounded synthesis
-// decides realizability by explicit safety games, and the symbolic engine
-// decides it by BDD fixpoints over pattern monitors. The oracle pits them
-// against each other and against the textbook lasso semantics of
-// ltl/trace.hpp:
+// The product decides every realizability question with the symbolic
+// engine (BDD fixpoints over pattern monitors). Three independent
+// reference engines check it here and nowhere else: the GPVW tableau
+// decides LTL satisfiability, bounded synthesis decides realizability by
+// explicit safety games, and synth/verify model-checks controllers. The
+// oracle pits them against each other and against the textbook lasso
+// semantics of ltl/trace.hpp:
 //
 //   check_formula(f):
 //     * a satisfiability witness for f (and for !f) must satisfy the
@@ -17,13 +18,15 @@
 //
 //   check_spec(spec, signature):
 //     * bounded and symbolic synthesis must not return opposite definite
-//       realizability verdicts (kUnknown never counts as disagreement);
+//       realizability verdicts (kUnknown never counts as disagreement;
+//       past bounded's alphabet cap it abstains and no controller is
+//       extracted);
 //     * every extracted Mealy controller must model-check (synth/verify)
 //       against the conjoined specification and each requirement;
 //     * controllers replayed on random input lassos must produce traces
 //       satisfying every requirement under trace evaluation.
 //
-// The trace evaluator is injectable so tests can plant a broken substrate
+// The trace evaluator is injectable so tests can plant a broken evaluator
 // and watch the harness catch and shrink it.
 #pragma once
 

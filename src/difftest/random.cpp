@@ -169,4 +169,44 @@ corpus::SpecScale random_scale(util::Rng& rng, const SpecConfig& config,
   return scale;
 }
 
+namespace {
+
+// splitmix64 finalizer: decorrelates (seed, kind, index) triples.
+constexpr auto mix = util::Rng::mix;
+
+}  // namespace
+
+std::uint64_t case_seed(std::uint64_t master_seed, CaseKind kind, int index) {
+  std::uint64_t kind_salt = 0;
+  switch (kind) {
+    case CaseKind::kFormula: kind_salt = 0x666f726d756c6130ULL; break;
+    case CaseKind::kSpec: kind_salt = 0x7370656343617365ULL; break;
+    case CaseKind::kPlanted: kind_salt = 0x706c616e74656421ULL; break;
+    case CaseKind::kFixed: kind_salt = 0x6669786564436173ULL; break;
+  }
+  return mix(master_seed + 0x9e3779b97f4a7c15ULL *
+                               (static_cast<std::uint64_t>(index) + 1) +
+             kind_salt);
+}
+
+GeneratedSpec generated_spec(std::uint64_t master_seed, int index,
+                             const SpecConfig& config) {
+  const std::uint64_t cs = case_seed(master_seed, CaseKind::kSpec, index);
+  util::Rng generation(cs);
+  const corpus::SpecScale scale = random_scale(
+      generation, config, "fuzz" + std::to_string(index), mix(cs + 1));
+  const corpus::Theme theme = generation.chance(1, 2)
+                                  ? corpus::device_theme()
+                                  : corpus::application_theme();
+  return {scale.name, corpus::generate_spec(scale, theme)};
+}
+
+PlantedSpec generated_planted_spec(std::uint64_t master_seed, int index,
+                                   const FaultConfig& config) {
+  const std::uint64_t cs = case_seed(master_seed, CaseKind::kPlanted, index);
+  util::Rng generation(cs);
+  return plant_faults(generation, config,
+                      "planted" + std::to_string(index), mix(cs + 1));
+}
+
 }  // namespace speccc::difftest

@@ -1,10 +1,12 @@
-// Seeded random-input generators for the differential oracle harness.
+// Seeded random-input generators for the differential oracle harness and
+// the generated corpora (speccc_batch / speccc_load --generate).
 //
 // Everything here is a pure function of a util::Rng stream, so a single
 // 64-bit seed reproduces any generated formula, lasso, or specification
-// scale bit-for-bit. The harness (difftest/harness.hpp) derives one seed
-// per case, which is what makes every reported failure a one-command
-// reproduction.
+// scale bit-for-bit. case_seed derives one seed per case, which is what
+// makes every reported harness failure a one-command reproduction. The
+// generators build into the speccc library (the product tools draw their
+// --generate corpora here); the oracles that check them do not.
 #pragma once
 
 #include <cstdint>
@@ -111,5 +113,32 @@ struct PlantedSpec {
                                        const FaultConfig& config,
                                        std::string name,
                                        std::uint64_t base_seed);
+
+enum class CaseKind { kFormula, kSpec, kPlanted, kFixed };
+
+/// Derived per-case seed (splitmix64 of master seed and case index).
+[[nodiscard]] std::uint64_t case_seed(std::uint64_t master_seed, CaseKind kind,
+                                      int index);
+
+/// The generated requirement texts of spec case `index` under
+/// `master_seed` -- the single home of the scale/theme derivation, shared
+/// by the harness's run(), speccc_batch --generate, and batch_test, so
+/// "batch task k == fuzz spec case k" stays true by construction.
+struct GeneratedSpec {
+  std::string name;  // "fuzz<index>"
+  std::vector<translate::RequirementText> requirements;
+};
+[[nodiscard]] GeneratedSpec generated_spec(std::uint64_t master_seed,
+                                           int index,
+                                           const SpecConfig& config = {});
+
+/// Planted-fault spec case `index` under `master_seed`: a consistent base
+/// spec with known inconsistent sentence groups woven in (see
+/// plant_faults). Its own CaseKind salt, so planted cases never collide
+/// with the ordinary spec stream of the same seed. This is the
+/// ground-truth workload for the diag localization oracle tests.
+[[nodiscard]] PlantedSpec generated_planted_spec(std::uint64_t master_seed,
+                                                 int index,
+                                                 const FaultConfig& config = {});
 
 }  // namespace speccc::difftest

@@ -156,4 +156,85 @@ std::optional<PatternInstance> recognize_pattern(Formula f) {
   }
 }
 
+namespace {
+
+bool decompose_into(Formula f, std::vector<PatternInstance>& out) {
+  if (auto p = recognize_pattern(f)) {
+    out.push_back(*p);
+    return true;
+  }
+  if (f.op() != Op::kAlways) return false;
+  std::vector<Formula> guards;
+  const Formula rest = peel_guards(f.child(0), guards);
+  const Formula guard = guards.empty() ? tru() : land(guards);
+  // Every recursive call below gets a strictly smaller consequent or
+  // antecedent, so the decomposition terminates.
+  switch (rest.op()) {
+    case Op::kAnd:
+      for (const Formula c : rest.children()) {
+        if (!decompose_into(always(implies(guard, c)), out)) return false;
+      }
+      return true;
+    case Op::kOr: {
+      std::vector<Formula> now;
+      std::optional<Formula> later;
+      for (const Formula c : rest.children()) {
+        if (c.is_propositional()) {
+          now.push_back(c);
+        } else if (later.has_value()) {
+          return false;  // two temporal disjuncts
+        } else {
+          later = c;
+        }
+      }
+      if (!later.has_value()) return false;
+      return decompose_into(always(implies(land(guard, lnot(lor(now))), *later)),
+                            out);
+    }
+    case Op::kImplies: {
+      // peel_guards stopped at a temporal antecedent.
+      const Formula ante = rest.child(0);
+      const Formula post = rest.child(1);
+      if (ante.op() == Op::kOr) {
+        for (const Formula a : ante.children()) {
+          if (!decompose_into(always(implies(guard, implies(a, post))), out)) {
+            return false;
+          }
+        }
+        return true;
+      }
+      std::vector<Formula> now{guard};
+      std::optional<Formula> later;
+      const std::vector<Formula> parts =
+          ante.op() == Op::kAnd ? ante.children() : std::vector<Formula>{ante};
+      for (const Formula a : parts) {
+        if (a.is_propositional()) {
+          now.push_back(a);
+        } else if (later.has_value()) {
+          return false;  // two temporal conjuncts
+        } else {
+          later = a;
+        }
+      }
+      if (!later.has_value() || !post.is_propositional()) return false;
+      // The rewritten formula is a guard-delayed instance or nothing;
+      // recognizing it directly (not decomposing) ends the recursion.
+      auto p = recognize_pattern(always(implies(*later, implies(land(now), post))));
+      if (!p.has_value()) return false;
+      out.push_back(*p);
+      return true;
+    }
+    default:
+      return false;
+  }
+}
+
+}  // namespace
+
+std::optional<std::vector<PatternInstance>> decompose_patterns(Formula f) {
+  std::vector<PatternInstance> instances;
+  if (!decompose_into(f, instances)) return std::nullopt;
+  return instances;
+}
+
 }  // namespace speccc::ltl

@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <optional>
+#include <vector>
 
 #include "ltl/formula.hpp"
 
@@ -63,8 +64,21 @@ struct PatternInstance {
 /// Try to recognize `f` as one of the monitorable patterns. Nested
 /// implications in the consequent are normalized into the guard
 /// (g1 -> (g2 -> c) becomes (g1 && g2) -> c). Returns std::nullopt when the
-/// formula falls outside the fragment; callers then fall back to the
-/// general bounded-synthesis engine.
+/// formula is not a single pattern instance; decompose_patterns below
+/// splits the coordinated shapes the translator also emits.
 [[nodiscard]] std::optional<PatternInstance> recognize_pattern(Formula f);
+
+/// Decompose `f` into pattern instances whose conjunction is equivalent to
+/// it: recognize_pattern, extended by sound rewrites of the shapes that
+/// coordinated clauses produce --
+///   G (g -> c1 && c2)        == G (g -> c1) && G (g -> c2)
+///   G (g -> p || t)          == G (g && !p -> t)          (p propositional)
+///   G (g -> (a || b -> c))   == G (g -> (a -> c)) && G (g -> (b -> c))
+///   G (g -> (X^n h && q -> c)) == G (X^n h -> (g && q -> c))
+/// (g, q, c propositional; g may be absent). Returns std::nullopt when some
+/// part falls outside the fragment. This is the fragment the translator
+/// admits and the symbolic engine compiles.
+[[nodiscard]] std::optional<std::vector<PatternInstance>> decompose_patterns(
+    Formula f);
 
 }  // namespace speccc::ltl

@@ -147,17 +147,6 @@ ParsedRequest parse_request(std::string_view line) {
       fail("\"deadline_ms\" must be >= 0 and fit the server clock");
     }
     request.deadline_seconds = deadline_ms / 1000.0;
-    // Optional per-request substrate override ("auto", "bounded" or
-    // "symbolic"); anything else is a protocol error like any other
-    // malformed field.
-    const std::string substrate = optional_string(doc, "substrate");
-    if (!substrate.empty()) {
-      try {
-        request.substrate = core::parse_substrate(substrate);
-      } catch (const util::InvalidInputError& e) {
-        fail(e.what());
-      }
-    }
   } else {
     fail("unknown method \"" + method + "\"");
   }
@@ -188,9 +177,6 @@ std::string render_response(const Response& response) {
       o["canonical"] = json::Value(canonical_field(r));
       put_ms(o, "queue_ms", response.queue_seconds);
       put_ms(o, "run_ms", r.seconds);
-      // Which engine decided the spec: a diagnostic, never part of
-      // "canonical".
-      if (!r.substrate.empty()) o["substrate"] = json::Value(r.substrate);
       // Per-request cache accounting (thread-local deltas); all-zero when
       // the server runs without a store, so only emitted when non-zero.
       const cache::StatsSnapshot& c = r.cache;

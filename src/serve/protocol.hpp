@@ -8,12 +8,10 @@
 //   check     {"method":"check","id":"r1","name":"spec-1",
 //              "requirements":["the door is open", ...]        // or
 //              "requirements":[{"id":"R1","text":"..."}, ...],
-//              "priority":0, "deadline_ms":500, "substrate":"auto"}
-//             id defaults to name; priority, deadline_ms and substrate
-//             are optional (deadline_ms 0 / absent = the server default;
-//             substrate absent = the server's --substrate). priority must
-//             be an integer in int range, and substrate one of auto,
-//             bounded, symbolic.
+//              "priority":0, "deadline_ms":500}
+//             id defaults to name; priority and deadline_ms are optional
+//             (deadline_ms 0 / absent = the server default). priority
+//             must be an integer in int range. Unknown keys are ignored.
 //   ping      {"method":"ping","id":"p1"}           liveness probe
 //   stats     {"method":"stats","id":"s1"}          service + cache counters
 //   shutdown  {"method":"shutdown","id":"q1"}       drain and exit (as if
@@ -25,10 +23,9 @@
 //                      `speccc_batch --canonical` prints for this spec
 //                      (trailing newline stripped) -- the byte-comparable
 //                      determinism bridge between daemon and batch.
-//                      "queue_ms"/"run_ms", the deciding engine
-//                      ("substrate") and, when the server runs with a
-//                      cache, per-request "cache" hit/miss counters ride
-//                      along as diagnostics.
+//                      "queue_ms"/"run_ms" and, when the server runs
+//                      with a cache, per-request "cache" hit/miss
+//                      counters ride along as diagnostics.
 //   rejected           backpressure; "retry_after_ms" says when to retry
 //   deadline-exceeded  the deadline passed while queued or mid-run
 //   error              malformed line or internal failure; "error" says why

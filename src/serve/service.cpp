@@ -176,7 +176,6 @@ void Service::process(Item item, batch::TaskRunner& runner) {
   } else {
     batch::RunLimits limits;
     limits.budget_seconds = budget_seconds;  // 0 = unlimited
-    limits.substrate = item.request.substrate;
     batch::TaskResult result = runner.run(item.request.spec, limits);
     if (result.status == batch::TaskStatus::kBudgetExhausted &&
         item.has_deadline) {

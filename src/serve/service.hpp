@@ -44,7 +44,6 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -52,7 +51,6 @@
 #include "batch/batch.hpp"
 #include "cache/store.hpp"
 #include "core/pipeline.hpp"
-#include "core/substrate.hpp"
 
 namespace speccc::serve {
 
@@ -81,12 +79,6 @@ struct Request {
   /// counts). <= 0 means "use the service default"; longer than
   /// kMaxDeadlineSeconds is clamped to it.
   double deadline_seconds = 0.0;
-  /// Per-request substrate override (the wire protocol's optional
-  /// "substrate" field): replaces the service pipeline's configured
-  /// substrate for this request only. Canonical output is unaffected --
-  /// the engines agree and auto completes abstentions -- so
-  /// mixed-substrate traffic stays byte-comparable with batch.
-  std::optional<core::Substrate> substrate;
 };
 
 /// The longest relative deadline a request can carry: half the steady

@@ -166,7 +166,7 @@ std::uint64_t count_of(const serve::json::Value& doc, const char* key) {
 struct ShardReport {
   std::vector<std::string> rows;
   std::size_t consistent = 0, inconsistent = 0, errors = 0;
-  std::size_t budget_exhausted = 0, cancelled = 0, disagreements = 0;
+  std::size_t budget_exhausted = 0, cancelled = 0;
   bool cache_enabled = false;
   cache::StatsSnapshot cache;
 };
@@ -213,7 +213,6 @@ bool parse_shard_report(const std::string& rows_path,
   report.errors = count_of(doc, "errors");
   report.budget_exhausted = count_of(doc, "budget_exhausted");
   report.cancelled = count_of(doc, "cancelled");
-  report.disagreements = count_of(doc, "disagreements");
   if (const serve::json::Value* cache = doc.find("cache"); cache != nullptr) {
     report.cache_enabled = true;
     report.cache.l1_hits = count_of(*cache, "l1_hits");
@@ -235,7 +234,7 @@ std::string json_escape(const std::string& s) {
 
 int MergedReport::exit_code() const {
   if (!complete || !merge_error.empty() || errors > 0 || budget_exhausted > 0 ||
-      cancelled > 0 || disagreements > 0) {
+      cancelled > 0) {
     return 3;
   }
   return inconsistent > 0 ? 2 : 0;
@@ -395,7 +394,6 @@ MergedReport run_sharded(const CoordinatorOptions& options) {
       merged.errors += report.errors;
       merged.budget_exhausted += report.budget_exhausted;
       merged.cancelled += report.cancelled;
-      merged.disagreements += report.disagreements;
       if (report.cache_enabled) {
         merged.cache_enabled = true;
         merged.cache_stats.l1_hits += report.cache.l1_hits;
@@ -451,7 +449,6 @@ std::string to_json(const MergedReport& report) {
      << ",\n  \"errors\": " << report.errors
      << ",\n  \"budget_exhausted\": " << report.budget_exhausted
      << ",\n  \"cancelled\": " << report.cancelled
-     << ",\n  \"disagreements\": " << report.disagreements
      << ",\n  \"worker_failures\": " << report.worker_failures
      << ",\n  \"retries\": " << report.retries_used;
   if (!report.merge_error.empty()) {
@@ -513,11 +510,7 @@ void print_summary(std::ostream& os, const MergedReport& report) {
      << " retries): " << report.consistent << " consistent, "
      << report.inconsistent << " inconsistent, " << report.errors
      << " errors, " << report.budget_exhausted << " budget-exhausted, "
-     << report.cancelled << " cancelled";
-  if (report.disagreements > 0) {
-    os << ", " << report.disagreements << " SUBSTRATE DISAGREEMENTS";
-  }
-  os << "\n";
+     << report.cancelled << " cancelled\n";
   if (report.cache_enabled) cache::print_stats(os, report.cache_stats);
 }
 

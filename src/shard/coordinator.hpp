@@ -85,7 +85,7 @@ struct CoordinatorOptions {
   std::vector<std::string> worker_command;
   /// Input + passthrough arguments, exactly as the equivalent unsharded
   /// speccc_batch run would receive them (files, --manifest, --corpus,
-  /// --generate/--seed, --cache, --substrate, --diagnose, ...). The
+  /// --generate/--seed, --cache, --diagnose, ...). The
   /// coordinator appends the shard selector and output plumbing itself.
   std::vector<std::string> worker_args;
   /// Directory for per-shard outputs; "" = a fresh temporary directory,
@@ -116,7 +116,6 @@ struct MergedReport {
   std::size_t errors = 0;
   std::size_t budget_exhausted = 0;
   std::size_t cancelled = 0;
-  std::size_t disagreements = 0;
   /// Cache counters summed over shards (non-canonical diagnostics, like
   /// the per-batch stats they aggregate).
   bool cache_enabled = false;

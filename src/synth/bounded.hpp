@@ -30,8 +30,6 @@
 
 namespace speccc::synth {
 
-enum class Realizability { kRealizable, kUnrealizable, kUnknown };
-
 struct BoundedOptions {
   int max_k = 8;              // counter bound escalation limit
   bool extract = true;        // build the Mealy controller on success

@@ -20,6 +20,10 @@ struct IoSignature {
   std::vector<std::string> outputs;
 };
 
+/// A realizability verdict, shared by all synthesis engines. kUnknown is
+/// an abstention (a bounded engine past its caps), never a verdict.
+enum class Realizability { kRealizable, kUnrealizable, kUnknown };
+
 using Word = std::uint32_t;  // valuation mask over a proposition list
 
 /// Deterministic Mealy machine: transition(state, input) = (output, next).

@@ -96,22 +96,20 @@ class Compiler {
   bdd::Bdd prop(Formula f) { return prop_to_bdd(mgr_, *this, f); }
   friend bdd::Bdd prop_to_bdd(bdd::Manager&, Compiler&, Formula);
 
-  int new_state_bit(bool initial) {
-    const int v = mgr_.new_var();
-    spec_.game.state_vars.push_back(v);
-    spec_.game.next_state.emplace_back();  // filled by caller
+  /// Allocate a monitor state bit; returns its position in state_vars
+  /// (and in next_state, which the caller fills through set_update).
+  std::size_t new_state_bit(bool initial) {
+    spec_.game.state_vars.push_back(mgr_.new_var());
+    spec_.game.next_state.emplace_back();
     spec_.initial_bits.push_back(initial);
-    return v;
+    return spec_.game.state_vars.size() - 1;
   }
 
-  void set_update(int var, bdd::Bdd update) {
-    for (std::size_t b = 0; b < spec_.game.state_vars.size(); ++b) {
-      if (spec_.game.state_vars[b] == var) {
-        spec_.game.next_state[b] = update;
-        return;
-      }
-    }
-    speccc_check(false, "unknown state variable");
+  /// The current-state value of state bit `bit`.
+  bdd::Bdd state(std::size_t bit) { return mgr_.var(spec_.game.state_vars[bit]); }
+
+  void set_update(std::size_t bit, bdd::Bdd update) {
+    spec_.game.next_state[bit] = update;
   }
 
   /// G (g -> X^n c): register chain d1..dn of guard history.
@@ -122,14 +120,14 @@ class Compiler {
           mgr_.bdd_and(spec_.game.safe, mgr_.implies(guard, consequent));
       return;
     }
-    std::vector<int> regs;
+    std::vector<std::size_t> regs;
     for (std::size_t j = 0; j < delay; ++j) regs.push_back(new_state_bit(false));
     set_update(regs[0], guard);
     for (std::size_t j = 1; j < delay; ++j) {
-      set_update(regs[j], mgr_.var(regs[j - 1]));
+      set_update(regs[j], state(regs[j - 1]));
     }
     spec_.game.safe = mgr_.bdd_and(
-        spec_.game.safe, mgr_.implies(mgr_.var(regs[delay - 1]), consequent));
+        spec_.game.safe, mgr_.implies(state(regs[delay - 1]), consequent));
   }
 
   /// G (X^n g -> c): register chain e1..en of consequent history,
@@ -137,32 +135,32 @@ class Compiler {
   /// e1' = c(now); ej' = e_{j-1}; violation when g(now) && !en.
   void add_guard_delayed(bdd::Bdd guard, bdd::Bdd consequent, std::size_t delay) {
     speccc_check(delay >= 1, "guard-delayed pattern needs delay >= 1");
-    std::vector<int> regs;
+    std::vector<std::size_t> regs;
     for (std::size_t j = 0; j < delay; ++j) regs.push_back(new_state_bit(true));
     set_update(regs[0], consequent);
     for (std::size_t j = 1; j < delay; ++j) {
-      set_update(regs[j], mgr_.var(regs[j - 1]));
+      set_update(regs[j], state(regs[j - 1]));
     }
     spec_.game.safe = mgr_.bdd_and(
-        spec_.game.safe, mgr_.implies(guard, mgr_.var(regs[delay - 1])));
+        spec_.game.safe, mgr_.implies(guard, state(regs[delay - 1])));
   }
 
   /// G (g -> F c): obligation bit; obliged' = (obliged || g) && !c.
   /// Buechi predicate: !obliged (the obligation is discharged infinitely
   /// often, i.e. every triggered response eventually happens).
   void add_response(bdd::Bdd guard, bdd::Bdd consequent, std::size_t origin) {
-    const int obliged = new_state_bit(false);
-    set_update(obliged, mgr_.bdd_and(mgr_.bdd_or(mgr_.var(obliged), guard),
+    const std::size_t obliged = new_state_bit(false);
+    set_update(obliged, mgr_.bdd_and(mgr_.bdd_or(state(obliged), guard),
                                      mgr_.bdd_not(consequent)));
-    spec_.game.buchi.push_back(mgr_.nvar(obliged));
+    spec_.game.buchi.push_back(mgr_.nvar(spec_.game.state_vars[obliged]));
     spec_.buchi_origin.push_back(origin);
   }
 
   /// G (g -> (p W q)): active = w || g; violation when active && !q && !p;
   /// w' = active && !q.
   void add_weak_until(bdd::Bdd guard, bdd::Bdd hold, bdd::Bdd release) {
-    const int w = new_state_bit(false);
-    const bdd::Bdd active = mgr_.bdd_or(mgr_.var(w), guard);
+    const std::size_t w = new_state_bit(false);
+    const bdd::Bdd active = mgr_.bdd_or(state(w), guard);
     set_update(w, mgr_.bdd_and(active, mgr_.bdd_not(release)));
     spec_.game.safe = mgr_.bdd_and(
         spec_.game.safe,
@@ -171,9 +169,9 @@ class Compiler {
 
   /// F p: done' = done || p; Buechi predicate: done.
   void add_existence(bdd::Bdd body, std::size_t origin) {
-    const int done = new_state_bit(false);
-    set_update(done, mgr_.bdd_or(mgr_.var(done), body));
-    spec_.game.buchi.push_back(mgr_.var(done));
+    const std::size_t done = new_state_bit(false);
+    set_update(done, mgr_.bdd_or(state(done), body));
+    spec_.game.buchi.push_back(state(done));
     spec_.buchi_origin.push_back(origin);
   }
 
@@ -238,7 +236,7 @@ bool mentions_only(const ltl::Formula& f, const IoSignature& signature) {
 
 bool fragment_covers(const std::vector<ltl::Formula>& spec) {
   for (const ltl::Formula& f : spec) {
-    if (!ltl::recognize_pattern(f).has_value()) return false;
+    if (!ltl::decompose_patterns(f).has_value()) return false;
   }
   return true;
 }
@@ -246,16 +244,17 @@ bool fragment_covers(const std::vector<ltl::Formula>& spec) {
 std::optional<CompiledSpec> compile_monitors(bdd::Manager& manager,
                                              const std::vector<ltl::Formula>& spec,
                                              const IoSignature& signature) {
-  std::vector<PatternInstance> instances;
-  for (const ltl::Formula& f : spec) {
-    auto p = ltl::recognize_pattern(f);
-    if (!p.has_value()) return std::nullopt;
-    if (!mentions_only(f, signature)) return std::nullopt;
-    instances.push_back(*p);
+  // (instance, index of the requirement it came from)
+  std::vector<std::pair<PatternInstance, std::size_t>> instances;
+  for (std::size_t i = 0; i < spec.size(); ++i) {
+    auto parts = ltl::decompose_patterns(spec[i]);
+    if (!parts.has_value()) return std::nullopt;
+    if (!mentions_only(spec[i], signature)) return std::nullopt;
+    for (const PatternInstance& p : *parts) instances.emplace_back(p, i);
   }
   Compiler compiler(manager, signature);
-  for (std::size_t i = 0; i < instances.size(); ++i) {
-    const bool ok = compiler.add(instances[i], i);
+  for (const auto& [instance, origin] : instances) {
+    const bool ok = compiler.add(instance, origin);
     speccc_check(ok, "recognized pattern must compile");
   }
   return compiler.finish();

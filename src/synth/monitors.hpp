@@ -1,7 +1,8 @@
 // Compilation of pattern-fragment specifications into symbolic games.
 //
-// Every formula the translator emits (Section IV templates) is recognized by
-// ltl::recognize_pattern and compiled into a small deterministic monitor:
+// Every formula the translator emits (Section IV templates) decomposes into
+// pattern instances (ltl::decompose_patterns), and each instance compiles
+// into a small deterministic monitor:
 //
 //   kInvariant      G p               stepwise safety, no state
 //   kImplication    G (g -> X^n c)    n-bit guard history register
@@ -39,9 +40,8 @@ struct CompiledSpec {
   std::vector<std::size_t> buchi_origin;
 };
 
-/// Can the whole specification be compiled? True iff every formula is
-/// recognized by ltl::recognize_pattern and mentions only signature
-/// propositions.
+/// Can the whole specification be compiled? True iff every formula
+/// decomposes into pattern instances (ltl::decompose_patterns).
 [[nodiscard]] bool fragment_covers(const std::vector<ltl::Formula>& spec);
 
 /// Compile a specification (conjunction of pattern instances) into a

@@ -15,7 +15,6 @@
 
 #include "bdd/bdd.hpp"
 #include "ltl/formula.hpp"
-#include "synth/bounded.hpp"
 #include "synth/mealy.hpp"
 
 namespace speccc::synth {
@@ -42,7 +41,7 @@ struct SymbolicOutcome {
 
 /// Decide realizability of the conjunction of `spec` with the symbolic
 /// engine. Returns nullopt when some formula is outside the monitorable
-/// fragment (caller falls back to bounded synthesis).
+/// fragment or mentions a proposition missing from the signature.
 [[nodiscard]] std::optional<SymbolicOutcome> symbolic_synthesize(
     const std::vector<ltl::Formula>& spec, const IoSignature& signature,
     const SymbolicOptions& options = {});

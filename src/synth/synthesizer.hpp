@@ -4,44 +4,36 @@
 // realizability -- the paper's notion of specification consistency -- and
 // optionally extracts a Mealy controller witnessing it.
 //
-// Engine selection (synthesize): when every requirement lies in the
-// monitorable pattern fragment (everything the Section IV translator
-// emits), the symbolic monitor-composition engine decides the game exactly
-// at Table I scale; otherwise the explicit bounded-synthesis engine
-// handles full LTL on small signatures. The two engine lanes are exposed
-// on their own for the substrate layer (core/substrate.hpp), which routes
-// "auto", "symbolic" and "bounded" through them.
+// One engine decides every question: the symbolic monitor-composition game
+// (synth/symbolic_engine.hpp), exact on the monitorable pattern fragment.
+// Every formula the Section IV translator emits is a pattern instance
+// (pipeline_test's FragmentInvariant pins this), so a formula outside the
+// fragment is a caller bug, not an input the product answers. The bounded
+// engine, the GPVW tableau and controller verification are reference
+// oracles of the difftest harness (speccc::difftest), not product paths.
 #pragma once
 
 #include <functional>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "ltl/formula.hpp"
-#include "synth/bounded.hpp"
 #include "synth/mealy.hpp"
 #include "synth/symbolic_engine.hpp"
 
 namespace speccc::synth {
 
 struct SynthesisOptions {
-  BoundedOptions bounded;
   SymbolicOptions symbolic;
 };
 
 struct SynthesisResult {
   Realizability verdict = Realizability::kUnknown;
-  /// Name of the engine or core::Substrate that produced the verdict
-  /// ("tableau", "bounded", "symbolic"). Non-canonical diagnostic.
-  std::string substrate_used;
-  /// Engine statistics (whichever engine ran).
-  std::size_t state_bits = 0;        // symbolic: monitor state bits
-  std::size_t ucw_states = 0;        // bounded: UCW size
-  std::size_t game_positions = 0;    // bounded: peak arena size
-  std::size_t peak_bdd_nodes = 0;    // symbolic
-  bdd::Stats bdd_stats;              // symbolic: manager counters
-  int iterations = 0;                // fixpoint rounds / final k
+  /// Engine statistics.
+  std::size_t state_bits = 0;        // monitor state bits
+  std::size_t peak_bdd_nodes = 0;
+  bdd::Stats bdd_stats;              // manager counters
+  int iterations = 0;                // fixpoint rounds
   std::optional<MealyMachine> controller;
 
   [[nodiscard]] bool realizable() const {
@@ -54,22 +46,14 @@ struct SynthesisResult {
 using Decide = std::function<Realizability(const std::vector<ltl::Formula>&,
                                            const IoSignature&)>;
 
-/// Decide realizability of the conjunction of `requirements`: the symbolic
-/// lane when it applies, else the bounded lane. Throws InvalidInputError on
-/// an empty specification.
+/// Decide realizability of the conjunction of `requirements` with the
+/// symbolic engine. Throws InvalidInputError on an empty specification and
+/// InternalError when some requirement is outside the pattern fragment or
+/// mentions a proposition missing from the signature (the caller must pass
+/// translator output under its partition). Throws util::CancelledError
+/// when options.symbolic.cancelled fires.
 [[nodiscard]] SynthesisResult synthesize(const std::vector<ltl::Formula>& requirements,
                                          const IoSignature& signature,
                                          const SynthesisOptions& options = {});
-
-/// The symbolic lane alone; nullopt when some requirement is outside the
-/// monitorable fragment or mentions propositions missing from the signature.
-[[nodiscard]] std::optional<SynthesisResult> synthesize_symbolic(
-    const std::vector<ltl::Formula>& requirements, const IoSignature& signature,
-    const SymbolicOptions& options);
-
-/// The bounded lane alone, on the conjunction of `requirements`.
-[[nodiscard]] SynthesisResult synthesize_bounded(
-    const std::vector<ltl::Formula>& requirements, const IoSignature& signature,
-    const BoundedOptions& options);
 
 }  // namespace speccc::synth

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "cache/store.hpp"
+#include "ltl/patterns.hpp"
 #include "util/diagnostics.hpp"
 #include "util/strings.hpp"
 
@@ -302,10 +303,18 @@ TranslationResult Translator::translate(
   const TickMapper tick_mapper =
       abstraction != nullptr ? abstraction(result.thetas()) : nullptr;
 
-  // Phase 5: build every formula once.
+  // Phase 5: build every formula once. The realizability engine decides
+  // conjunctions of pattern instances and nothing else, so a sentence whose
+  // formula falls outside that fragment is rejected here, by name.
   for (TranslatedRequirement& tr : result.requirements) {
     tr.formula =
         translate_sentence(tr.sentence, reducer ? &*reducer : nullptr, tick_mapper);
+    if (!ltl::decompose_patterns(tr.formula).has_value()) {
+      throw util::ParseError("unsupported requirement: \"" + tr.text +
+                             "\" translates to `" + ltl::to_string(tr.formula) +
+                             "`, outside the pattern fragment the "
+                             "realizability engine decides");
+    }
     const auto atoms = tr.formula.atoms();
     result.propositions.insert(atoms.begin(), atoms.end());
   }

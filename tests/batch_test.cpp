@@ -1,7 +1,7 @@
 // Tests for the parallel batch-checking subsystem: the determinism
 // contract (N-thread verdicts byte-identical to sequential over all three
 // Table I corpora and a fixed difftest seed), budget exhaustion,
-// cancellation, error isolation, and the substrate-agreement pass.
+// cancellation, and error isolation.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -245,27 +245,6 @@ TEST(BatchScheduler, EmptyBatchIsTrivial) {
   EXPECT_TRUE(report.results.empty());
   EXPECT_TRUE(report.all_consistent());
   EXPECT_EQ(report.steals, 0u);
-}
-
-TEST(BatchAgreement, SubstratesAgreeOnTheRobotCorpus) {
-  batch::BatchOptions options;
-  options.jobs = 2;
-  options.check_agreement = true;
-  const batch::BatchReport report =
-      batch::check(batch::robot_tasks(), options);
-  EXPECT_EQ(report.disagreements, 0u);
-  for (const batch::TaskResult& r : report.results) {
-    ASSERT_TRUE(r.agreement.checked);
-    EXPECT_TRUE(r.agreement.agree()) << r.name;
-    // Exactly the two engines, bounded then symbolic; the symbolic engine
-    // decides every robot row definitively.
-    ASSERT_EQ(r.agreement.verdicts.size(), 2u) << r.name;
-    EXPECT_EQ(r.agreement.verdicts[0].first, "bounded");
-    EXPECT_EQ(r.agreement.verdicts[1].first, "symbolic");
-    EXPECT_EQ(r.agreement.verdict_of("symbolic"),
-              speccc::synth::Realizability::kRealizable)
-        << r.name;
-  }
 }
 
 TEST(BatchReporting, JsonContainsEverySpecAndTheJobCount) {

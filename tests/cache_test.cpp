@@ -203,19 +203,25 @@ TEST(CacheKeys, SynthesisKeyCoversFormulasSignatureAndOptions) {
   speccc::synth::IoSignature signature{{"a"}, {"b"}};
   speccc::synth::SynthesisOptions options;
 
-  const Digest base = cache::synthesis_key(formulas, signature, options, "auto");
-  EXPECT_EQ(base, cache::synthesis_key(formulas, signature, options, "auto"));
+  const Digest base = cache::synthesis_key(formulas, signature, options);
+  EXPECT_EQ(base, cache::synthesis_key(formulas, signature, options));
 
   speccc::synth::IoSignature flipped{{"b"}, {"a"}};
-  EXPECT_NE(base, cache::synthesis_key(formulas, flipped, options, "auto"));
+  EXPECT_NE(base, cache::synthesis_key(formulas, flipped, options));
 
-  speccc::synth::SynthesisOptions deeper = options;
-  deeper.bounded.max_k = options.bounded.max_k + 1;
-  EXPECT_NE(base, cache::synthesis_key(formulas, signature, deeper, "auto"));
+  // Extraction changes the cached value (a controller rides along).
+  speccc::synth::SynthesisOptions extracting = options;
+  extracting.symbolic.extract = true;
+  EXPECT_NE(base, cache::synthesis_key(formulas, signature, extracting));
+  speccc::synth::SynthesisOptions capped = options;
+  capped.symbolic.max_extract_inputs = options.symbolic.max_extract_inputs + 1;
+  EXPECT_NE(base, cache::synthesis_key(formulas, signature, capped));
 
-  // The substrate is part of the computation: auto and a solo
-  // symbolic run agree on every verdict but are still distinct entries.
-  EXPECT_NE(base, cache::synthesis_key(formulas, signature, options, "symbolic"));
+  // The cancel predicate is not part of the key: it never changes a
+  // cached value, only whether one is produced.
+  speccc::synth::SynthesisOptions polled = options;
+  polled.symbolic.cancelled = [] { return false; };
+  EXPECT_EQ(base, cache::synthesis_key(formulas, signature, polled));
 
   // Refinement and synthesis artifacts never share keys even for equal
   // inputs (separate domains).
@@ -580,9 +586,9 @@ TEST(Snapshot, GoldenBytesArePinned) {
   cache::save_snapshot(store, path, kStampA);
   EXPECT_EQ(
       to_hex(read_file(path)),
-      // header: magic "SPCCSNP1", version 4, fingerprint, body length 140
+      // header: magic "SPCCSNP1", version 5, fingerprint, body length 140
       "53504343534e5031"  // SPCCSNP1
-      "04000000"          // version 4
+      "05000000"          // version 5
       "1111111111111111" "2222222222222222"  // lexicon fingerprint hi, lo
       "8c00000000000000"  // body: 140 bytes
       // body: 4 sections in kind order, entries sorted by key
@@ -667,10 +673,12 @@ TEST(Snapshot, RejectsWrongFormatVersion) {
   fill_golden(store);
   cache::save_snapshot(store, path, kStampA);
   const std::string bytes = read_file(path);
-  // A future version and the retired versions 1, 2 and 3 (whose synthesis
+  // A future version and the retired versions 1 to 4 (whose synthesis
   // records differ; a version-2 entry can hold a solo tableau's kUnknown;
-  // version 3 has a satisfiability section) are all rejected, never misread.
-  for (const char version : {char{99}, char{1}, char{2}, char{3}}) {
+  // version 3 has a satisfiability section; version 4 records carry an
+  // engine name and bounded counters, under keys that fold the substrate)
+  // are all rejected, never misread.
+  for (const char version : {char{99}, char{1}, char{2}, char{3}, char{4}}) {
     std::string patched = bytes;
     patched[8] = version;  // version field follows the 8-byte magic
     write_file(path, patched);

@@ -1,8 +1,9 @@
 // Tests for the differential oracle harness: the random generators, the
-// cross-check oracle over the three decision substrates, the greedy
-// shrinker, and the end-to-end run() acceptance bar (500 random formulas
-// and 50 generated specifications per seed with zero disagreements, plus
-// injected-bug detection shrunk to a minimal core).
+// cross-check oracle of the symbolic product engine against the reference
+// engines, the greedy shrinker, and the end-to-end run() acceptance bar
+// (500 random formulas, 50 generated specifications per seed and the fixed
+// corpus cases with zero disagreements, plus injected-bug detection shrunk
+// to a minimal core).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +20,8 @@
 #include "ltl/parser.hpp"
 #include "ltl/trace.hpp"
 #include "refine/refine.hpp"
+#include "synth/bounded.hpp"
+#include "synth/symbolic_engine.hpp"
 #include "util/diagnostics.hpp"
 
 namespace difftest = speccc::difftest;
@@ -277,6 +280,48 @@ TEST(Harness, FiftyGeneratedSpecsNoDisagreement) {
   const difftest::RunReport report = difftest::run(options);
   EXPECT_EQ(report.specs_checked, 50);
   EXPECT_TRUE(report.ok()) << difftest::describe(report);
+}
+
+// The corpus specifications the product is measured on -- Table I,
+// examples/specs and its faults -- are fixed cases of the spec lane, run on
+// every seed: the standing cross-check of the product engine against the
+// bounded reference engine on real inputs.
+TEST(Harness, FixedCorpusCasesNoDisagreement) {
+  difftest::RunOptions options;
+  options.formula_cases = 0;
+  options.spec_cases = 0;
+  options.fixed_specs = difftest::fixed_spec_cases(SPECCC_EXAMPLES_DIR);
+  ASSERT_EQ(options.fixed_specs.size(), 22u + 7u);
+  const difftest::RunReport report = difftest::run(options);
+  EXPECT_EQ(report.fixed_checked, 29);
+  EXPECT_TRUE(report.ok()) << difftest::describe(report);
+}
+
+// Bounded is no empty check on the example specs: on these three it
+// reaches a definite verdict under the oracle's caps, and the symbolic
+// engine reaches the same one.
+TEST(Harness, BoundedDecidesTheSmallExampleSpecsDefinitely) {
+  using speccc::synth::Realizability;
+  const std::vector<std::pair<std::string, Realizability>> expected = {
+      {"patrol.txt", Realizability::kRealizable},
+      {"faults/infusion_pump.txt", Realizability::kUnrealizable},
+      {"faults/reservation.txt", Realizability::kUnrealizable},
+  };
+  const auto cases = difftest::fixed_spec_cases(SPECCC_EXAMPLES_DIR);
+  for (const auto& [name, verdict] : expected) {
+    const auto it = std::find_if(cases.begin(), cases.end(),
+                                 [&](const auto& c) { return c.name == name; });
+    ASSERT_NE(it, cases.end()) << name;
+    const difftest::SpecCase spec = difftest::build_spec_case(it->requirements);
+    const difftest::OracleOptions oracle;
+    const auto bounded = speccc::synth::bounded_synthesize(
+        ltl::land(spec.requirements), spec.signature, oracle.bounded);
+    EXPECT_EQ(bounded.verdict, verdict) << name;
+    const auto symbolic =
+        speccc::synth::symbolic_synthesize(spec.requirements, spec.signature);
+    ASSERT_TRUE(symbolic.has_value()) << name;
+    EXPECT_EQ(symbolic->verdict, verdict) << name;
+  }
 }
 
 TEST(Harness, InjectedDisagreementIsCaughtAndShrunkToAMinimalCore) {

@@ -442,4 +442,41 @@ TEST(Patterns, RejectsOutsideFragment) {
       ltl::recognize_pattern(ltl::parse("G (F a -> b)")).has_value());
 }
 
+TEST(Patterns, DecomposesCoordinatedClauses) {
+  using K = ltl::PatternKind;
+  // G (g -> c1 && c2) splits per conjunct.
+  auto parts = ltl::decompose_patterns(ltl::parse("G (a -> b && F c)"));
+  ASSERT_TRUE(parts.has_value());
+  ASSERT_EQ(parts->size(), 2u);
+  EXPECT_EQ((*parts)[0].kind, K::kImplication);
+  EXPECT_EQ((*parts)[1].kind, K::kResponse);
+  EXPECT_EQ((*parts)[1].guard, a());
+  // A propositional disjunct moves into the guard, negated.
+  parts = ltl::decompose_patterns(ltl::parse("G (a -> b || X X c)"));
+  ASSERT_TRUE(parts.has_value());
+  ASSERT_EQ(parts->size(), 1u);
+  EXPECT_EQ((*parts)[0].kind, K::kImplication);
+  EXPECT_EQ((*parts)[0].guard, ltl::land(a(), ltl::lnot(b())));
+  EXPECT_EQ((*parts)[0].delay, 2u);
+  // The propositional part of a delayed guard moves into the consequent.
+  parts = ltl::decompose_patterns(ltl::parse("G (a && X b -> c)"));
+  ASSERT_TRUE(parts.has_value());
+  ASSERT_EQ(parts->size(), 1u);
+  EXPECT_EQ((*parts)[0].kind, K::kGuardDelayed);
+  EXPECT_EQ((*parts)[0].guard, b());
+  EXPECT_EQ((*parts)[0].consequent, ltl::implies(a(), c()));
+  // A single pattern instance decomposes to itself.
+  parts = ltl::decompose_patterns(ltl::parse("F done"));
+  ASSERT_TRUE(parts.has_value());
+  EXPECT_EQ(parts->size(), 1u);
+}
+
+TEST(Patterns, DecomposeRejectsWhatNoRewriteSplits) {
+  for (const char* text : {"G (F a -> b)", "G (!p -> (F a W p))",
+                           "G (X X a || X X X b)", "G (X a -> X X b)",
+                           "G F a -> G F b"}) {
+    EXPECT_FALSE(ltl::decompose_patterns(ltl::parse(text)).has_value()) << text;
+  }
+}
+
 }  // namespace

@@ -22,6 +22,7 @@
 #include "ltl/formula.hpp"
 #include "ltl/patterns.hpp"
 #include "ltl/rewrite.hpp"
+#include "synth/synthesizer.hpp"
 #include "synth/verify.hpp"
 #include "util/diagnostics.hpp"
 
@@ -39,7 +40,6 @@ TEST(PipelineCara, WorkingModeSpecIsConsistent) {
       pipeline.run("CARA working mode", corpus::cara_working_mode_texts());
   EXPECT_TRUE(result.consistent);
   EXPECT_EQ(result.num_formulas(), 30u);  // the published formula count
-  EXPECT_EQ(result.synthesis.substrate_used, "symbolic");
   // The partition finds the paper's 22-23 inputs (22 published; ours differ
   // by one because the published formulas carry typo-induced propositions).
   EXPECT_NEAR(static_cast<double>(result.num_inputs()), 22.0, 1.5);
@@ -184,12 +184,74 @@ TEST(PipelineGenerator, GeneratedSpecsAlwaysParseAndStayConsistent) {
   }
 }
 
+/// One sentence per production of docs/SPEC_LANGUAGE.md: the five
+/// predicate forms, every subordinator and modifier, until and trailing
+/// before, existence, response, delayed (seconds and minutes) and next
+/// shapes, modals and negation, antonym pairs, the pronoun, coordinated
+/// subjects, clauses and nested conditions, the worked examples, and
+/// coordinated main clauses or conditions mixing plain, timed and eventual
+/// clauses.
+const std::vector<std::string>& production_sentences() {
+  static const std::vector<std::string> sentences = {
+    "If the door button is pressed, the lock signal is updated.",
+    "If auto control mode is running, the alarm is raised.",
+    "The system issues an alarm.",
+    "If the cuff is available, the alarm is raised.",
+    "If the robot is in room 1 or room 2, the light is on.",
+    "When a start auto control button is enabled, the start auto control button is enabled until it is pressed.",
+    "The alarm is raised before the door is open.",
+    "Before the door is open, the alarm is raised.",
+    "Eventually the alarm is raised.",
+    "When the door sensor is detected, eventually the alarm is raised.",
+    "The CARA will be operational whenever the LSTAT is powered on.",
+    "If the battery status is measured, the monitor light is activated in 10 seconds.",
+    "If the battery status is measured, the monitor light is activated in 2 minutes.",
+    "If the button is pressed, next the alarm is raised.",
+    "Whenever the door is open, the alarm is raised.",
+    "Once the door is open, the alarm is raised.",
+    "While the door is open, the alarm is raised.",
+    "After the door is open, the alarm is raised.",
+    "Always the alarm is raised.",
+    "Globally the alarm is raised.",
+    "Immediately the alarm is raised.",
+    "Sometimes the alarm is raised.",
+    "If the cuff is lost, the alarm is raised.",
+    "If the cuff is unavailable, the alarm is raised.",
+    "If Air Ok signal remains low, auto control mode is terminated in 3 seconds.",
+    "If the valve is closed, the pump is not started.",
+    "If a pump is plugged in, and an infusate is ready, and the occlusion line is clear, auto control mode can be started.",
+    "If the arterial line, or pulse wave or cuff is lost, the alarm is raised.",
+    "If override selection is provided, if override yes is pressed, next arterial line is selected.",
+    "If start auto control button is pressed, and cuff is not available, an alarm is issued and override selection is provided.",
+    "If cuff and arterial line and pulse wave are not available, next manual mode is started.",
+    "The alarm will be raised.",
+    "The pump shall issue an alarm.",
+    "The pump must not be started.",
+    "No alarm is raised.",
+    "If the door button is pressed, the lock signal is updated and eventually the alarm is raised.",
+    "If the door button is pressed, the lock signal is updated or eventually the alarm is raised.",
+    "If the door is open, the light is on in 3 seconds and the alarm is raised in 60 seconds.",
+    "If the door is open, the light is on or the alarm is raised in 60 seconds.",
+    "If the door is open and the light is on in 60 seconds, the alarm is raised.",
+    "If the door is open or the light is on in 60 seconds, the alarm is raised.",
+    "The alarm will be raised and the light will be on.",
+    "The cuff is available and the cuff is not available in 13 seconds.",
+  };
+  return sentences;
+}
+
 /// Every spec of the standing sweep, each with the Next reading it runs
-/// under: Table I (default and strict Next), examples/specs/**, and the
-/// generated and planted-fault fuzz specs at seeds 1-8 x 50.
+/// under: the production sentences and Table I (default and strict Next),
+/// examples/specs/**, and the generated and planted-fault fuzz specs at
+/// seeds 1-8 x 50.
 void for_each_sweep_spec(
     const std::function<void(translate::NextMode, const std::string&,
                              const std::vector<translate::RequirementText>&)>& visit) {
+  for (const std::string& sentence : production_sentences()) {
+    const std::vector<translate::RequirementText> spec = {{"P", sentence}};
+    visit(translate::NextMode::kPaperAppendix, sentence, spec);
+    visit(translate::NextMode::kStrict, sentence + " (strict Next)", spec);
+  }
   for (const batch::SpecTask& task : batch::table1_tasks()) {
     visit(translate::NextMode::kPaperAppendix, task.name, task.requirements);
     visit(translate::NextMode::kStrict, task.name + " (strict Next)",
@@ -221,10 +283,11 @@ core::PipelineOptions options_for(translate::NextMode mode) {
   return options;
 }
 
-// The translator emits only pattern templates (ltl/patterns.hpp), so the
-// symbolic engine can decide every question the product asks. Pin that as
-// an invariant: ltl::recognize_pattern accepts every formula the pipeline
-// produces on the standing sweep.
+// The translator emits only conjunctions of pattern templates
+// (ltl/patterns.hpp), so the symbolic engine can decide every question the
+// product asks. Pin that as an invariant: ltl::decompose_patterns accepts
+// every formula the pipeline produces on the standing sweep, one sentence
+// per grammar production included.
 TEST(FragmentInvariant, EveryTranslatedFormulaIsAPatternInstance) {
   const core::Pipeline default_pipeline;
   const core::Pipeline strict_pipeline(options_for(translate::NextMode::kStrict));
@@ -237,13 +300,13 @@ TEST(FragmentInvariant, EveryTranslatedFormulaIsAPatternInstance) {
     const core::PipelineResult result = pipeline.run(name, reqs);
     for (const auto& req : result.translation.requirements) {
       ++formulas;
-      EXPECT_TRUE(speccc::ltl::recognize_pattern(req.formula).has_value())
+      EXPECT_TRUE(speccc::ltl::decompose_patterns(req.formula).has_value())
           << name << " " << req.id << ": "
           << speccc::ltl::to_string(req.formula);
     }
   });
-  // 7,527 formulas at the time of writing: the sweep must keep its reach.
-  EXPECT_GE(formulas, 7000u);
+  // 7,613 formulas at the time of writing: the sweep must keep its reach.
+  EXPECT_GE(formulas, 7500u);
 }
 
 // Stage 1 translates once, harvesting Theta from the parse trees. It must
@@ -398,12 +461,13 @@ TEST(PipelineCancel, SatisfiabilityScreenPollsTheCancelPredicate) {
 
   // D: the polls of the run's stage-2 question on its own.
   std::size_t d = 0;
-  (void)core::decide(options.substrate, reference.translation.formulas(),
-                     reference.partition.signature(), options.synthesis,
-                     [&d] {
-                       ++d;
-                       return false;
-                     });
+  speccc::synth::SynthesisOptions counted = options.synthesis;
+  counted.symbolic.cancelled = [&d] {
+    ++d;
+    return false;
+  };
+  (void)speccc::synth::synthesize(reference.translation.formulas(),
+                                  reference.partition.signature(), counted);
 
   // The translation and synthesis boundaries plus stage 2 take 2 + D
   // polls; the screen's questions poll after them.
@@ -420,6 +484,27 @@ TEST(PipelineCancel, SatisfiabilityScreenPollsTheCancelPredicate) {
   EXPECT_THROW((void)core::Pipeline(options).run("screen", spec),
                speccc::util::CancelledError);
   EXPECT_EQ(polls, 2 + d + 1);
+}
+
+// "in 3000000 seconds" beside "in 7 seconds" abstracts to d = 7 and leaves
+// a 428,571-deep Next chain. Compiling its monitor must stay linear in the
+// chain (each state bit's update is stored by position, never searched
+// for), so the run decides well inside a 10 s cancel.
+TEST(PipelineCancel, DeepNextChainDecidesInsideTenSeconds) {
+  const std::vector<translate::RequirementText> spec = {
+      {"C1",
+       "If the order button is pressed, the confirmation message is "
+       "displayed in 7 seconds."},
+      {"C2",
+       "If the payment request is received, the order record is stored in "
+       "3000000 seconds."},
+  };
+  core::PipelineOptions options;
+  const speccc::util::Stopwatch clock;
+  options.cancelled = [clock] { return clock.seconds() > 10.0; };
+  const auto result = core::Pipeline(options).run("deep chain", spec);
+  EXPECT_TRUE(result.consistent);
+  EXPECT_EQ(result.synthesis.state_bits, 428'572u);
 }
 
 }  // namespace

@@ -195,26 +195,20 @@ TEST(ServeProtocol, RendersResultWithEmbeddedCanonicalLine) {
   EXPECT_EQ(doc.find("canonical")->as_string(), expected);
 }
 
-TEST(ServeProtocol, ParsesOptionalSubstrateField) {
-  const serve::ParsedRequest symbolic = serve::parse_request(
-      R"({"method":"check","requirements":["x is set"],)"
-      R"("substrate":"symbolic"})");
-  ASSERT_TRUE(symbolic.request.substrate.has_value());
-  EXPECT_EQ(*symbolic.request.substrate, speccc::core::Substrate::kSymbolic);
-
+TEST(ServeProtocol, IgnoresUnknownKeysIncludingTheRetiredSubstrate) {
+  // One engine decides every request: a "substrate" field left over from
+  // older clients is ignored like any other unknown key, whatever its
+  // value.
   const serve::ParsedRequest plain = serve::parse_request(
       R"({"method":"check","requirements":["x is set"]})");
-  EXPECT_FALSE(plain.request.substrate.has_value());
-
-  // Anything but auto, bounded or symbolic is a protocol error like any
-  // malformed field.
-  for (const char* bad : {"tableau", "race:bounded,symbolic", "warp"}) {
-    EXPECT_THROW(
-        serve::parse_request(
-            std::string(R"({"method":"check","requirements":["x is set"],)") +
-            R"("substrate":")" + bad + R"("})"),
-        ParseError)
-        << bad;
+  for (const char* value : {"symbolic", "bounded", "warp"}) {
+    const serve::ParsedRequest parsed = serve::parse_request(
+        std::string(R"({"method":"check","requirements":["x is set"],)") +
+        R"("substrate":")" + value + R"(","colour":"blue"})");
+    EXPECT_EQ(parsed.method, serve::Method::kCheck) << value;
+    EXPECT_EQ(parsed.request.spec.requirements.size(),
+              plain.request.spec.requirements.size())
+        << value;
   }
 }
 
@@ -243,26 +237,6 @@ TEST(ServeProtocol, RejectsPriorityAndDeadlineOutsideTheirRange) {
   EXPECT_DOUBLE_EQ(serve::parse_request(check_line(R"("deadline_ms":8.64e10)"))
                        .request.deadline_seconds,
                    8.64e7);
-}
-
-TEST(ServeProtocol, RendersSubstrateAlongsideCanonical) {
-  batch::TaskResult result;
-  result.name = "doors";
-  result.status = batch::TaskStatus::kConsistent;
-  result.substrate = "symbolic";
-
-  serve::Response response;
-  response.id = "r7";
-  response.kind = serve::ResponseKind::kResult;
-  response.result = result;
-
-  // The deciding engine rides ALONGSIDE the canonical row, never in it.
-  const json::Value doc = json::parse(serve::render_response(response));
-  EXPECT_EQ(doc.find("substrate")->as_string(), "symbolic");
-  std::string expected = batch::canonical_line(result);
-  expected.pop_back();
-  EXPECT_EQ(doc.find("canonical")->as_string(), expected);
-  EXPECT_EQ(expected.find("symbolic"), std::string::npos);
 }
 
 TEST(ServeProtocol, RendersRejectionAndErrorKinds) {
@@ -330,26 +304,6 @@ TEST(ServeService, VerdictsAreByteIdenticalToBatch) {
   const serve::ServiceStats stats = service.stats();
   EXPECT_EQ(stats.completed, specs.size());
   EXPECT_EQ(stats.rejected, 0u);
-}
-
-TEST(ServeService, PerRequestSubstrateOverrideKeepsCanonicalParity) {
-  // A symbolic request must answer the same canonical line as the auto
-  // default -- mixed-substrate traffic stays byte-comparable with batch.
-  serve::ServiceOptions options;
-  options.workers = 1;
-  serve::Service service(options);
-
-  const serve::Response plain = service.check(make_request("p", door_spec()));
-  ASSERT_EQ(plain.kind, serve::ResponseKind::kResult) << plain.error;
-
-  serve::Request symbolic_request = make_request("s", door_spec());
-  symbolic_request.substrate = speccc::core::Substrate::kSymbolic;
-  const serve::Response symbolic = service.check(std::move(symbolic_request));
-  ASSERT_EQ(symbolic.kind, serve::ResponseKind::kResult) << symbolic.error;
-
-  EXPECT_EQ(batch::canonical_line(symbolic.result),
-            batch::canonical_line(plain.result));
-  EXPECT_EQ(symbolic.result.substrate, "symbolic");
 }
 
 TEST(ServeService, BackpressureRejectsWithRetryHintAndAnswersEveryRequest) {

@@ -1,7 +1,9 @@
 // Tests for the synthesis engines: realizability verdicts on canonical
 // specifications (including the paper's clairvoyance footnote), agreement
-// between the bounded and symbolic engines, and verification that extracted
-// controllers actually satisfy the specification on simulated traces.
+// between the bounded reference engine and the symbolic product engine,
+// verification that extracted controllers actually satisfy the
+// specification on simulated traces, and the product driver's contract
+// (symbolic only; a non-pattern formula is an internal error).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -220,7 +222,12 @@ INSTANTIATE_TEST_SUITE_P(
         "G (a && b -> x && y)", "G (a -> F x)", "G (x -> F a)",
         "G (a -> (x W b))", "G (a -> (x U b))", "G (a -> (x W y))",
         "G (X X a -> x)", "G a", "G (a || x)", "F x", "F a",
-        "G (a -> !b -> (x W b))"));
+        "G (a -> !b -> (x W b))",
+        // Coordinated clauses, split by ltl::decompose_patterns.
+        "G (a -> x && F y)", "G (a -> x || F y)", "G (a -> x && X y)",
+        "G (a -> x || X X y)", "G (a && X b -> x)", "G (a || X b -> x)",
+        "G (a -> (X b && !a -> x))", "G (x && X !x)", "G (F x && F y)",
+        "G (a -> F x && (y W b))", "G (a -> x && X y && F y)"));
 
 // Conjunction-level agreement: random 2-3 formula specs drawn from a pool of
 // pattern templates; both engines must agree on the verdict of the whole
@@ -256,28 +263,37 @@ INSTANTIATE_TEST_SUITE_P(Sweep, ConjunctionAgreementTest,
 
 // ---- Driver -----------------------------------------------------------------
 
-TEST(Synthesizer, AutoSelectsSymbolicForPatternSpecs) {
+TEST(Synthesizer, DecidesPatternSpecsSymbolically) {
   const auto result = synth::synthesize(parse_all({"G (a -> x)"}), {{"a"}, {"x"}});
-  EXPECT_EQ(result.substrate_used, "symbolic");
   EXPECT_TRUE(result.realizable());
+  EXPECT_GT(result.state_bits + result.bdd_stats.peak_nodes, 0u);
 }
 
-TEST(Synthesizer, AutoFallsBackToBounded) {
-  const auto result = synth::synthesize(
-      parse_all({"G (a -> F (x && X x))"}), {{"a"}, {"x"}});
-  EXPECT_EQ(result.substrate_used, "bounded");
-  EXPECT_EQ(result.verdict, Realizability::kRealizable);
+TEST(Synthesizer, NonPatternFormulaIsAnInternalError) {
+  // The translator emits only pattern instances (FragmentInvariant in
+  // pipeline_test), so a formula outside the fragment is a caller bug,
+  // never a question some other engine answers.
+  EXPECT_THROW((void)synth::synthesize(parse_all({"G (a <-> X X X b)"}),
+                                       {{"b"}, {"a"}}),
+               speccc::util::InternalError);
+}
+
+TEST(Synthesizer, CancelFiresInsideTheSymbolicEngine) {
+  // The run's cancel predicate reaches the fixpoint: a batch budget or
+  // serve deadline can stop a decision, not only a stage boundary.
+  synth::SynthesisOptions options;
+  options.symbolic.cancelled = [] { return true; };
+  EXPECT_THROW((void)synth::synthesize(parse_all({"G (a -> x)"}),
+                                       {{"a"}, {"x"}}, options),
+               speccc::util::CancelledError);
+  EXPECT_THROW((void)synth::synthesize(parse_all({"G (a -> F x)", "F x"}),
+                                       {{"a"}, {"x"}}, options),
+               speccc::util::CancelledError);
 }
 
 TEST(Synthesizer, EmptySpecThrows) {
   EXPECT_THROW((void)synth::synthesize({}, {{"a"}, {"x"}}),
                speccc::util::InvalidInputError);
-}
-
-TEST(Synthesizer, SymbolicLaneDeclinesNonFragmentSpecs) {
-  EXPECT_FALSE(synth::synthesize_symbolic(parse_all({"G F a -> G F x"}),
-                                          {{"a"}, {"x"}}, {})
-                   .has_value());
 }
 
 }  // namespace

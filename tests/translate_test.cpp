@@ -221,4 +221,26 @@ TEST(Translator, UngrammaticalInputThrows) {
       speccc::util::ParseError);
 }
 
+// Grammatical sentences whose formulas fall outside the pattern fragment
+// the realizability engine decides are rejected by name at translation,
+// never handed to synthesis.
+TEST(Translator, RejectsFormulasOutsideThePatternFragment) {
+  for (const char* text : {
+           // future tense under until: G (!p -> F a W p)
+           "The alarm will be raised until the button is pressed.",
+           // eventually inside a condition: G (F door -> raise_alarm)
+           "If eventually the door is open, the alarm is raised.",
+       }) {
+    try {
+      (void)translate_texts({{"t", text}});
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const speccc::util::ParseError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("outside the pattern fragment"), std::string::npos)
+          << what;
+      EXPECT_NE(what.find(text), std::string::npos) << what;
+    }
+  }
+}
+
 }  // namespace

@@ -11,7 +11,7 @@
 //   $ ./speccc_batch --corpus table1 --jobs 4
 //   $ ./speccc_batch path/to/specs/ --jobs 8 --json report.json
 //   $ ./speccc_batch --manifest specs.lst --time-budget 30
-//   $ ./speccc_batch --generate 64 --seed 42 --jobs 4 --crosscheck
+//   $ ./speccc_batch --generate 64 --seed 42 --jobs 4
 //
 // Inputs (combinable; tasks keep the listing order):
 //   FILE | DIR         a requirement document (one sentence per line, see
@@ -31,14 +31,6 @@
 //                      determinism contract in printable form
 //   --time-budget S    per-task budget in seconds, enforced at pipeline
 //                      stage boundaries (expired tasks: budget-exhausted)
-//   --substrate S      decision substrate: auto (default; symbolic when
-//                      the spec is in its pattern fragment, else bounded),
-//                      bounded, or symbolic. Canonical output is
-//                      byte-identical under each (auto completes a
-//                      bounded abstention). Anything else is rejected
-//                      with a diagnostic
-//   --crosscheck       re-decide each spec with the bounded and the
-//                      symbolic engine and report their agreement
 //   --diagnose         enumerate minimal correction sets for genuinely
 //                      inconsistent specs (up to 4; see below). The MUS
 //                      ("mus=" in canonical output, "conflicting
@@ -79,7 +71,7 @@
 //                      interleaved are byte-identical to the unsharded run
 //   --quiet            suppress the per-spec progress line
 //
-// BDD engine statistics: tasks decided by the symbolic engine carry their
+// BDD engine statistics: tasks that reach a stage-2 verdict carry their
 // per-worker bdd::Manager counters (peak nodes, unique-table hits,
 // computed-cache hits/misses/evictions). The human summary prints the
 // batch aggregate, the JSON report carries both the aggregate ("bdd") and
@@ -87,7 +79,7 @@
 // (diagnostics, like timings and steal counts).
 //
 // Exit code: 0 all consistent; 2 some spec inconsistent; 3 errors, budget
-// exhaustion, cancellation, or substrate disagreement; 1 usage.
+// exhaustion, or cancellation; 1 usage.
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
@@ -104,7 +96,6 @@
 #include "batch/corpus_tasks.hpp"
 #include "corpus/generator.hpp"
 #include "corpus/loaders.hpp"
-#include "difftest/harness.hpp"
 #include "difftest/random.hpp"
 #include "nlp/lexicon.hpp"
 #include "shard/splitter.hpp"
@@ -120,8 +111,7 @@ int usage() {
          "                    [--corpus cara|tele|robot|table1]\n"
          "                    [--generate N] [--seed S] [--jobs N]\n"
          "                    [--json FILE] [--canonical] [--time-budget S]\n"
-         "                    [--substrate auto|bounded|symbolic]\n"
-         "                    [--crosscheck] [--diagnose]\n"
+         "                    [--diagnose]\n"
          "                    [--max-correction-sets N]\n"
          "                    [--strict-next] [--quiet]\n"
          "                    [--cache] [--cache-max N] [--cache-stats]\n"
@@ -224,15 +214,6 @@ int main(int argc, char** argv) {
         canonical_output = true;
       } else if (arg == "--time-budget") {
         options.task_time_budget_seconds = std::atof(next_arg().c_str());
-      } else if (arg == "--substrate") {
-        try {
-          options.pipeline.substrate = core::parse_substrate(next_arg());
-        } catch (const util::InvalidInputError& e) {
-          std::cerr << "invalid --substrate: " << e.what() << "\n";
-          return usage();
-        }
-      } else if (arg == "--crosscheck") {
-        options.check_agreement = true;
       } else if (arg == "--diagnose") {
         if (options.pipeline.localization.max_correction_sets == 0) {
           options.pipeline.localization.max_correction_sets = 4;
@@ -411,7 +392,7 @@ int main(int argc, char** argv) {
   }
 
   if (report.errors > 0 || report.budget_exhausted > 0 ||
-      report.cancelled > 0 || report.disagreements > 0) {
+      report.cancelled > 0) {
     return 3;
   }
   return report.all_consistent() ? 0 : 2;

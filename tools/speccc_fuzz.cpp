@@ -1,11 +1,13 @@
-// speccc_fuzz: the standing differential oracle for the three decision
-// substrates (GPVW tableau, bounded synthesis, symbolic BDD game).
+// speccc_fuzz: the standing differential oracle: the product's symbolic
+// BDD game against the reference engines (GPVW tableau, bounded synthesis,
+// controller model checking).
 //
-// Draws seeded random LTL formulas and generated specifications, runs the
-// cross-check properties of difftest/oracle.hpp, and greedily shrinks any
-// disagreement before reporting it. Every failure prints a one-command
-// reproduction; re-running it replays generation, oracle randomness, and
-// shrinking bit-for-bit.
+// Draws seeded random LTL formulas and generated specifications, checks
+// the fixed corpus specifications (Table I, examples/specs and its faults)
+// on every seed, runs the cross-check properties of difftest/oracle.hpp,
+// and greedily shrinks any disagreement before reporting it. Every failure
+// prints a one-command reproduction; re-running it replays generation,
+// oracle randomness, and shrinking bit-for-bit.
 //
 //   $ ./speccc_fuzz --seed 42 --formulas 500 --specs 50
 //
@@ -47,6 +49,12 @@ int main(int argc, char** argv) {
   using namespace speccc;
   difftest::RunOptions options;
   options.progress = &std::cerr;
+  try {
+    options.fixed_specs = difftest::fixed_spec_cases(SPECCC_EXAMPLES_DIR);
+  } catch (const util::SpecError& e) {
+    std::cerr << "speccc_fuzz: " << e.what() << "\n";
+    return 2;
+  }
   std::size_t props = 0;
 
   for (int i = 1; i < argc; ++i) {
@@ -115,6 +123,6 @@ int main(int argc, char** argv) {
                  "OracleOptions::max_tableau_nodes\n";
     return 3;
   }
-  std::cout << "all substrates agree\n";
+  std::cout << "all engines agree\n";
   return 0;
 }

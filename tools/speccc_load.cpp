@@ -20,11 +20,6 @@
 //                           cycles the workload round-robin)
 //
 // Scheduling mix:
-//   --substrate S           attach a per-request "substrate" field to every
-//                           check (auto, bounded, or symbolic); validated
-//                           locally before the run, so a typo fails fast
-//                           instead of filling the report with protocol
-//                           errors
 //   --deadline-ms D         deadline on selected requests (default none)
 //   --deadline-fraction F   fraction of requests carrying the deadline
 //                           (default 1.0 when --deadline-ms is set; picked
@@ -60,8 +55,7 @@
 
 #include "batch/batch.hpp"
 #include "batch/corpus_tasks.hpp"
-#include "core/substrate.hpp"
-#include "difftest/harness.hpp"
+#include "difftest/random.hpp"
 #include "serve/json.hpp"
 #include "serve/net.hpp"
 #include "util/diagnostics.hpp"
@@ -75,7 +69,6 @@ int usage() {
       << "usage: speccc_load (--port N | --port-file FILE)\n"
          "                   [--generate N] [--seed S] [--corpus NAME]\n"
          "                   [--requests M] [--connections C] [--rate R]\n"
-         "                   [--substrate auto|bounded|symbolic]\n"
          "                   [--duration S] [--deadline-ms D]\n"
          "                   [--deadline-fraction F] [--priority-spread P]\n"
          "                   [--canonical-out FILE] [--quiet]\n";
@@ -292,7 +285,6 @@ int main(int argc, char** argv) {
   double deadline_ms = 0.0;
   double deadline_fraction = -1.0;
   int priority_spread = 1;
-  std::string substrate;
   std::string canonical_out;
   bool quiet = false;
 
@@ -329,14 +321,6 @@ int main(int argc, char** argv) {
       priority_spread = std::atoi(next_arg().c_str());
       if (priority_spread < 1) {
         std::cerr << "--priority-spread must be at least 1\n";
-        return usage();
-      }
-    } else if (arg == "--substrate") {
-      substrate = next_arg();
-      try {
-        (void)core::parse_substrate(substrate);
-      } catch (const util::InvalidInputError& e) {
-        std::cerr << "invalid --substrate: " << e.what() << "\n";
         return usage();
       }
     } else if (arg == "--canonical-out") canonical_out = next_arg();
@@ -407,9 +391,6 @@ int main(int argc, char** argv) {
       reqs.push_back(serve::json::Value(std::move(item)));
     }
     o["requirements"] = serve::json::Value(std::move(reqs));
-    if (!substrate.empty()) {
-      o["substrate"] = serve::json::Value(substrate);
-    }
     if (priority_spread > 1) {
       o["priority"] = serve::json::Value(
           static_cast<std::int64_t>(k % static_cast<std::size_t>(priority_spread)));

@@ -37,10 +37,6 @@
 //                         startup failure with a structured diagnostic,
 //                         never a silent cold start. Incompatible with
 //                         --no-cache
-//   --substrate S         default decision substrate for every request:
-//                         auto (default), bounded, or symbolic.
-//                         Per-request "substrate" fields override it.
-//                         Anything else is rejected at startup
 //   --strict-next         translate "next" as a real X operator
 //   --diagnose            enumerate minimal correction sets (up to 4) for
 //                         inconsistent specs, like speccc_batch --diagnose
@@ -69,7 +65,6 @@
 
 #include "cache/snapshot.hpp"
 #include "cache/store.hpp"
-#include "core/substrate.hpp"
 #include "nlp/lexicon.hpp"
 #include "serve/net.hpp"
 #include "serve/protocol.hpp"
@@ -85,7 +80,6 @@ int usage() {
          "                    [--no-cache] [--cache-max N]\n"
          "                    [--eviction fifo|lru]\n"
          "                    [--cache-snapshot IN,OUT]\n"
-         "                    [--substrate auto|bounded|symbolic]\n"
          "                    [--strict-next]\n"
          "                    [--diagnose] [--max-correction-sets N]\n"
          "                    [--quiet]\n";
@@ -248,13 +242,6 @@ int main(int argc, char** argv) {
       else if (which == "lru") eviction = cache::Eviction::kLru;
       else {
         std::cerr << "unknown eviction policy: " << which << "\n";
-        return usage();
-      }
-    } else if (arg == "--substrate") {
-      try {
-        options.pipeline.substrate = core::parse_substrate(next_arg());
-      } catch (const util::InvalidInputError& e) {
-        std::cerr << "invalid --substrate: " << e.what() << "\n";
         return usage();
       }
     } else if (arg == "--strict-next") {

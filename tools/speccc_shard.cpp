@@ -43,12 +43,11 @@
 //   --quiet              suppress the per-shard progress notes
 //
 // Worker passthrough (forwarded verbatim): --cache, --cache-max,
-// --time-budget, --substrate, --crosscheck, --diagnose,
-// --max-correction-sets, --strict-next.
+// --time-budget, --diagnose, --max-correction-sets, --strict-next.
 //
 // Exit code (speccc_batch-compatible): 0 all consistent; 2 some spec
-// inconsistent; 3 errors, shard failures, budget exhaustion, cancellation,
-// or substrate disagreement; 1 usage.
+// inconsistent; 3 errors, shard failures, budget exhaustion, or
+// cancellation; 1 usage.
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
@@ -56,7 +55,6 @@
 #include <string>
 #include <vector>
 
-#include "core/substrate.hpp"
 #include "shard/coordinator.hpp"
 #include "util/diagnostics.hpp"
 
@@ -74,8 +72,7 @@ int usage() {
          "                    [--cache] [--cache-max N]\n"
          "                    [--cache-snapshot IN,OUT]\n"
          "                    [--time-budget S]\n"
-         "                    [--substrate auto|bounded|symbolic]\n"
-         "                    [--crosscheck] [--diagnose]\n"
+         "                    [--diagnose]\n"
          "                    [--max-correction-sets N] [--strict-next]\n";
   return 1;
 }
@@ -143,21 +140,10 @@ int main(int argc, char** argv) {
       canonical_output = true;
     } else if (arg == "--quiet") {
       quiet = true;
-    } else if (arg == "--cache" || arg == "--crosscheck" ||
-               arg == "--diagnose" || arg == "--strict-next") {
+    } else if (arg == "--cache" || arg == "--diagnose" ||
+               arg == "--strict-next") {
       if (arg == "--cache") want_cache = true;
       options.worker_args.push_back(arg);
-    } else if (arg == "--substrate") {
-      // Validated here so a typo fails fast instead of failing every shard.
-      const std::string substrate = next_arg();
-      try {
-        (void)core::parse_substrate(substrate);
-      } catch (const util::InvalidInputError& e) {
-        std::cerr << "invalid --substrate: " << e.what() << "\n";
-        return usage();
-      }
-      options.worker_args.push_back(arg);
-      options.worker_args.push_back(substrate);
     } else if (arg == "--cache-max" || arg == "--time-budget" ||
                arg == "--max-correction-sets" ||
                arg == "--manifest" || arg == "--corpus" ||
