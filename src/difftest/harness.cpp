@@ -137,19 +137,83 @@ void run_spec_case(const RunOptions& options, int index, RunReport& report) {
 
 }  // namespace
 
+const std::vector<std::string>& grammar_sentences() {
+  static const std::vector<std::string> sentences = {
+    "If the door button is pressed, the lock signal is updated.",
+    "If auto control mode is running, the alarm is raised.",
+    "The system issues an alarm.",
+    "If the cuff is available, the alarm is raised.",
+    "If the robot is in room 1 or room 2, the light is on.",
+    "When a start auto control button is enabled, the start auto control button is enabled until it is pressed.",
+    "The alarm is raised before the door is open.",
+    "Before the door is open, the alarm is raised.",
+    "Eventually the alarm is raised.",
+    "When the door sensor is detected, eventually the alarm is raised.",
+    "The CARA will be operational whenever the LSTAT is powered on.",
+    "If the battery status is measured, the monitor light is activated in 10 seconds.",
+    "If the battery status is measured, the monitor light is activated in 2 minutes.",
+    "If the button is pressed, next the alarm is raised.",
+    "Whenever the door is open, the alarm is raised.",
+    "Once the door is open, the alarm is raised.",
+    "While the door is open, the alarm is raised.",
+    "After the door is open, the alarm is raised.",
+    "Always the alarm is raised.",
+    "Globally the alarm is raised.",
+    "Immediately the alarm is raised.",
+    "Sometimes the alarm is raised.",
+    "If the cuff is lost, the alarm is raised.",
+    "If the cuff is unavailable, the alarm is raised.",
+    "If Air Ok signal remains low, auto control mode is terminated in 3 seconds.",
+    "If the valve is closed, the pump is not started.",
+    "If a pump is plugged in, and an infusate is ready, and the occlusion line is clear, auto control mode can be started.",
+    "If the arterial line, or pulse wave or cuff is lost, the alarm is raised.",
+    "If override selection is provided, if override yes is pressed, next arterial line is selected.",
+    "If start auto control button is pressed, and cuff is not available, an alarm is issued and override selection is provided.",
+    "If cuff and arterial line and pulse wave are not available, next manual mode is started.",
+    "The alarm will be raised.",
+    "The pump shall issue an alarm.",
+    "The pump must not be started.",
+    "No alarm is raised.",
+    "If the door button is pressed, the lock signal is updated and eventually the alarm is raised.",
+    "If the door button is pressed, the lock signal is updated or eventually the alarm is raised.",
+    "If the door is open, the light is on in 3 seconds and the alarm is raised in 60 seconds.",
+    "If the door is open, the light is on or the alarm is raised in 60 seconds.",
+    "If the door is open and the light is on in 60 seconds, the alarm is raised.",
+    "If the door is open or the light is on in 60 seconds, the alarm is raised.",
+    "The alarm will be raised and the light will be on.",
+    "The cuff is available and the cuff is not available in 13 seconds.",
+    "The alarm will be raised until the button is pressed.",
+    "If the door is open, the alarm will be raised until the button is pressed.",
+    "If eventually the door is open, the alarm is raised.",
+    "If eventually the button is pressed, eventually the alarm is raised.",
+    "If eventually the button is pressed, the alarm is raised until the light is off.",
+    "The alarm will be raised until eventually the motor is started.",
+    "The alarm is raised in 2 seconds until the light is on.",
+    "The alarm is raised in 20 seconds until the light is on.",
+    "The alarm is raised in 2 seconds or the light is on in 3 seconds.",
+    "The alarm is raised in 20 seconds or the light is on in 30 seconds.",
+    "If the button is pressed in 2 seconds, the alarm is raised in 3 seconds.",
+    "If the button is pressed in 20 seconds, the alarm is raised in 30 seconds.",
+    "If the button is pressed in 20 seconds, eventually the alarm is raised.",
+    "If the button is pressed in 20 seconds, the alarm is raised until the light is off.",
+    "If the button is pressed, the alarm is raised in 20 seconds or eventually the light is on.",
+  };
+  return sentences;
+}
+
 std::vector<batch::SpecTask> fixed_spec_cases(const std::string& examples_dir) {
   namespace fs = std::filesystem;
   std::vector<batch::SpecTask> cases = batch::table1_tasks();
+  const std::vector<std::string>& sentences = grammar_sentences();
+  for (std::size_t i = 0; i < sentences.size(); ++i) {
+    cases.push_back({"grammar/" + std::to_string(i + 1), {{"G1", sentences[i]}}});
+  }
   std::vector<fs::path> files;
   const fs::path specs = fs::path(examples_dir) / "specs";
   if (fs::is_directory(specs)) {
     for (const auto& entry : fs::recursive_directory_iterator(specs)) {
       if (entry.path().extension() == ".txt") files.push_back(entry.path());
     }
-  }
-  if (files.empty()) {
-    throw util::InvalidInputError("no example specification (*.txt) under " +
-                                  specs.string());
   }
   std::sort(files.begin(), files.end());
   for (const fs::path& file : files) {

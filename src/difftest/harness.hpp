@@ -67,10 +67,20 @@ struct RunReport {
   [[nodiscard]] bool ok() const { return failures.empty(); }
 };
 
-/// The fixed corpus cases of the spec lane: the 22 Table I rows, then every
-/// *.txt under `examples_dir`/specs, recursively, in path order (the
-/// example specifications and their faults). Throws util::InvalidInputError
-/// when the directory holds no specification.
+/// One sentence per production of docs/SPEC_LANGUAGE.md: the five
+/// predicate forms, every subordinator and modifier, until and trailing
+/// before, existence, response, delayed (seconds and minutes) and next
+/// shapes, modals and negation, antonym pairs, the pronoun, coordinated
+/// subjects, clauses and nested conditions, the worked examples,
+/// coordinated main clauses or conditions mixing plain, timed and eventual
+/// clauses, and future tense or deadlines under until and eventually in a
+/// condition.
+[[nodiscard]] const std::vector<std::string>& grammar_sentences();
+
+/// The fixed cases of the spec lane: the 22 Table I rows, one
+/// specification per grammar sentence ("grammar/<n>"), then every *.txt
+/// under `examples_dir`/specs, recursively, in path order (the example
+/// specifications and their faults; none when the directory is missing).
 [[nodiscard]] std::vector<batch::SpecTask> fixed_spec_cases(
     const std::string& examples_dir);
 

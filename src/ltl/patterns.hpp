@@ -50,16 +50,30 @@ enum class PatternKind {
   kWeakUntil,        // G (g -> (p W q))         (safety)
   kStrongUntil,      // G (g -> (p U q))         (safety + liveness)
   kExistence,        // F p                      (liveness)
+  kLookahead,        // G p, p a lookahead formula (safety)
+  kAlwaysOneOf,      // G (g -> G h1 || ... || G hk [|| (p W q)]) (safety)
 };
 
-/// A recognized pattern instance. guard/left/right are propositional.
+/// A pattern instance. recognize_pattern returns propositional fields only.
+/// decompose_patterns may also return lookahead formulas -- Boolean
+/// combinations of X^k a, see lookahead_depth -- as the body of
+/// kLookahead, the guard and consequent of kResponse, and the guard, hold
+/// and release of the until kinds; an until hold may also be any formula h
+/// for which decompose_patterns(G h) succeeds (G (g -> ((F c) W q))).
 struct PatternInstance {
   PatternKind kind;
-  Formula guard;       // kInvariant/kExistence: the body; otherwise the trigger
-  Formula consequent;  // kImplication: c; kResponse: c; kUntil: the hold part p
+  Formula guard;       // kInvariant/kExistence/kLookahead: the body;
+                       // otherwise the trigger
+  Formula consequent;  // kImplication: c; kResponse: c; kUntil: the hold part p;
+                       // kAlwaysOneOf: G h1 || ... || G hk [|| (p W q)]
   Formula release;     // kUntil kinds only: q
   std::size_t delay = 0;  // kImplication only: n
 };
+
+/// The largest number of X operators on a path to an atom of `f` when f is
+/// a lookahead formula (atoms, Boolean connectives and X only), else
+/// std::nullopt. A propositional formula has depth 0.
+[[nodiscard]] std::optional<std::size_t> lookahead_depth(Formula f);
 
 /// Try to recognize `f` as one of the monitorable patterns. Nested
 /// implications in the consequent are normalized into the guard
@@ -75,9 +89,23 @@ struct PatternInstance {
 ///   G (g -> p || t)          == G (g && !p -> t)          (p propositional)
 ///   G (g -> (a || b -> c))   == G (g -> (a -> c)) && G (g -> (b -> c))
 ///   G (g -> (X^n h && q -> c)) == G (X^n h -> (g && q -> c))
-/// (g, q, c propositional; g may be absent). Returns std::nullopt when some
-/// part falls outside the fragment. This is the fragment the translator
-/// admits and the symbolic engine compiles.
+/// (g, q, c propositional; g may be absent). A part no rewrite splits is
+/// read as G of a CNF whose clauses mix lookahead literals with F c, G h
+/// and one p W q; each clause is one instance, l the disjunction of its
+/// lookahead literals --
+///   G (l || F c)             == G (!l -> F c)                   kResponse
+///   G (l || G h)             == G (!l -> (h W false))           kWeakUntil
+///   G (l || G h1 || ... || G hk)  (k >= 2)                    kAlwaysOneOf
+///   G (l || G h1 || ... || G hk || (p W q))  (p, q lookahead)  kAlwaysOneOf
+///   G (l || (p W q))         == G (!l -> (p W q))               kWeakUntil
+///   G l                                                        kLookahead
+/// after F c || G h == (h || F c) W c, F c || (p W q) == (p || F c) W
+/// (q || c), and, per G literal beside an until with a temporal hold,
+/// G h || (p W q) == ((p || G h) W q) && ((h || (p W q)) W q). So
+/// eventually in a condition (G (F d -> r) == G (!r -> G !d)), future
+/// tense under until and deadlines anywhere are in the fragment. Returns
+/// std::nullopt when some part falls outside it. This is the fragment the
+/// translator admits and the symbolic engine compiles.
 [[nodiscard]] std::optional<std::vector<PatternInstance>> decompose_patterns(
     Formula f);
 

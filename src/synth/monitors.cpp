@@ -13,9 +13,6 @@ using ltl::Op;
 using ltl::PatternInstance;
 using ltl::PatternKind;
 
-class Compiler;
-bdd::Bdd prop_to_bdd(bdd::Manager& mgr, Compiler& compiler, Formula f);
-
 class Compiler {
  public:
   Compiler(bdd::Manager& mgr, const IoSignature& signature)
@@ -31,6 +28,10 @@ class Compiler {
   }
 
   bool add(const PatternInstance& p, std::size_t origin) {
+    if (!propositional(p)) {
+      add_lagged(p, origin, Scope{mgr_.bdd_true(), 0});
+      return true;
+    }
     switch (p.kind) {
       case PatternKind::kInvariant:
         spec_.game.safe =
@@ -55,6 +56,9 @@ class Compiler {
       case PatternKind::kExistence:
         add_existence(prop(p.guard), origin);
         return true;
+      case PatternKind::kLookahead:
+      case PatternKind::kAlwaysOneOf:
+        break;  // never propositional
     }
     return false;
   }
@@ -93,8 +97,9 @@ class Compiler {
     return v;
   }
 
-  bdd::Bdd prop(Formula f) { return prop_to_bdd(mgr_, *this, f); }
-  friend bdd::Bdd prop_to_bdd(bdd::Manager&, Compiler&, Formula);
+  /// Propositional formula -> BDD, allocating proposition variables on
+  /// first use (see the ordering note in the constructor).
+  bdd::Bdd prop(Formula f) { return lagged(f, 0); }
 
   /// Allocate a monitor state bit; returns its position in state_vars
   /// (and in next_state, which the caller fills through set_update).
@@ -175,48 +180,226 @@ class Compiler {
     spec_.buchi_origin.push_back(origin);
   }
 
+  // ---- Lagged monitors ------------------------------------------------------
+  //
+  // An instance with lookahead fields of depth L is monitored L steps late:
+  // at step t its monitor reads every field at step t - L, from history
+  // registers, and runs the monitor of its kind on that delayed word. A
+  // violation is seen L steps late, and the delay changes neither safety nor
+  // Buechi acceptance of the infinite play, so the game is the same. Steps
+  // t < L are skipped through the scope, whose registers start closed.
+
+  /// A scope predicate of step t - lag, readable at step t.
+  struct Scope {
+    bdd::Bdd open;
+    std::size_t lag = 0;
+  };
+
+  static bool propositional(const PatternInstance& p) {
+    const auto is_prop = [](Formula f) { return f.is_null() || f.is_propositional(); };
+    return p.kind != PatternKind::kLookahead && is_prop(p.guard) &&
+           is_prop(p.consequent) && is_prop(p.release);
+  }
+
+  static std::size_t depth(Formula f) {
+    const auto d = ltl::lookahead_depth(f);
+    speccc_check(d.has_value(), "lagged monitor field is not a lookahead formula");
+    return *d;
+  }
+
+  /// `source` (a predicate of step t) as of step t - j, from `chain`, a
+  /// register chain fed by source and grown on demand: bit j-1 holds the
+  /// value of j steps ago. Bits start false, so a delayed scope reads
+  /// closed until its chain has filled, and a proposition's first bits are
+  /// read only under a closed scope.
+  bdd::Bdd history(std::vector<std::size_t>& chain, bdd::Bdd source, std::size_t j) {
+    while (chain.size() < j) {
+      const std::size_t bit = new_state_bit(false);
+      set_update(bit, chain.empty() ? source : state(chain.back()));
+      chain.push_back(bit);
+    }
+    return j == 0 ? source : state(chain[j - 1]);
+  }
+
+  /// Lookahead formula `f` evaluated at step t - lag (lag >= depth(f)).
+  bdd::Bdd lagged(Formula f, std::size_t lag) {
+    while (f.op() == Op::kNext) {
+      speccc_check(lag > 0, "lag shorter than the lookahead");
+      --lag;
+      f = f.child(0);
+    }
+    switch (f.op()) {
+      case Op::kTrue:
+        return mgr_.bdd_true();
+      case Op::kFalse:
+        return mgr_.bdd_false();
+      case Op::kAp: {
+        // The chains of propositions are shared by every lagged monitor.
+        const bdd::Bdd now = mgr_.var(prop_var(f.ap_name()));
+        return lag == 0 ? now : history(history_[f.ap_name()], now, lag);
+      }
+      case Op::kNot:
+        return mgr_.bdd_not(lagged(f.child(0), lag));
+      case Op::kAnd:
+      case Op::kOr: {
+        const bool conj = f.op() == Op::kAnd;
+        bdd::Bdd acc = conj ? mgr_.bdd_true() : mgr_.bdd_false();
+        for (const Formula c : f.children()) {
+          const bdd::Bdd v = lagged(c, lag);
+          acc = conj ? mgr_.bdd_and(acc, v) : mgr_.bdd_or(acc, v);
+        }
+        return acc;
+      }
+      case Op::kImplies:
+        return mgr_.implies(lagged(f.child(0), lag), lagged(f.child(1), lag));
+      case Op::kIff:
+        return mgr_.iff(lagged(f.child(0), lag), lagged(f.child(1), lag));
+      default:
+        speccc_check(false, "temporal operator in propositional context");
+        return mgr_.bdd_false();
+    }
+  }
+
+  /// The scope as of step t - lag (lag >= scope.lag). The top-level scope
+  /// (always open) delays into the shared chain of `true`, which reads
+  /// "t >= lag".
+  bdd::Bdd open_at(const Scope& scope, std::size_t lag) {
+    if (scope.lag == 0 && scope.open == mgr_.bdd_true()) {
+      return history(true_chain_, scope.open, lag);
+    }
+    std::vector<std::size_t> chain;
+    return history(chain, scope.open, lag - scope.lag);
+  }
+
+  /// G (open -> body) with body a lookahead formula.
+  void add_lagged_safety(Formula body, const Scope& scope) {
+    const std::size_t lag = std::max(scope.lag, depth(body));
+    spec_.game.safe = mgr_.bdd_and(
+        spec_.game.safe, mgr_.implies(open_at(scope, lag), lagged(body, lag)));
+  }
+
+  /// Instance `p` within `scope`: its obligations bind at the steps where
+  /// the scope is open.
+  void add_lagged(const PatternInstance& p, std::size_t origin, const Scope& scope) {
+    switch (p.kind) {
+      case PatternKind::kInvariant:
+      case PatternKind::kLookahead:
+        add_lagged_safety(p.guard, scope);
+        return;
+      case PatternKind::kImplication:
+        add_lagged_safety(ltl::implies(p.guard, ltl::next_n(p.consequent, p.delay)),
+                          scope);
+        return;
+      case PatternKind::kGuardDelayed:
+        add_lagged_safety(ltl::implies(ltl::next_n(p.guard, p.delay), p.consequent),
+                          scope);
+        return;
+      case PatternKind::kResponse: {
+        const std::size_t lag =
+            std::max({scope.lag, depth(p.guard), depth(p.consequent)});
+        add_response(mgr_.bdd_and(open_at(scope, lag), lagged(p.guard, lag)),
+                     lagged(p.consequent, lag), origin);
+        return;
+      }
+      case PatternKind::kWeakUntil:
+      case PatternKind::kStrongUntil: {
+        const bool hold_lookahead = ltl::lookahead_depth(p.consequent).has_value();
+        const std::size_t lag =
+            std::max({scope.lag, depth(p.guard), depth(p.release),
+                      hold_lookahead ? depth(p.consequent) : 0});
+        const bdd::Bdd trigger =
+            mgr_.bdd_and(open_at(scope, lag), lagged(p.guard, lag));
+        const bdd::Bdd release = lagged(p.release, lag);
+        // The weak-until state of add_weak_until; the hold binds while the
+        // until is active and not yet released.
+        const std::size_t w = new_state_bit(false);
+        const bdd::Bdd pending =
+            mgr_.bdd_and(mgr_.bdd_or(state(w), trigger), mgr_.bdd_not(release));
+        set_update(w, pending);
+        const Scope hold_scope{pending, lag};
+        if (hold_lookahead) {
+          add_lagged_safety(p.consequent, hold_scope);
+        } else {
+          const auto parts = ltl::decompose_patterns(ltl::always(p.consequent));
+          speccc_check(parts.has_value(), "until hold outside the fragment");
+          for (const PatternInstance& part : *parts) {
+            add_lagged(part, origin, hold_scope);
+          }
+        }
+        if (p.kind == PatternKind::kStrongUntil) add_response(trigger, release, origin);
+        return;
+      }
+      case PatternKind::kAlwaysOneOf:
+        add_always_one_of(p, scope);
+        return;
+      case PatternKind::kExistence:
+        // Only a top-level F p is an existence instance, and p is
+        // propositional.
+        speccc_check(false, "existence pattern inside a scope");
+        return;
+    }
+  }
+
+  /// G (g -> G h1 || ... || G hk || (p W q)), the until optional. A
+  /// trigger commits when its until fails (at once without one); from the
+  /// earliest committed trigger on, some h_j must never fail. Earlier
+  /// triggers bind later ones, so the monitor tracks, per h_j, a failure
+  /// since the earliest pending trigger and since the earliest committed
+  /// one: 2 + 2k bits, k + 1 without the until.
+  void add_always_one_of(const PatternInstance& p, const Scope& scope) {
+    std::vector<Formula> forever;
+    std::optional<Formula> until;
+    std::size_t lag = std::max(scope.lag, depth(p.guard));
+    for (const Formula part : p.consequent.children()) {
+      if (part.op() == Op::kAlways) {
+        forever.push_back(part.child(0));
+        lag = std::max(lag, depth(part.child(0)));
+      } else {
+        until = part;
+        lag = std::max({lag, depth(part.child(0)), depth(part.child(1))});
+      }
+    }
+    const bdd::Bdd trigger =
+        mgr_.bdd_and(open_at(scope, lag), lagged(p.guard, lag));
+    bdd::Bdd commits = trigger;  // without an until, a trigger commits at once
+    bdd::Bdd still_pending = mgr_.bdd_false();
+    if (until.has_value()) {
+      const std::size_t pending = new_state_bit(false);
+      still_pending = mgr_.bdd_and(mgr_.bdd_or(state(pending), trigger),
+                                   mgr_.bdd_not(lagged(until->child(1), lag)));
+      commits = mgr_.bdd_and(still_pending, mgr_.bdd_not(lagged(until->child(0), lag)));
+      set_update(pending, still_pending);
+    }
+    const std::size_t committed_bit = new_state_bit(false);
+    const bdd::Bdd was_committed = state(committed_bit);
+    const bdd::Bdd committed = mgr_.bdd_or(was_committed, commits);
+    set_update(committed_bit, committed);
+    bdd::Bdd all_failed = committed;
+    for (const Formula h : forever) {
+      const bdd::Bdd fails_now = mgr_.bdd_not(lagged(h, lag));
+      bdd::Bdd since_pending = fails_now;
+      if (until.has_value()) {
+        const std::size_t pf = new_state_bit(false);
+        since_pending = mgr_.bdd_or(state(pf), fails_now);
+        set_update(pf, mgr_.bdd_and(still_pending, since_pending));
+      }
+      const std::size_t cf = new_state_bit(false);
+      const bdd::Bdd since_committed = mgr_.ite(
+          was_committed, mgr_.bdd_or(state(cf), fails_now), since_pending);
+      set_update(cf, mgr_.bdd_and(committed, since_committed));
+      all_failed = mgr_.bdd_and(all_failed, since_committed);
+    }
+    spec_.game.safe = mgr_.bdd_and(spec_.game.safe, mgr_.bdd_not(all_failed));
+  }
+
   bdd::Manager& mgr_;
   [[maybe_unused]] const IoSignature& signature_;
   CompiledSpec spec_;
+  /// History chains of the lagged monitors (see history()), per
+  /// proposition and for the constant true.
+  std::unordered_map<std::string, std::vector<std::size_t>> history_;
+  std::vector<std::size_t> true_chain_;
 };
-
-/// Propositional formula -> BDD, allocating proposition variables on first
-/// use (see the ordering note in Compiler's constructor).
-bdd::Bdd prop_to_bdd(bdd::Manager& mgr, Compiler& compiler, Formula f) {
-  switch (f.op()) {
-    case Op::kTrue:
-      return mgr.bdd_true();
-    case Op::kFalse:
-      return mgr.bdd_false();
-    case Op::kAp:
-      return mgr.var(compiler.prop_var(f.ap_name()));
-    case Op::kNot:
-      return mgr.bdd_not(prop_to_bdd(mgr, compiler, f.child(0)));
-    case Op::kAnd: {
-      bdd::Bdd acc = mgr.bdd_true();
-      for (Formula c : f.children()) {
-        acc = mgr.bdd_and(acc, prop_to_bdd(mgr, compiler, c));
-      }
-      return acc;
-    }
-    case Op::kOr: {
-      bdd::Bdd acc = mgr.bdd_false();
-      for (Formula c : f.children()) {
-        acc = mgr.bdd_or(acc, prop_to_bdd(mgr, compiler, c));
-      }
-      return acc;
-    }
-    case Op::kImplies:
-      return mgr.implies(prop_to_bdd(mgr, compiler, f.child(0)),
-                         prop_to_bdd(mgr, compiler, f.child(1)));
-    case Op::kIff:
-      return mgr.iff(prop_to_bdd(mgr, compiler, f.child(0)),
-                     prop_to_bdd(mgr, compiler, f.child(1)));
-    default:
-      speccc_check(false, "temporal operator in propositional context");
-      return mgr.bdd_false();
-  }
-}
 
 bool mentions_only(const ltl::Formula& f, const IoSignature& signature) {
   const auto atoms = f.atoms();

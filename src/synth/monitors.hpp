@@ -11,6 +11,13 @@
 //   kWeakUntil      G (g -> (p W q))  1 obligation bit, stepwise safety
 //   kStrongUntil    G (g -> (p U q))  weak-until monitor + response monitor
 //   kExistence      F p               1 latch bit + Buechi predicate
+//   kLookahead      G l               history registers (see below)
+//
+// An instance whose fields are lookahead formulas (X^k a inside) of depth
+// L is monitored L steps late: history registers hold the last L values of
+// its propositions, and the monitor of its kind runs on that delayed word.
+// An until whose hold is itself temporal (G (g -> ((F c) W q))) binds the
+// hold's own monitors to the steps where the until is pending.
 //
 // The conjunction of all monitors forms one game::SymbolicGame whose system
 // player wins iff the specification is realizable (consistent).

@@ -6,6 +6,8 @@
 // to a minimal core).
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include <algorithm>
 #include <functional>
 #include <set>
@@ -283,18 +285,70 @@ TEST(Harness, FiftyGeneratedSpecsNoDisagreement) {
 }
 
 // The corpus specifications the product is measured on -- Table I,
-// examples/specs and its faults -- are fixed cases of the spec lane, run on
-// every seed: the standing cross-check of the product engine against the
-// bounded reference engine on real inputs.
+// examples/specs and its faults -- and one specification per grammar
+// production are fixed cases of the spec lane, run on every seed: the
+// standing cross-check of the product engine against the bounded
+// reference engine on real inputs.
 TEST(Harness, FixedCorpusCasesNoDisagreement) {
   difftest::RunOptions options;
   options.formula_cases = 0;
   options.spec_cases = 0;
   options.fixed_specs = difftest::fixed_spec_cases(SPECCC_EXAMPLES_DIR);
-  ASSERT_EQ(options.fixed_specs.size(), 22u + 7u);
+  const std::size_t grammar = difftest::grammar_sentences().size();
+  ASSERT_EQ(options.fixed_specs.size(), 22u + grammar + 7u);
   const difftest::RunReport report = difftest::run(options);
-  EXPECT_EQ(report.fixed_checked, 29);
+  EXPECT_EQ(report.fixed_checked, static_cast<int>(22u + grammar + 7u));
   EXPECT_TRUE(report.ok()) << difftest::describe(report);
+}
+
+TEST(Harness, MissingExamplesDirectoryLeavesTheBuiltInCases) {
+  const auto cases = difftest::fixed_spec_cases("/nonexistent-examples");
+  EXPECT_EQ(cases.size(), 22u + difftest::grammar_sentences().size());
+}
+
+// Future tense under until, eventually in a condition and deadlines under
+// until, in disjunctions or on both sides of a condition are decided by
+// the product engine; bounded reaches the same definite verdict on each,
+// alone and beside a requirement that makes it unrealizable.
+TEST(Harness, BoundedAgreesOnTheWidenedGrammarShapes) {
+  using speccc::synth::Realizability;
+  const std::vector<std::tuple<std::string, std::string, Realizability>> cases = {
+      {"The alarm will be raised until the button is pressed.", "",
+       Realizability::kRealizable},
+      {"The alarm will be raised until the button is pressed.",
+       "The alarm is not raised.", Realizability::kUnrealizable},
+      {"If eventually the door is open, the alarm is raised.", "",
+       Realizability::kRealizable},
+      {"If eventually the door is open, the alarm is raised.",
+       "The alarm is not raised.", Realizability::kUnrealizable},
+      {"The alarm is raised in 20 seconds until the light is on.",
+       "If the light is off, the alarm is not raised.",
+       Realizability::kUnrealizable},
+      {"The alarm is raised in 20 seconds or the light is on in 30 seconds.",
+       "", Realizability::kRealizable},
+      {"The alarm is raised in 20 seconds or the light is on in 30 seconds.",
+       "The alarm is not raised.", Realizability::kUnrealizable},
+      {"If the button is pressed in 20 seconds, the alarm is raised in 30 seconds.",
+       "", Realizability::kRealizable},
+      {"If the button is pressed in 20 seconds, the alarm is raised in 30 seconds.",
+       "The alarm is not raised.", Realizability::kUnrealizable},
+  };
+  for (const auto& [first, second, verdict] : cases) {
+    std::vector<speccc::translate::RequirementText> texts = {{"R1", first}};
+    if (!second.empty()) texts.push_back({"R2", second});
+    const difftest::SpecCase spec = difftest::build_spec_case(texts);
+    const difftest::OracleOptions oracle;
+    const auto bounded = speccc::synth::bounded_synthesize(
+        ltl::land(spec.requirements), spec.signature, oracle.bounded);
+    EXPECT_EQ(bounded.verdict, verdict) << first << " / " << second;
+    const auto symbolic =
+        speccc::synth::symbolic_synthesize(spec.requirements, spec.signature);
+    ASSERT_TRUE(symbolic.has_value()) << first;
+    EXPECT_EQ(symbolic->verdict, verdict) << first << " / " << second;
+    speccc::util::Rng rng(3);
+    EXPECT_EQ(difftest::check_spec(spec, rng, oracle), std::nullopt)
+        << first << " / " << second;
+  }
 }
 
 // Bounded is no empty check on the example specs: on these three it

@@ -471,10 +471,45 @@ TEST(Patterns, DecomposesCoordinatedClauses) {
   EXPECT_EQ(parts->size(), 1u);
 }
 
-TEST(Patterns, DecomposeRejectsWhatNoRewriteSplits) {
-  for (const char* text : {"G (F a -> b)", "G (!p -> (F a W p))",
-                           "G (X X a || X X X b)", "G (X a -> X X b)",
-                           "G F a -> G F b"}) {
+TEST(Patterns, DecomposesTheClauseShapes) {
+  using K = ltl::PatternKind;
+  const auto kinds = [](const char* text) {
+    std::vector<K> out;
+    const auto parts = ltl::decompose_patterns(ltl::parse(text));
+    if (parts.has_value()) {
+      for (const auto& p : *parts) out.push_back(p.kind);
+    }
+    return out;
+  };
+  // Eventually in a condition: G (F d -> r) == G (!r -> (!d W false)).
+  EXPECT_EQ(kinds("G (F a -> b)"), std::vector<K>{K::kWeakUntil});
+  // Future tense under until: a weak until whose hold is a response.
+  EXPECT_EQ(kinds("G (!p -> (F a W p))"), std::vector<K>{K::kWeakUntil});
+  // Deadlines in a disjunction or on both sides: lookahead safety.
+  EXPECT_EQ(kinds("G (X X a || X X X b)"), std::vector<K>{K::kLookahead});
+  EXPECT_EQ(kinds("G (X a -> X X b)"), std::vector<K>{K::kLookahead});
+  // A timed condition with an eventual consequent: a lagged response.
+  EXPECT_EQ(kinds("G (X a -> F b)"), std::vector<K>{K::kResponse});
+  // Until eventually: p W F q == F q || G p, read as (p || F q) W q.
+  EXPECT_EQ(kinds("G (!F q -> (F a W F q))"), std::vector<K>{K::kWeakUntil});
+  // Two eventual conditions: one of two invariants from the trigger on.
+  EXPECT_EQ(kinds("G (F a && F b -> x)"), std::vector<K>{K::kAlwaysOneOf});
+  // An eventual condition with an until: one monitor; with an eventual
+  // hold, one weak until per side of the first failure.
+  EXPECT_EQ(kinds("G (F d -> (!p -> (a W p)))"), std::vector<K>{K::kAlwaysOneOf});
+  EXPECT_EQ(kinds("G (F d -> (!p -> (F a W p)))"),
+            (std::vector<K>{K::kWeakUntil, K::kWeakUntil}));
+}
+
+TEST(Patterns, LookaheadDepth) {
+  EXPECT_EQ(ltl::lookahead_depth(ltl::parse("a")), 0u);
+  EXPECT_EQ(ltl::lookahead_depth(ltl::parse("X (a && X b) || X c")), 2u);
+  EXPECT_FALSE(ltl::lookahead_depth(ltl::parse("X F a")).has_value());
+}
+
+TEST(Patterns, DecomposeRejectsWhatNoClauseCovers) {
+  for (const char* text : {"G F a -> G F b", "G (a -> F G b)", "G !(a W b)",
+                           "G (a -> (b U c) || F d)", "a U b"}) {
     EXPECT_FALSE(ltl::decompose_patterns(ltl::parse(text)).has_value()) << text;
   }
 }

@@ -227,7 +227,14 @@ INSTANTIATE_TEST_SUITE_P(
         "G (a -> x && F y)", "G (a -> x || F y)", "G (a -> x && X y)",
         "G (a -> x || X X y)", "G (a && X b -> x)", "G (a || X b -> x)",
         "G (a -> (X b && !a -> x))", "G (x && X !x)", "G (F x && F y)",
-        "G (a -> F x && (y W b))", "G (a -> x && X y && F y)"));
+        "G (a -> F x && (y W b))", "G (a -> x && X y && F y)",
+        // Clause shapes: lagged monitors, scoped until holds, one-of-always.
+        "G (F a -> x)", "G (F a -> F x)", "G (!b -> (F x W b))",
+        "G (a -> (X X x W b))", "G (X X x || X X X y)", "G (X a -> X X x)",
+        "G (X X a -> X x)", "G (X a -> F x)", "G (F a -> X x)",
+        "G (X a -> (x W b))", "G (F a -> (x W b))", "G (!F b -> (F x W F b))",
+        "G (a -> F y || G x)", "G (X F x)", "G (F a && F b -> x)",
+        "G (F a -> (!y -> (x W y)))"));
 
 // Conjunction-level agreement: random 2-3 formula specs drawn from a pool of
 // pattern templates; both engines must agree on the verdict of the whole
@@ -273,8 +280,8 @@ TEST(Synthesizer, NonPatternFormulaIsAnInternalError) {
   // The translator emits only pattern instances (FragmentInvariant in
   // pipeline_test), so a formula outside the fragment is a caller bug,
   // never a question some other engine answers.
-  EXPECT_THROW((void)synth::synthesize(parse_all({"G (a <-> X X X b)"}),
-                                       {{"b"}, {"a"}}),
+  EXPECT_THROW((void)synth::synthesize(parse_all({"G (a -> F G b)"}),
+                                       {{"a"}, {"b"}}),
                speccc::util::InternalError);
 }
 

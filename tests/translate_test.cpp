@@ -3,8 +3,14 @@
 // formulas (modulo documented normalizations, see corpus/cara.hpp).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "corpus/cara.hpp"
 #include "ltl/formula.hpp"
+#include "ltl/parser.hpp"
+#include "ltl/patterns.hpp"
 #include "nlp/lexicon.hpp"
 #include "semantics/antonyms.hpp"
 #include "translate/translator.hpp"
@@ -221,25 +227,26 @@ TEST(Translator, UngrammaticalInputThrows) {
       speccc::util::ParseError);
 }
 
-// Grammatical sentences whose formulas fall outside the pattern fragment
-// the realizability engine decides are rejected by name at translation,
-// never handed to synthesis.
-TEST(Translator, RejectsFormulasOutsideThePatternFragment) {
-  for (const char* text : {
-           // future tense under until: G (!p -> F a W p)
-           "The alarm will be raised until the button is pressed.",
-           // eventually inside a condition: G (F door -> raise_alarm)
-           "If eventually the door is open, the alarm is raised.",
+// Future tense under until, eventually in a condition and deadlines
+// anywhere translate to formulas the realizability engine decides.
+TEST(Translator, EventualAndTimedShapesStayInThePatternFragment) {
+  for (const auto& [text, formula] : std::vector<std::pair<std::string, std::string>>{
+           {"The alarm will be raised until the button is pressed.",
+            "G (!press_button -> (F raise_alarm W press_button))"},
+           {"If eventually the door is open, the alarm is raised.",
+            "G (F door -> raise_alarm)"},
+           {"The alarm is raised in 2 seconds until the light is on.",
+            "G (!on_light -> (X X raise_alarm W on_light))"},
+           {"The alarm is raised in 2 seconds or the light is on in 3 seconds.",
+            "G (X X raise_alarm || X X X on_light)"},
+           {"If the button is pressed in 2 seconds, the alarm is raised in 3 seconds.",
+            "G (X X press_button -> X X X raise_alarm)"},
        }) {
-    try {
-      (void)translate_texts({{"t", text}});
-      ADD_FAILURE() << "accepted: " << text;
-    } catch (const speccc::util::ParseError& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find("outside the pattern fragment"), std::string::npos)
-          << what;
-      EXPECT_NE(what.find(text), std::string::npos) << what;
-    }
+    const auto result = translate_texts({{"t", text}});
+    ASSERT_EQ(result.requirements.size(), 1u);
+    const ltl::Formula f = result.requirements[0].formula;
+    EXPECT_EQ(f, ltl::parse(formula)) << text << ": " << ltl::to_string(f);
+    EXPECT_TRUE(ltl::decompose_patterns(f).has_value()) << text;
   }
 }
 

@@ -3,9 +3,10 @@
 // controller model checking).
 //
 // Draws seeded random LTL formulas and generated specifications, checks
-// the fixed corpus specifications (Table I, examples/specs and its faults)
-// on every seed, runs the cross-check properties of difftest/oracle.hpp,
-// and greedily shrinks any disagreement before reporting it. Every failure
+// the fixed specifications (Table I, one per grammar production,
+// examples/specs and its faults) on every seed, runs the cross-check
+// properties of difftest/oracle.hpp, and greedily shrinks any
+// disagreement before reporting it. Every failure
 // prints a one-command reproduction; re-running it replays generation,
 // oracle randomness, and shrinking bit-for-bit.
 //
@@ -28,6 +29,7 @@
 // skips left the quota unmet (a green exit must mean real coverage).
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <iostream>
 #include <string>
 
@@ -49,6 +51,11 @@ int main(int argc, char** argv) {
   using namespace speccc;
   difftest::RunOptions options;
   options.progress = &std::cerr;
+  if (!std::filesystem::is_directory(SPECCC_EXAMPLES_DIR "/specs")) {
+    std::cerr << "speccc_fuzz: warning: no " SPECCC_EXAMPLES_DIR
+                 "/specs; the fixed cases are Table I and the grammar "
+                 "sentences only\n";
+  }
   try {
     options.fixed_specs = difftest::fixed_spec_cases(SPECCC_EXAMPLES_DIR);
   } catch (const util::SpecError& e) {
