@@ -201,10 +201,49 @@ class Compiler {
            is_prop(p.consequent) && is_prop(p.release);
   }
 
-  static std::size_t depth(Formula f) {
-    const auto d = ltl::lookahead_depth(f);
-    speccc_check(d.has_value(), "lagged monitor field is not a lookahead formula");
-    return *d;
+  /// The lag of a monitor in `scope` reading the lookahead formulas
+  /// `fields`: the scope's lag or the deepest field, whichever is larger.
+  /// Grows the history chains the fields read there level by level, so the
+  /// registers of one age sit next to each other in the variable order:
+  /// monitors relate ages across propositions (a trigger at age i, a hold
+  /// failure at age j <= i), which stays compact when ages interleave and
+  /// grows exponentially with the lag when each chain is one block.
+  std::size_t lag_for(const Scope& scope, const std::vector<Formula>& fields) {
+    std::size_t lag = scope.lag;
+    for (const Formula f : fields) {
+      const auto d = ltl::lookahead_depth(f);
+      speccc_check(d.has_value(), "lagged monitor field is not a lookahead formula");
+      lag = std::max(lag, *d);
+    }
+    // Chain length each proposition needs: lag minus its smallest offset.
+    std::vector<std::pair<std::string, std::size_t>> need;
+    const auto visit = [&](const auto& self, Formula f, std::size_t offset) -> void {
+      while (f.op() == Op::kNext) {
+        ++offset;
+        f = f.child(0);
+      }
+      if (f.op() == Op::kAp) {
+        const auto it = std::find_if(need.begin(), need.end(), [&](const auto& n) {
+          return n.first == f.ap_name();
+        });
+        if (it == need.end()) {
+          need.emplace_back(f.ap_name(), lag - offset);
+        } else {
+          it->second = std::max(it->second, lag - offset);
+        }
+        return;
+      }
+      for (const Formula c : f.children()) self(self, c, offset);
+    };
+    for (const Formula f : fields) visit(visit, f, 0);
+    const bool top = scope.lag == 0 && scope.open == mgr_.bdd_true();
+    for (std::size_t j = 1; j <= lag; ++j) {
+      if (top) history(true_chain_, mgr_.bdd_true(), j);
+      for (const auto& [name, length] : need) {
+        if (length >= j) history(history_[name], mgr_.var(prop_var(name)), j);
+      }
+    }
+    return lag;
   }
 
   /// `source` (a predicate of step t) as of step t - j, from `chain`, a
@@ -273,7 +312,7 @@ class Compiler {
 
   /// G (open -> body) with body a lookahead formula.
   void add_lagged_safety(Formula body, const Scope& scope) {
-    const std::size_t lag = std::max(scope.lag, depth(body));
+    const std::size_t lag = lag_for(scope, {body});
     spec_.game.safe = mgr_.bdd_and(
         spec_.game.safe, mgr_.implies(open_at(scope, lag), lagged(body, lag)));
   }
@@ -295,8 +334,7 @@ class Compiler {
                           scope);
         return;
       case PatternKind::kResponse: {
-        const std::size_t lag =
-            std::max({scope.lag, depth(p.guard), depth(p.consequent)});
+        const std::size_t lag = lag_for(scope, {p.guard, p.consequent});
         add_response(mgr_.bdd_and(open_at(scope, lag), lagged(p.guard, lag)),
                      lagged(p.consequent, lag), origin);
         return;
@@ -304,9 +342,9 @@ class Compiler {
       case PatternKind::kWeakUntil:
       case PatternKind::kStrongUntil: {
         const bool hold_lookahead = ltl::lookahead_depth(p.consequent).has_value();
-        const std::size_t lag =
-            std::max({scope.lag, depth(p.guard), depth(p.release),
-                      hold_lookahead ? depth(p.consequent) : 0});
+        std::vector<Formula> fields{p.guard, p.release};
+        if (hold_lookahead) fields.push_back(p.consequent);
+        const std::size_t lag = lag_for(scope, fields);
         const bdd::Bdd trigger =
             mgr_.bdd_and(open_at(scope, lag), lagged(p.guard, lag));
         const bdd::Bdd release = lagged(p.release, lag);
@@ -349,16 +387,16 @@ class Compiler {
   void add_always_one_of(const PatternInstance& p, const Scope& scope) {
     std::vector<Formula> forever;
     std::optional<Formula> until;
-    std::size_t lag = std::max(scope.lag, depth(p.guard));
+    std::vector<Formula> fields{p.guard};
     for (const Formula part : p.consequent.children()) {
       if (part.op() == Op::kAlways) {
         forever.push_back(part.child(0));
-        lag = std::max(lag, depth(part.child(0)));
       } else {
         until = part;
-        lag = std::max({lag, depth(part.child(0)), depth(part.child(1))});
       }
+      fields.insert(fields.end(), part.children().begin(), part.children().end());
     }
+    const std::size_t lag = lag_for(scope, fields);
     const bdd::Bdd trigger =
         mgr_.bdd_and(open_at(scope, lag), lagged(p.guard, lag));
     bdd::Bdd commits = trigger;  // without an until, a trigger commits at once
