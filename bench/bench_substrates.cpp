@@ -79,8 +79,7 @@ void BM_GameFixpoint(benchmark::State& state) {
   for (auto _ : state) {
     speccc::bdd::Manager mgr;
     const auto compiled = speccc::synth::compile_monitors(mgr, spec, signature);
-    speccc_check(compiled.has_value(), "spec must compile to monitors");
-    const speccc::game::SymbolicGame& game = compiled->game;
+    const speccc::game::SymbolicGame& game = compiled.game;
 
     // nu Z. AND_j mu Y. CPre((F_j and CPre(Z)) or Y), no extraction.
     const auto cpre = [&](speccc::bdd::Bdd target) {

@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
       print_formulas = true;
     } else if (arg == "--dot") {
       dot_path = next_arg("--dot");
-      options.synthesis.symbolic.extract = true;
+      options.synthesis.extract = true;
     } else if (spec_path.empty() && arg[0] != '-') {
       spec_path = arg;
     } else {

@@ -30,7 +30,7 @@ int main() {
   for (const auto& r : spec) std::cout << "  " << r.id << ": " << r.text << "\n";
 
   core::PipelineOptions options;
-  options.synthesis.symbolic.extract = true;  // build a controller
+  options.synthesis.extract = true;  // build a controller
   core::Pipeline pipeline(options);
   const auto result = pipeline.run("thermostat", spec);
 

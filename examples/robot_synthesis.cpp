@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
 
   core::PipelineOptions options;
   options.translation.next_mode = translate::NextMode::kStrict;
-  options.synthesis.symbolic.extract = true;
+  options.synthesis.extract = true;
   core::Pipeline pipeline(options);
   const auto result = pipeline.run(spec.name, spec.requirements);
   std::cout << "\n" << core::describe(result);

@@ -1,7 +1,6 @@
 #include "batch/batch.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <deque>
 #include <memory>
 #include <mutex>
@@ -9,6 +8,7 @@
 #include <sstream>
 #include <thread>
 
+#include "serve/json.hpp"
 #include "util/diagnostics.hpp"
 
 namespace speccc::batch {
@@ -303,25 +303,10 @@ void canonical_result(std::ostream& os, const TaskResult& r) {
   os << '\n';
 }
 
-std::string json_escape(const std::string& s) {
+/// `s` as a quoted JSON string.
+std::string json_string(const std::string& s) {
   std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
+  serve::json::write_string(out, s);
   return out;
 }
 
@@ -369,7 +354,7 @@ std::string to_json(const BatchReport& report) {
   os << ",\n  \"specs\": [\n";
   for (std::size_t i = 0; i < report.results.size(); ++i) {
     const TaskResult& r = report.results[i];
-    os << "    {\"name\": \"" << json_escape(r.name) << "\", \"status\": \""
+    os << "    {\"name\": " << json_string(r.name) << ", \"status\": \""
        << status_name(r.status) << "\", \"formulas\": " << r.formulas
        << ", \"inputs\": " << r.inputs << ", \"outputs\": " << r.outputs
        << ", \"refined\": " << (r.refined ? "true" : "false")
@@ -377,7 +362,7 @@ std::string to_json(const BatchReport& report) {
     if (!r.mus.empty()) {
       os << ", \"mus\": [";
       for (std::size_t k = 0; k < r.mus.size(); ++k) {
-        os << (k > 0 ? ", " : "") << "\"" << json_escape(r.mus[k]) << "\"";
+        os << (k > 0 ? ", " : "") << json_string(r.mus[k]);
       }
       os << "]";
     }
@@ -386,8 +371,7 @@ std::string to_json(const BatchReport& report) {
       for (std::size_t s = 0; s < r.correction_sets.size(); ++s) {
         os << (s > 0 ? ", " : "") << "[";
         for (std::size_t k = 0; k < r.correction_sets[s].size(); ++k) {
-          os << (k > 0 ? ", " : "") << "\""
-             << json_escape(r.correction_sets[s][k]) << "\"";
+          os << (k > 0 ? ", " : "") << json_string(r.correction_sets[s][k]);
         }
         os << "]";
       }
@@ -399,7 +383,7 @@ std::string to_json(const BatchReport& report) {
          << ", \"bdd_cache_misses\": " << r.bdd.cache_misses;
     }
     if (!r.detail.empty()) {
-      os << ", \"detail\": \"" << json_escape(r.detail) << "\"";
+      os << ", \"detail\": " << json_string(r.detail);
     }
     os << "}" << (i + 1 < report.results.size() ? "," : "") << "\n";
   }

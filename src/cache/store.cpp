@@ -231,8 +231,8 @@ void fold_signature(util::DigestBuilder& builder,
 
 void fold_options(util::DigestBuilder& builder,
                   const synth::SynthesisOptions& options) {
-  builder.u64(options.symbolic.extract ? 1 : 0);
-  builder.u64(options.symbolic.max_extract_inputs);
+  builder.u64(options.extract ? 1 : 0);
+  builder.u64(options.max_extract_inputs);
 }
 
 void fold_formulas(util::DigestBuilder& builder,

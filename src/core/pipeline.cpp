@@ -15,7 +15,7 @@ Pipeline::Pipeline(PipelineOptions options)
       translator_(lexicon_, dictionary_, options_.translation,
                   options_.cache.get()) {
   // Stage 2, the screen and every stage-3 probe poll this one predicate.
-  options_.synthesis.symbolic.cancelled = options_.cancelled;
+  options_.synthesis.cancelled = options_.cancelled;
 }
 
 translate::TranslationResult Pipeline::translate(

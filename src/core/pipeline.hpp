@@ -51,7 +51,7 @@ struct PipelineOptions {
   std::uint32_t error_budget = 5;  // the paper's B
   /// Options of every realizability question of the run -- stage 2, the
   /// satisfiability screen and each stage-3 probe (synth::synthesize).
-  /// The pipeline installs `cancelled` as synthesis.symbolic.cancelled.
+  /// The pipeline installs `cancelled` as synthesis.cancelled.
   synth::SynthesisOptions synthesis;
   partition::Overrides partition_overrides;
   /// Stage 3: run localization + partition adjustment when unrealizable.

@@ -89,7 +89,7 @@ struct Diagnosis {
                                  const Options& options = {});
 
 /// synth::synthesize's verdict under `options`, polling
-/// options.symbolic.cancelled (the pipeline installs its run's CancelFn
+/// options.cancelled (the pipeline installs its run's CancelFn
 /// there).
 [[nodiscard]] synth::Decide synthesize_decide(
     synth::SynthesisOptions options = {});

@@ -99,14 +99,23 @@ void check_spec_case(const RunOptions& options, CaseKind kind, int index,
                      RunReport& report) {
   const std::uint64_t cs = case_seed(options.seed, kind, index);
   const std::uint64_t oracle_seed = mix(cs);
-  const auto oracle_message = [&](const std::vector<ltl::Formula>& requirements)
+  const auto oracle_message = [&](const std::vector<ltl::Formula>& requirements,
+                                  BoundedCoverage* coverage = nullptr)
       -> std::optional<std::string> {
     util::Rng rng(oracle_seed);
-    return check_spec({requirements, spec.signature}, rng, options.oracle);
+    return check_spec({requirements, spec.signature}, rng, options.oracle,
+                      coverage);
   };
 
-  ++(kind == CaseKind::kFixed ? report.fixed_checked : report.specs_checked);
-  const auto message = oracle_message(spec.requirements);
+  const bool fixed = kind == CaseKind::kFixed;
+  ++(fixed ? report.fixed_checked : report.specs_checked);
+  BoundedCoverage coverage = BoundedCoverage::kAbstained;
+  const auto message = oracle_message(spec.requirements, &coverage);
+  RunReport::BoundedCounts& counts =
+      fixed ? report.fixed_bounded : report.specs_bounded;
+  ++(coverage == BoundedCoverage::kDefinite ? counts.definite
+     : coverage == BoundedCoverage::kUnknown ? counts.unknown
+                                             : counts.abstained);
   if (!message) return;
 
   CaseFailure failure;
@@ -291,9 +300,15 @@ std::string describe(const RunReport& report) {
   if (report.formulas_skipped > 0) {
     out << " (+" << report.formulas_skipped << " skipped at the tableau cap)";
   }
-  out << ", " << report.fixed_checked << " fixed spec case(s), "
-      << report.specs_checked << " spec case(s), " << report.failures.size()
-      << " failure(s)\n";
+  const auto bounded = [&out](const RunReport::BoundedCounts& counts) {
+    out << " (bounded: " << counts.definite << " definite, " << counts.unknown
+        << " unknown, " << counts.abstained << " past the alphabet cap)";
+  };
+  out << ", " << report.fixed_checked << " fixed spec case(s)";
+  bounded(report.fixed_bounded);
+  out << ", " << report.specs_checked << " spec case(s)";
+  bounded(report.specs_bounded);
+  out << ", " << report.failures.size() << " failure(s)\n";
   for (const CaseFailure& failure : report.failures) {
     out << "\n"
         << (failure.kind == CaseKind::kFormula ? "formula"

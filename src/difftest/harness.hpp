@@ -62,6 +62,15 @@ struct RunReport {
   int formulas_skipped = 0;
   int specs_checked = 0;
   int fixed_checked = 0;
+  /// Bounded-engine outcomes per spec case, fixed and generated: only a
+  /// definite verdict cross-checks the symbolic one.
+  struct BoundedCounts {
+    int definite = 0;
+    int unknown = 0;    // kUnknown at the oracle's caps
+    int abstained = 0;  // past the alphabet cap
+  };
+  BoundedCounts fixed_bounded;
+  BoundedCounts specs_bounded;
   std::vector<CaseFailure> failures;
 
   [[nodiscard]] bool ok() const { return failures.empty(); }

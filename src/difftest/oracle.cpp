@@ -5,7 +5,8 @@
 #include "automata/emptiness.hpp"
 #include "automata/gpvw.hpp"
 #include "partition/partition.hpp"
-#include "synth/symbolic_engine.hpp"
+#include "ltl/patterns.hpp"
+#include "synth/synthesizer.hpp"
 #include "synth/verify.hpp"
 #include "timeabs/abstraction.hpp"
 #include "util/diagnostics.hpp"
@@ -172,7 +173,9 @@ std::optional<std::string> check_controller(
 }  // namespace
 
 std::optional<std::string> check_spec(const SpecCase& spec, util::Rng& rng,
-                                      const OracleOptions& options) {
+                                      const OracleOptions& options,
+                                      BoundedCoverage* coverage) {
+  if (coverage != nullptr) *coverage = BoundedCoverage::kAbstained;
   if (spec.requirements.empty()) return std::nullopt;
   const Evaluator eval = resolve(options);
   const Formula conjunction = ltl::land(spec.requirements);
@@ -184,10 +187,18 @@ std::optional<std::string> check_spec(const SpecCase& spec, util::Rng& rng,
       spec.signature.inputs.size() + spec.signature.outputs.size() <=
       options.bounded.max_alphabet_bits;
 
-  synth::SymbolicOptions symbolic_options;
-  symbolic_options.extract = enumerable;
-  const auto symbolic = synth::symbolic_synthesize(
-      spec.requirements, spec.signature, symbolic_options);
+  // The shrinker's candidates may leave the pattern fragment; only the
+  // reference engines read those.
+  const bool in_fragment = std::all_of(
+      spec.requirements.begin(), spec.requirements.end(),
+      [](Formula f) { return ltl::decompose_patterns(f).has_value(); });
+  std::optional<synth::SynthesisResult> symbolic;
+  if (in_fragment) {
+    synth::SynthesisOptions symbolic_options;
+    symbolic_options.extract = enumerable;
+    symbolic = synth::synthesize(spec.requirements, spec.signature,
+                                 symbolic_options);
+  }
 
   synth::BoundedOptions bounded_options = options.bounded;
   bounded_options.extract = true;
@@ -195,6 +206,10 @@ std::optional<std::string> check_spec(const SpecCase& spec, util::Rng& rng,
   if (enumerable) {
     bounded = synth::bounded_synthesize(conjunction, spec.signature,
                                         bounded_options);
+    if (coverage != nullptr) {
+      *coverage = definite(bounded.verdict) ? BoundedCoverage::kDefinite
+                                            : BoundedCoverage::kUnknown;
+    }
   }
 
   // Engine agreement: opposite definite verdicts are an engine bug.

@@ -96,9 +96,17 @@ struct SpecCase {
 [[nodiscard]] SpecCase build_spec_case(
     const std::vector<translate::RequirementText>& texts);
 
+/// What bounded synthesis contributed to a spec check: past its alphabet
+/// cap it abstains; inside it, a definite verdict (the only outcome that
+/// cross-checks the symbolic verdict) or kUnknown at the oracle's caps.
+enum class BoundedCoverage { kAbstained, kDefinite, kUnknown };
+
 /// Cross-check one specification across both synthesis engines. Returns a
-/// description of the first violated property, or nullopt.
+/// description of the first violated property, or nullopt. The symbolic
+/// engine only sees specs inside the pattern fragment (a shrunk spec may
+/// leave it). `coverage`, if given, receives the bounded engine's outcome.
 [[nodiscard]] std::optional<std::string> check_spec(
-    const SpecCase& spec, util::Rng& rng, const OracleOptions& options = {});
+    const SpecCase& spec, util::Rng& rng, const OracleOptions& options = {},
+    BoundedCoverage* coverage = nullptr);
 
 }  // namespace speccc::difftest

@@ -73,7 +73,6 @@ SymbolicSolution solve(const SymbolicGame& game,
     }
     solution.winning = z;
     solution.stages = {};
-    solution.step_constraint = mgr.bdd_and(game.safe, apply_transition(game, z));
     solution.realizable = initial_winning(z);
     return solution;
   }
@@ -110,7 +109,6 @@ SymbolicSolution solve(const SymbolicGame& game,
   }
 
   solution.winning = z;
-  solution.step_constraint = mgr.bdd_and(game.safe, apply_transition(game, z));
   solution.realizable = initial_winning(z);
   return solution;
 }

@@ -2,7 +2,7 @@
 //
 // This is the engine room of the scalable consistency check: a translated
 // specification compiles to a conjunction of small deterministic monitors
-// (see synth::MonitorCompiler). Their composition is a game
+// (see synth::compile_monitors). Their composition is a game
 //
 //   state s  --(env picks inputs i, system picks outputs o)-->  s' = f(s,i,o)
 //
@@ -48,15 +48,12 @@ struct SymbolicSolution {
   /// For each Buechi index j, the mu-stages Y_j^0 subset Y_j^1 subset ...
   /// computed in the final nu-iteration; used for strategy extraction.
   std::vector<std::vector<bdd::Bdd>> stages;
-  /// safe(s,i,o) and next state in winning region: the master constraint the
-  /// strategy must satisfy each step (over state, input, output vars).
-  bdd::Bdd step_constraint;
   /// Number of nu-iterations until the fixpoint stabilized (diagnostics).
   int iterations = 0;
 };
 
 /// Solve the game. The returned solution holds all BDDs needed for strategy
-/// extraction (see synth::extract_mealy). `cancelled` is polled once per
+/// extraction (synth::synthesize). `cancelled` is polled once per
 /// fixpoint round (outer nu and inner mu); returning true raises
 /// util::CancelledError (a batch budget or serve deadline stops the solve
 /// here).

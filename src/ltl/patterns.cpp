@@ -4,26 +4,6 @@
 
 namespace speccc::ltl {
 
-Formula universality(Formula p) { return always(p); }
-
-Formula existence(Formula p) { return eventually(p); }
-
-Formula implication(Formula trigger, Formula resp) {
-  return always(implies(trigger, resp));
-}
-
-Formula delayed_implication(Formula trigger, Formula resp, std::size_t delay) {
-  return always(implies(trigger, next_n(resp, delay)));
-}
-
-Formula response(Formula trigger, Formula resp) {
-  return always(implies(trigger, eventually(resp)));
-}
-
-Formula until_template(Formula cond, Formula hold, Formula rel) {
-  return always(implies(cond, implies(lnot(rel), weak_until(hold, rel))));
-}
-
 namespace {
 
 /// Strip X operators from the front; returns the stripped count.
@@ -149,48 +129,24 @@ std::optional<PatternInstance> recognize_pattern(Formula f) {
   }
 
   // G (guard -> X^n c) (possibly n = 0).
-  {
-    Formula cons = rest;
-    std::size_t delay = strip_next(cons);
-    if (cons.is_propositional()) {
-      PatternInstance p;
-      p.kind = PatternKind::kImplication;
-      p.guard = guard;
-      p.consequent = cons;
-      p.delay = delay;
-      return p;
-    }
-    // Mixed temporal consequent, e.g. X F c: recognize X^n (F c) as a
-    // delayed response.
-    if (cons.op() == Op::kEventually && cons.child(0).is_propositional()) {
-      PatternInstance p;
-      p.kind = PatternKind::kResponse;
-      p.guard = guard;
-      p.consequent = cons.child(0);
-      // A delayed F is absorbed: G(g -> X^n F c) == G(g -> F c) only for
-      // n == 0; for n > 0 the deadline is weaker, and since F has no
-      // deadline at all the two coincide for realizability *and* for
-      // language equality... in fact X F c == F X c and F X c is implied by
-      // F c only one way. Precisely: X^n F c == "c holds at some step
-      // >= n". For a response monitor the obligation simply starts n steps
-      // later; with no deadline this is equivalent to F c when n steps of
-      // slack always exist, i.e. the languages differ only on the first n
-      // steps of c. We keep exactness by refusing n > 0 here.
-      if (delay == 0) return p;
-      return std::nullopt;
-    }
-    return std::nullopt;
-  }
+  const std::size_t delay = strip_next(rest);
+  if (!rest.is_propositional()) return std::nullopt;
+  PatternInstance p;
+  p.kind = PatternKind::kImplication;
+  p.guard = guard;
+  p.consequent = rest;
+  p.delay = delay;
+  return p;
 }
 
 namespace {
 
 // ---- General decomposition -------------------------------------------------
 //
-// The rewrites of decompose_into below keep the cheap monitors of the shapes
-// they name. Every other formula G body is read as a conjunction of clauses
-// (CNF of body), and each clause becomes one instance whose fields are
-// lookahead formulas (Boolean combinations of X^k a). A clause's literals
+// A formula G body that recognize_pattern does not take whole is read as a
+// conjunction of clauses (CNF of body), and each clause becomes one
+// instance whose fields are lookahead formulas (Boolean combinations of
+// X^k a). A clause's literals
 // are lookahead formulas, F g, G h and one p W q or p U q (g, h, q
 // lookahead); F and G push through X, and the antecedents of nested
 // implications are negated into the clause.
@@ -429,94 +385,12 @@ bool decompose_clauses(Formula f, std::vector<PatternInstance>& out) {
   return true;
 }
 
-bool decompose_into(Formula f, std::vector<PatternInstance>& out);
-
-/// decompose_into's rewrites first; when they leave some part unsplit,
-/// the clause decomposition of the whole formula.
-bool decompose_or_clauses(Formula f, std::vector<PatternInstance>& out) {
-  const std::size_t mark = out.size();
-  if (decompose_into(f, out)) return true;
-  out.resize(mark);
-  return decompose_clauses(f, out);
-}
-
-bool decompose_into(Formula f, std::vector<PatternInstance>& out) {
-  if (auto p = recognize_pattern(f)) {
-    out.push_back(*p);
-    return true;
-  }
-  if (f.op() != Op::kAlways) return false;
-  std::vector<Formula> guards;
-  const Formula rest = peel_guards(f.child(0), guards);
-  const Formula guard = guards.empty() ? tru() : land(guards);
-  // Every recursive call below gets a strictly smaller consequent or
-  // antecedent, so the decomposition terminates.
-  switch (rest.op()) {
-    case Op::kAnd:
-      for (const Formula c : rest.children()) {
-        if (!decompose_or_clauses(always(implies(guard, c)), out)) return false;
-      }
-      return true;
-    case Op::kOr: {
-      std::vector<Formula> now;
-      std::optional<Formula> later;
-      for (const Formula c : rest.children()) {
-        if (c.is_propositional()) {
-          now.push_back(c);
-        } else if (later.has_value()) {
-          return false;  // two temporal disjuncts
-        } else {
-          later = c;
-        }
-      }
-      if (!later.has_value()) return false;
-      return decompose_or_clauses(
-          always(implies(land(guard, lnot(lor(now))), *later)), out);
-    }
-    case Op::kImplies: {
-      // peel_guards stopped at a temporal antecedent.
-      const Formula ante = rest.child(0);
-      const Formula post = rest.child(1);
-      if (ante.op() == Op::kOr) {
-        for (const Formula a : ante.children()) {
-          if (!decompose_or_clauses(always(implies(guard, implies(a, post))),
-                                  out)) {
-            return false;
-          }
-        }
-        return true;
-      }
-      std::vector<Formula> now{guard};
-      std::optional<Formula> later;
-      const std::vector<Formula> parts =
-          ante.op() == Op::kAnd ? ante.children() : std::vector<Formula>{ante};
-      for (const Formula a : parts) {
-        if (a.is_propositional()) {
-          now.push_back(a);
-        } else if (later.has_value()) {
-          return false;  // two temporal conjuncts
-        } else {
-          later = a;
-        }
-      }
-      if (!later.has_value() || !post.is_propositional()) return false;
-      // The rewritten formula is a guard-delayed instance or nothing;
-      // recognizing it directly (not decomposing) ends the recursion.
-      auto p = recognize_pattern(always(implies(*later, implies(land(now), post))));
-      if (!p.has_value()) return false;
-      out.push_back(*p);
-      return true;
-    }
-    default:
-      return false;
-  }
-}
-
 }  // namespace
 
 std::optional<std::vector<PatternInstance>> decompose_patterns(Formula f) {
+  if (auto p = recognize_pattern(f)) return std::vector<PatternInstance>{*p};
   std::vector<PatternInstance> instances;
-  if (!decompose_or_clauses(f, instances)) return std::nullopt;
+  if (!decompose_clauses(f, instances)) return std::nullopt;
   return instances;
 }
 

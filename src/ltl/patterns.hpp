@@ -1,10 +1,12 @@
-// Property-pattern templates (Dwyer et al. [6], Salamah et al. [19]).
+// Property patterns (Dwyer et al. [6], Salamah et al. [19]) and the
+// fragment the symbolic synthesis engine compiles into deterministic
+// monitors.
 //
-// The paper's translator instantiates the Universality and Existence
-// patterns plus the implication/response shapes that the structured-English
-// subordinators induce. These templates are also what the symbolic synthesis
-// engine recognizes when compiling a specification into deterministic
-// monitors, so they are shared here.
+// The paper's translator emits the Universality and Existence patterns plus
+// the implication/response/until shapes that the structured-English
+// subordinators induce. Two readers turn a formula into pattern instances:
+// recognize_pattern takes one of those shapes whole; decompose_patterns
+// falls back to reading G of a CNF clause by clause.
 #pragma once
 
 #include <cstddef>
@@ -14,33 +16,6 @@
 #include "ltl/formula.hpp"
 
 namespace speccc::ltl {
-
-// ---- Template constructors (used by the translator) ------------------------
-
-/// Universality, global scope: G p.
-[[nodiscard]] Formula universality(Formula p);
-
-/// Existence, global scope: F p.
-[[nodiscard]] Formula existence(Formula p);
-
-/// Immediate implication: G (trigger -> response).
-[[nodiscard]] Formula implication(Formula trigger, Formula response);
-
-/// Delayed implication: G (trigger -> X^n response); Section IV-E's timed
-/// requirements produce this shape.
-[[nodiscard]] Formula delayed_implication(Formula trigger, Formula response,
-                                          std::size_t delay);
-
-/// Response: G (trigger -> F response).
-[[nodiscard]] Formula response(Formula trigger, Formula response);
-
-/// The paper's "until" template (Req-49): once `cond` holds, if `release`
-/// has not happened yet then `hold` persists weakly until `release`:
-/// G (cond -> (!release -> (hold W release))).
-[[nodiscard]] Formula until_template(Formula cond, Formula hold,
-                                     Formula release);
-
-// ---- Pattern recognition (used by the symbolic engine) ---------------------
 
 enum class PatternKind {
   kInvariant,        // G p                      (safety)
@@ -67,7 +42,7 @@ struct PatternInstance {
   Formula consequent;  // kImplication: c; kResponse: c; kUntil: the hold part p;
                        // kAlwaysOneOf: G h1 || ... || G hk [|| (p W q)]
   Formula release;     // kUntil kinds only: q
-  std::size_t delay = 0;  // kImplication only: n
+  std::size_t delay = 0;  // kImplication, kGuardDelayed: n
 };
 
 /// The largest number of X operators on a path to an atom of `f` when f is
@@ -79,20 +54,14 @@ struct PatternInstance {
 /// implications in the consequent are normalized into the guard
 /// (g1 -> (g2 -> c) becomes (g1 && g2) -> c). Returns std::nullopt when the
 /// formula is not a single pattern instance; decompose_patterns below
-/// splits the coordinated shapes the translator also emits.
+/// reads the coordinated shapes the translator also emits.
 [[nodiscard]] std::optional<PatternInstance> recognize_pattern(Formula f);
 
 /// Decompose `f` into pattern instances whose conjunction is equivalent to
-/// it: recognize_pattern, extended by sound rewrites of the shapes that
-/// coordinated clauses produce --
-///   G (g -> c1 && c2)        == G (g -> c1) && G (g -> c2)
-///   G (g -> p || t)          == G (g && !p -> t)          (p propositional)
-///   G (g -> (a || b -> c))   == G (g -> (a -> c)) && G (g -> (b -> c))
-///   G (g -> (X^n h && q -> c)) == G (X^n h -> (g && q -> c))
-/// (g, q, c propositional; g may be absent). A part no rewrite splits is
-/// read as G of a CNF whose clauses mix lookahead literals with F c, G h
-/// and one p W q; each clause is one instance, l the disjunction of its
-/// lookahead literals --
+/// it: recognize_pattern's one instance when it takes f whole, else f read
+/// as G of a CNF whose clauses mix lookahead literals with F c, G h and one
+/// p W q; each clause is one instance, l the disjunction of its lookahead
+/// literals --
 ///   G (l || F c)             == G (!l -> F c)                   kResponse
 ///   G (l || G h)             == G (!l -> (h W false))           kWeakUntil
 ///   G (l || G h1 || ... || G hk)  (k >= 2)                    kAlwaysOneOf
@@ -102,10 +71,11 @@ struct PatternInstance {
 /// after F c || G h == (h || F c) W c, F c || (p W q) == (p || F c) W
 /// (q || c), and, per G literal beside an until with a temporal hold,
 /// G h || (p W q) == ((p || G h) W q) && ((h || (p W q)) W q). So
-/// eventually in a condition (G (F d -> r) == G (!r -> G !d)), future
-/// tense under until and deadlines anywhere are in the fragment. Returns
-/// std::nullopt when some part falls outside it. This is the fragment the
-/// translator admits and the symbolic engine compiles.
+/// coordinated clauses, eventually in a condition (G (F d -> r) ==
+/// G (!r -> G !d)), future tense under until and deadlines anywhere are in
+/// the fragment. Returns std::nullopt when some part falls outside it.
+/// This is the fragment the translator admits and the symbolic engine
+/// compiles.
 [[nodiscard]] std::optional<std::vector<PatternInstance>> decompose_patterns(
     Formula f);
 

@@ -87,80 +87,6 @@ Formula nnf_impl(Formula f, bool negate) {
 
 Formula nnf(Formula f) { return nnf_impl(f, false); }
 
-Formula eliminate_weak_until(Formula f) {
-  switch (f.op()) {
-    case Op::kTrue:
-    case Op::kFalse:
-    case Op::kAp:
-      return f;
-    case Op::kWeakUntil: {
-      Formula a = eliminate_weak_until(f.child(0));
-      Formula b = eliminate_weak_until(f.child(1));
-      return release(b, lor(a, b));
-    }
-    default: {
-      std::vector<Formula> cs;
-      cs.reserve(f.arity());
-      bool changed = false;
-      for (Formula c : f.children()) {
-        Formula r = eliminate_weak_until(c);
-        changed = changed || r != c;
-        cs.push_back(r);
-      }
-      if (!changed) return f;
-      switch (f.op()) {
-        case Op::kNot: return lnot(cs[0]);
-        case Op::kAnd: return land(std::move(cs));
-        case Op::kOr: return lor(std::move(cs));
-        case Op::kImplies: return implies(cs[0], cs[1]);
-        case Op::kIff: return iff(cs[0], cs[1]);
-        case Op::kNext: return next(cs[0]);
-        case Op::kEventually: return eventually(cs[0]);
-        case Op::kAlways: return always(cs[0]);
-        case Op::kUntil: return until(cs[0], cs[1]);
-        case Op::kRelease: return release(cs[0], cs[1]);
-        default: break;
-      }
-      speccc_check(false, "unhandled op in eliminate_weak_until");
-      return f;
-    }
-  }
-}
-
-Formula substitute(Formula f,
-                   const std::unordered_map<std::string, Formula>& map) {
-  switch (f.op()) {
-    case Op::kTrue:
-    case Op::kFalse:
-      return f;
-    case Op::kAp: {
-      auto it = map.find(f.ap_name());
-      return it == map.end() ? f : it->second;
-    }
-    default: {
-      std::vector<Formula> cs;
-      cs.reserve(f.arity());
-      for (Formula c : f.children()) cs.push_back(substitute(c, map));
-      switch (f.op()) {
-        case Op::kNot: return lnot(cs[0]);
-        case Op::kAnd: return land(std::move(cs));
-        case Op::kOr: return lor(std::move(cs));
-        case Op::kImplies: return implies(cs[0], cs[1]);
-        case Op::kIff: return iff(cs[0], cs[1]);
-        case Op::kNext: return next(cs[0]);
-        case Op::kEventually: return eventually(cs[0]);
-        case Op::kAlways: return always(cs[0]);
-        case Op::kUntil: return until(cs[0], cs[1]);
-        case Op::kWeakUntil: return weak_until(cs[0], cs[1]);
-        case Op::kRelease: return release(cs[0], cs[1]);
-        default: break;
-      }
-      speccc_check(false, "unhandled op in substitute");
-      return f;
-    }
-  }
-}
-
 std::size_t max_next_chain(Formula f) {
   if (f.op() == Op::kNext) {
     std::size_t chain = 0;
@@ -175,30 +101,5 @@ std::size_t max_next_chain(Formula f) {
   for (Formula c : f.children()) best = std::max(best, max_next_chain(c));
   return best;
 }
-
-std::size_t temporal_operator_count(Formula f) {
-  std::size_t n = is_temporal(f.op()) ? 1 : 0;
-  for (Formula c : f.children()) n += temporal_operator_count(c);
-  return n;
-}
-
-namespace {
-
-bool safety_nnf(Formula f) {
-  switch (f.op()) {
-    case Op::kUntil:
-    case Op::kEventually:
-      return false;
-    default:
-      for (Formula c : f.children()) {
-        if (!safety_nnf(c)) return false;
-      }
-      return true;
-  }
-}
-
-}  // namespace
-
-bool is_syntactic_safety(Formula f) { return safety_nnf(nnf(f)); }
 
 }  // namespace speccc::ltl

@@ -1,9 +1,8 @@
-// Formula rewriting: negation normal form, implication elimination,
-// substitution, and structural queries used by the synthesis engines.
+// Formula rewriting: negation normal form (the GPVW tableau's input) and
+// the Next-chain query of time abstraction.
 #pragma once
 
 #include <cstddef>
-#include <unordered_map>
 
 #include "ltl/formula.hpp"
 
@@ -14,24 +13,9 @@ namespace speccc::ltl {
 /// !(a W b) == (a && !b) U (!a && !b), !F f == G !f, !G f == F !f.
 [[nodiscard]] Formula nnf(Formula f);
 
-/// Rewrite W and derived operators into the core set {X, U, R, F, G}:
-/// a W b == b R (a || b). Implications/Iff are preserved.
-[[nodiscard]] Formula eliminate_weak_until(Formula f);
-
-/// Replace every occurrence of each key proposition with its mapped formula.
-[[nodiscard]] Formula substitute(
-    Formula f, const std::unordered_map<std::string, Formula>& map);
-
 /// The number of X operators in the longest chain of directly nested Next
 /// operators anywhere in the formula (0 when no Next occurs). Section IV-E's
 /// abstraction works on these chain lengths.
 [[nodiscard]] std::size_t max_next_chain(Formula f);
-
-/// Count of temporal operators (X, F, G, U, W, R) in the tree unfolding.
-[[nodiscard]] std::size_t temporal_operator_count(Formula f);
-
-/// True if the formula is a syntactic safety candidate: NNF contains no
-/// U, F; only X, G, W, R over propositional structure.
-[[nodiscard]] bool is_syntactic_safety(Formula f);
 
 }  // namespace speccc::ltl

@@ -1,6 +1,7 @@
 #include "synth/monitors.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "util/diagnostics.hpp"
 
@@ -455,22 +456,17 @@ bool mentions_only(const ltl::Formula& f, const IoSignature& signature) {
 
 }  // namespace
 
-bool fragment_covers(const std::vector<ltl::Formula>& spec) {
-  for (const ltl::Formula& f : spec) {
-    if (!ltl::decompose_patterns(f).has_value()) return false;
-  }
-  return true;
-}
-
-std::optional<CompiledSpec> compile_monitors(bdd::Manager& manager,
-                                             const std::vector<ltl::Formula>& spec,
-                                             const IoSignature& signature) {
+CompiledSpec compile_monitors(bdd::Manager& manager,
+                              const std::vector<ltl::Formula>& spec,
+                              const IoSignature& signature) {
   // (instance, index of the requirement it came from)
   std::vector<std::pair<PatternInstance, std::size_t>> instances;
   for (std::size_t i = 0; i < spec.size(); ++i) {
-    auto parts = ltl::decompose_patterns(spec[i]);
-    if (!parts.has_value()) return std::nullopt;
-    if (!mentions_only(spec[i], signature)) return std::nullopt;
+    const auto parts = ltl::decompose_patterns(spec[i]);
+    speccc_check(parts.has_value() && mentions_only(spec[i], signature),
+                 "requirement outside the pattern fragment "
+                 "(ltl::decompose_patterns) or mentioning a proposition "
+                 "missing from the signature: " + ltl::to_string(spec[i]));
     for (const PatternInstance& p : *parts) instances.emplace_back(p, i);
   }
   Compiler compiler(manager, signature);

@@ -23,7 +23,6 @@
 // player wins iff the specification is realizable (consistent).
 #pragma once
 
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -47,15 +46,12 @@ struct CompiledSpec {
   std::vector<std::size_t> buchi_origin;
 };
 
-/// Can the whole specification be compiled? True iff every formula
-/// decomposes into pattern instances (ltl::decompose_patterns).
-[[nodiscard]] bool fragment_covers(const std::vector<ltl::Formula>& spec);
-
 /// Compile a specification (conjunction of pattern instances) into a
-/// symbolic game over a caller-provided manager. Returns nullopt when some
-/// formula falls outside the fragment.
-[[nodiscard]] std::optional<CompiledSpec> compile_monitors(
-    bdd::Manager& manager, const std::vector<ltl::Formula>& spec,
-    const IoSignature& signature);
+/// symbolic game over a caller-provided manager. Throws InternalError,
+/// naming the formula, when some formula falls outside the fragment or
+/// mentions a proposition missing from the signature.
+[[nodiscard]] CompiledSpec compile_monitors(bdd::Manager& manager,
+                                            const std::vector<ltl::Formula>& spec,
+                                            const IoSignature& signature);
 
 }  // namespace speccc::synth

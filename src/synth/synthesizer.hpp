@@ -4,27 +4,35 @@
 // realizability -- the paper's notion of specification consistency -- and
 // optionally extracts a Mealy controller witnessing it.
 //
-// One engine decides every question: the symbolic monitor-composition game
-// (synth/symbolic_engine.hpp), exact on the monitorable pattern fragment.
-// Every formula the Section IV translator emits is a pattern instance
-// (pipeline_test's FragmentInvariant pins this), so a formula outside the
-// fragment is a caller bug, not an input the product answers. The bounded
-// engine, the GPVW tableau and controller verification are reference
-// oracles of the difftest harness (speccc::difftest), not product paths.
+// One engine decides every question, exact on the pattern fragment: each
+// requirement decomposes into pattern instances (ltl::decompose_patterns),
+// each instance compiles to a deterministic monitor (synth/monitors.hpp),
+// the monitors compose into one BDD game, and the generalized-Buechi
+// fixpoint of game/symbolic.hpp decides it (such games are determined, so
+// "system loses" == "specification unrealizable"). Every formula the
+// Section IV translator emits is in the fragment (pipeline_test's
+// FragmentInvariant pins this), so a formula outside it is a caller bug,
+// not an input the product answers. The bounded engine, the GPVW tableau
+// and controller verification are reference oracles of the difftest
+// harness (speccc::difftest), not product paths.
 #pragma once
 
 #include <functional>
 #include <optional>
 #include <vector>
 
+#include "bdd/bdd.hpp"
 #include "ltl/formula.hpp"
 #include "synth/mealy.hpp"
-#include "synth/symbolic_engine.hpp"
 
 namespace speccc::synth {
 
 struct SynthesisOptions {
-  SymbolicOptions symbolic;
+  bool extract = false;  // build a Mealy controller (enumerates inputs!)
+  std::size_t max_extract_inputs = 12;  // extraction cap on |inputs|
+  /// Cooperative cancellation, polled once per game fixpoint round;
+  /// returning true raises util::CancelledError. Null is never cancelled.
+  std::function<bool()> cancelled;
 };
 
 struct SynthesisResult {
@@ -46,12 +54,12 @@ struct SynthesisResult {
 using Decide = std::function<Realizability(const std::vector<ltl::Formula>&,
                                            const IoSignature&)>;
 
-/// Decide realizability of the conjunction of `requirements` with the
-/// symbolic engine. Throws InvalidInputError on an empty specification and
-/// InternalError when some requirement is outside the pattern fragment or
-/// mentions a proposition missing from the signature (the caller must pass
-/// translator output under its partition). Throws util::CancelledError
-/// when options.symbolic.cancelled fires.
+/// Decide realizability of the conjunction of `requirements`. Throws
+/// InvalidInputError on an empty specification and InternalError when some
+/// requirement is outside the pattern fragment or mentions a proposition
+/// missing from the signature (the caller must pass translator output
+/// under its partition). Throws util::CancelledError when
+/// options.cancelled fires.
 [[nodiscard]] SynthesisResult synthesize(const std::vector<ltl::Formula>& requirements,
                                          const IoSignature& signature,
                                          const SynthesisOptions& options = {});

@@ -211,16 +211,16 @@ TEST(CacheKeys, SynthesisKeyCoversFormulasSignatureAndOptions) {
 
   // Extraction changes the cached value (a controller rides along).
   speccc::synth::SynthesisOptions extracting = options;
-  extracting.symbolic.extract = true;
+  extracting.extract = true;
   EXPECT_NE(base, cache::synthesis_key(formulas, signature, extracting));
   speccc::synth::SynthesisOptions capped = options;
-  capped.symbolic.max_extract_inputs = options.symbolic.max_extract_inputs + 1;
+  capped.max_extract_inputs = options.max_extract_inputs + 1;
   EXPECT_NE(base, cache::synthesis_key(formulas, signature, capped));
 
   // The cancel predicate is not part of the key: it never changes a
   // cached value, only whether one is produced.
   speccc::synth::SynthesisOptions polled = options;
-  polled.symbolic.cancelled = [] { return false; };
+  polled.cancelled = [] { return false; };
   EXPECT_EQ(base, cache::synthesis_key(formulas, signature, polled));
 
   // Refinement and synthesis artifacts never share keys even for equal

@@ -23,7 +23,7 @@
 #include "ltl/trace.hpp"
 #include "refine/refine.hpp"
 #include "synth/bounded.hpp"
-#include "synth/symbolic_engine.hpp"
+#include "synth/synthesizer.hpp"
 #include "util/diagnostics.hpp"
 
 namespace difftest = speccc::difftest;
@@ -299,6 +299,34 @@ TEST(Harness, FixedCorpusCasesNoDisagreement) {
   const difftest::RunReport report = difftest::run(options);
   EXPECT_EQ(report.fixed_checked, static_cast<int>(22u + grammar + 7u));
   EXPECT_TRUE(report.ok()) << difftest::describe(report);
+  // What the lane cross-checks: bounded decides every grammar case and
+  // three examples; 18 Table I rows are past its alphabet cap, and four
+  // Table I rows and four examples end kUnknown at the oracle's caps.
+  const difftest::RunReport::BoundedCounts& bounded = report.fixed_bounded;
+  EXPECT_EQ(bounded.definite, static_cast<int>(grammar) + 3);
+  EXPECT_EQ(bounded.abstained, 18);
+  EXPECT_EQ(bounded.unknown, 8);
+  EXPECT_NE(difftest::describe(report).find(
+                "(bounded: " + std::to_string(grammar + 3) +
+                " definite, 8 unknown, 18 past the alphabet cap)"),
+            std::string::npos);
+}
+
+// Every grammar case gets a definite bounded verdict, so each sentence
+// shape -- those the clause reading decomposes included -- is
+// cross-checked against the symbolic verdict on every seed.
+TEST(Harness, BoundedDecidesEveryGrammarCase) {
+  difftest::RunOptions options;
+  options.formula_cases = 0;
+  options.spec_cases = 0;
+  for (const auto& task : difftest::fixed_spec_cases("/nonexistent-examples")) {
+    if (task.name.rfind("grammar/", 0) == 0) options.fixed_specs.push_back(task);
+  }
+  const int grammar = static_cast<int>(difftest::grammar_sentences().size());
+  ASSERT_EQ(static_cast<int>(options.fixed_specs.size()), grammar);
+  const difftest::RunReport report = difftest::run(options);
+  EXPECT_TRUE(report.ok()) << difftest::describe(report);
+  EXPECT_EQ(report.fixed_bounded.definite, grammar) << difftest::describe(report);
 }
 
 TEST(Harness, MissingExamplesDirectoryLeavesTheBuiltInCases) {
@@ -342,9 +370,8 @@ TEST(Harness, BoundedAgreesOnTheWidenedGrammarShapes) {
         ltl::land(spec.requirements), spec.signature, oracle.bounded);
     EXPECT_EQ(bounded.verdict, verdict) << first << " / " << second;
     const auto symbolic =
-        speccc::synth::symbolic_synthesize(spec.requirements, spec.signature);
-    ASSERT_TRUE(symbolic.has_value()) << first;
-    EXPECT_EQ(symbolic->verdict, verdict) << first << " / " << second;
+        speccc::synth::synthesize(spec.requirements, spec.signature);
+    EXPECT_EQ(symbolic.verdict, verdict) << first << " / " << second;
     speccc::util::Rng rng(3);
     EXPECT_EQ(difftest::check_spec(spec, rng, oracle), std::nullopt)
         << first << " / " << second;
@@ -372,9 +399,8 @@ TEST(Harness, BoundedDecidesTheSmallExampleSpecsDefinitely) {
         ltl::land(spec.requirements), spec.signature, oracle.bounded);
     EXPECT_EQ(bounded.verdict, verdict) << name;
     const auto symbolic =
-        speccc::synth::symbolic_synthesize(spec.requirements, spec.signature);
-    ASSERT_TRUE(symbolic.has_value()) << name;
-    EXPECT_EQ(symbolic->verdict, verdict) << name;
+        speccc::synth::synthesize(spec.requirements, spec.signature);
+    EXPECT_EQ(symbolic.verdict, verdict) << name;
   }
 }
 

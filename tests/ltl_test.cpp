@@ -184,32 +184,11 @@ TEST(Rewrite, NnfIsIdempotent) {
   }
 }
 
-TEST(Rewrite, WeakUntilElimination) {
-  Formula f = ltl::weak_until(a(), b());
-  Formula g = ltl::eliminate_weak_until(f);
-  EXPECT_EQ(g, ltl::release(b(), ltl::lor(a(), b())));
-}
-
-TEST(Rewrite, SubstituteReplacesAtoms) {
-  Formula f = ltl::always(ltl::implies(a(), ltl::next(b())));
-  Formula g = ltl::substitute(f, {{"a", ltl::land(b(), c())}});
-  EXPECT_EQ(g, ltl::always(ltl::implies(ltl::land(b(), c()), ltl::next(b()))));
-}
-
 TEST(Rewrite, MaxNextChain) {
   EXPECT_EQ(ltl::max_next_chain(ltl::parse("a")), 0u);
   EXPECT_EQ(ltl::max_next_chain(ltl::parse("X a")), 1u);
   EXPECT_EQ(ltl::max_next_chain(ltl::parse("G (a -> X X X b)")), 3u);
   EXPECT_EQ(ltl::max_next_chain(ltl::parse("X X a && X b")), 2u);
-}
-
-TEST(Rewrite, SyntacticSafety) {
-  EXPECT_TRUE(ltl::is_syntactic_safety(ltl::parse("G (a -> X b)")));
-  EXPECT_TRUE(ltl::is_syntactic_safety(ltl::parse("G (a -> (b W c))")));
-  EXPECT_FALSE(ltl::is_syntactic_safety(ltl::parse("G (a -> F b)")));
-  EXPECT_FALSE(ltl::is_syntactic_safety(ltl::parse("a U b")));
-  // Negation flips: !(F a) is safety.
-  EXPECT_TRUE(ltl::is_syntactic_safety(ltl::parse("!F a")));
 }
 
 // ---- Lasso semantics --------------------------------------------------------
@@ -335,7 +314,6 @@ class NnfSemanticsTest : public ::testing::TestWithParam<std::string> {};
 TEST_P(NnfSemanticsTest, NnfPreservesSemantics) {
   Formula f = ltl::parse(GetParam());
   Formula g = ltl::nnf(f);
-  Formula h = ltl::eliminate_weak_until(f);
   speccc::util::Rng rng(1234);
   for (int trial = 0; trial < 64; ++trial) {
     const std::size_t len = 1 + rng.below(6);
@@ -349,8 +327,6 @@ TEST_P(NnfSemanticsTest, NnfPreservesSemantics) {
     ltl::Lasso w(steps, loop);
     EXPECT_EQ(ltl::evaluate(f, w), ltl::evaluate(g, w))
         << "nnf mismatch on " << GetParam();
-    EXPECT_EQ(ltl::evaluate(f, w), ltl::evaluate(h, w))
-        << "W-elimination mismatch on " << GetParam();
   }
 }
 
@@ -362,15 +338,6 @@ INSTANTIATE_TEST_SUITE_P(
                       "G F a -> F G b", "!(X a <-> F b)"));
 
 // ---- Pattern recognition ----------------------------------------------------
-
-TEST(Patterns, TemplateConstructors) {
-  EXPECT_EQ(ltl::to_string(ltl::response(a(), b())), "G (a -> F b)");
-  EXPECT_EQ(ltl::to_string(ltl::delayed_implication(a(), b(), 2)),
-            "G (a -> X X b)");
-  // W binds tighter than ->, so the canonical form needs no inner parens.
-  EXPECT_EQ(ltl::to_string(ltl::until_template(a(), b(), c())),
-            "G (a -> !c -> b W c)");
-}
 
 TEST(Patterns, RecognizeInvariant) {
   auto p = ltl::recognize_pattern(ltl::parse("G (a -> b || c)"));
@@ -444,31 +411,32 @@ TEST(Patterns, RejectsOutsideFragment) {
 
 TEST(Patterns, DecomposesCoordinatedClauses) {
   using K = ltl::PatternKind;
-  // G (g -> c1 && c2) splits per conjunct.
-  auto parts = ltl::decompose_patterns(ltl::parse("G (a -> b && F c)"));
+  // A single pattern instance decomposes to itself.
+  auto parts = ltl::decompose_patterns(ltl::parse("F done"));
+  ASSERT_TRUE(parts.has_value());
+  ASSERT_EQ(parts->size(), 1u);
+  EXPECT_EQ((*parts)[0].kind, K::kExistence);
+  // Anything else is read clause by clause: G (a -> b && F c) is the CNF
+  // (!a || b) && (!a || F c), one instance per clause.
+  parts = ltl::decompose_patterns(ltl::parse("G (a -> b && F c)"));
   ASSERT_TRUE(parts.has_value());
   ASSERT_EQ(parts->size(), 2u);
-  EXPECT_EQ((*parts)[0].kind, K::kImplication);
+  EXPECT_EQ((*parts)[0].kind, K::kLookahead);
+  EXPECT_EQ((*parts)[0].guard, ltl::lor(ltl::lnot(a()), b()));
   EXPECT_EQ((*parts)[1].kind, K::kResponse);
   EXPECT_EQ((*parts)[1].guard, a());
-  // A propositional disjunct moves into the guard, negated.
-  parts = ltl::decompose_patterns(ltl::parse("G (a -> b || X X c)"));
-  ASSERT_TRUE(parts.has_value());
-  ASSERT_EQ(parts->size(), 1u);
-  EXPECT_EQ((*parts)[0].kind, K::kImplication);
-  EXPECT_EQ((*parts)[0].guard, ltl::land(a(), ltl::lnot(b())));
-  EXPECT_EQ((*parts)[0].delay, 2u);
-  // The propositional part of a delayed guard moves into the consequent.
-  parts = ltl::decompose_patterns(ltl::parse("G (a && X b -> c)"));
-  ASSERT_TRUE(parts.has_value());
-  ASSERT_EQ(parts->size(), 1u);
-  EXPECT_EQ((*parts)[0].kind, K::kGuardDelayed);
-  EXPECT_EQ((*parts)[0].guard, b());
-  EXPECT_EQ((*parts)[0].consequent, ltl::implies(a(), c()));
-  // A single pattern instance decomposes to itself.
-  parts = ltl::decompose_patterns(ltl::parse("F done"));
-  ASSERT_TRUE(parts.has_value());
-  EXPECT_EQ(parts->size(), 1u);
+  EXPECT_EQ((*parts)[1].consequent, c());
+  // A clause of lookahead literals is one lookahead instance: deadlines in
+  // a disjunction or in a condition.
+  for (const char* text : {"G (a -> b || X X c)", "G (a && X b -> c)",
+                           "G (a || X b -> c)"}) {
+    const ltl::Formula f = ltl::parse(text);
+    parts = ltl::decompose_patterns(f);
+    ASSERT_TRUE(parts.has_value()) << text;
+    ASSERT_EQ(parts->size(), 1u) << text;
+    EXPECT_EQ((*parts)[0].kind, K::kLookahead) << text;
+    EXPECT_EQ((*parts)[0].guard, f.child(0)) << text;
+  }
 }
 
 TEST(Patterns, DecomposesTheClauseShapes) {

@@ -6,6 +6,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -18,8 +19,10 @@
 #include "core/report.hpp"
 #include "difftest/harness.hpp"
 #include "ltl/formula.hpp"
+#include "ltl/parser.hpp"
 #include "ltl/patterns.hpp"
 #include "ltl/rewrite.hpp"
+#include "ltl/trace.hpp"
 #include "synth/synthesizer.hpp"
 #include "synth/verify.hpp"
 #include "util/diagnostics.hpp"
@@ -28,6 +31,7 @@ namespace batch = speccc::batch;
 namespace core = speccc::core;
 namespace corpus = speccc::corpus;
 namespace difftest = speccc::difftest;
+namespace ltl = speccc::ltl;
 namespace translate = speccc::translate;
 
 namespace {
@@ -239,6 +243,84 @@ TEST(FragmentInvariant, EveryTranslatedFormulaIsAPatternInstance) {
   EXPECT_GE(formulas, 7600u);
 }
 
+/// The formula a pattern instance stands for (see ltl::PatternKind).
+ltl::Formula instance_formula(const ltl::PatternInstance& p) {
+  using K = ltl::PatternKind;
+  switch (p.kind) {
+    case K::kInvariant:
+    case K::kLookahead:
+      return ltl::always(p.guard);
+    case K::kExistence:
+      return ltl::eventually(p.guard);
+    case K::kImplication:
+      return ltl::always(ltl::implies(p.guard, ltl::next_n(p.consequent, p.delay)));
+    case K::kGuardDelayed:
+      return ltl::always(ltl::implies(ltl::next_n(p.guard, p.delay), p.consequent));
+    case K::kResponse:
+      return ltl::always(ltl::implies(p.guard, ltl::eventually(p.consequent)));
+    case K::kWeakUntil:
+      return ltl::always(ltl::implies(p.guard, ltl::weak_until(p.consequent, p.release)));
+    case K::kStrongUntil:
+      return ltl::always(ltl::implies(p.guard, ltl::until(p.consequent, p.release)));
+    case K::kAlwaysOneOf:
+      return ltl::always(ltl::implies(p.guard, p.consequent));
+  }
+  return {};
+}
+
+// Decomposition is sound: the conjunction of the instances
+// ltl::decompose_patterns returns agrees with the formula on random lassos
+// over its atoms, for every formula of the standing sweep and for clause
+// shapes no sweep sentence reaches (G literals beside an until whose hold
+// is temporal). Each lasso draws every atom with one of three biases, so
+// guards fire and obligations are met as well as missed.
+TEST(FragmentInvariant, DecompositionPreservesSemantics) {
+  speccc::util::Rng rng(2015);
+  std::size_t formulas = 0;
+  const auto check = [&](const std::string& name, ltl::Formula f) {
+    const auto parts = ltl::decompose_patterns(f);
+    ASSERT_TRUE(parts.has_value()) << name;
+    std::vector<ltl::Formula> rebuilt;
+    for (const ltl::PatternInstance& p : *parts) rebuilt.push_back(instance_formula(p));
+    const ltl::Formula conjunction = ltl::land(rebuilt);
+    const std::set<std::string> atoms = f.atoms();
+    ++formulas;
+    for (int trial = 0; trial < 8; ++trial) {
+      const unsigned bias = 1 + 3 * static_cast<unsigned>(rng.below(3));
+      std::vector<ltl::Valuation> steps(1 + rng.below(7));
+      for (ltl::Valuation& step : steps) {
+        for (const std::string& atom : atoms) {
+          if (rng.chance(bias, 8)) step.insert(atom);
+        }
+      }
+      const std::size_t loop = rng.below(steps.size());
+      const ltl::Lasso lasso(std::move(steps), loop);
+      ASSERT_EQ(ltl::evaluate(f, lasso), ltl::evaluate(conjunction, lasso))
+          << name << ": " << ltl::to_string(f) << " vs " << ltl::to_string(conjunction);
+    }
+  };
+
+  const core::Pipeline default_pipeline;
+  const core::Pipeline strict_pipeline(options_for(translate::NextMode::kStrict));
+  for_each_sweep_spec([&](translate::NextMode mode, const std::string& name,
+                          const std::vector<translate::RequirementText>& reqs) {
+    const core::Pipeline& pipeline =
+        mode == translate::NextMode::kStrict ? strict_pipeline : default_pipeline;
+    std::optional<speccc::timeabs::Abstraction> abstraction;
+    for (const auto& req : pipeline.translate(reqs, abstraction).requirements) {
+      check(name + " " + req.id, req.formula);
+    }
+  });
+  EXPECT_GE(formulas, 7600u);
+
+  for (const char* text :
+       {"G (F d -> (!p -> (F a W p)))", "G (F d && F e -> (!p -> (F a W p)))",
+        "G (F d && F e && F g -> (!p -> (F a W p)))",
+        "G (F d -> (!p -> ((a || F b) W p)))"}) {
+    for (int repeat = 0; repeat < 32; ++repeat) check(text, ltl::parse(text));
+  }
+}
+
 // Stage 1 translates once, harvesting Theta from the parse trees. It must
 // equal the two-pass composition it replaced: translate with raw tick
 // counts, read Theta, optimize, then translate again under the remap.
@@ -338,7 +420,7 @@ TEST(PipelineRobot, ExtractedControllerIsExhaustivelyCorrect) {
   // controller and model-check it against every translated requirement.
   core::PipelineOptions options;
   options.translation.next_mode = translate::NextMode::kStrict;
-  options.synthesis.symbolic.extract = true;
+  options.synthesis.extract = true;
   core::Pipeline pipeline(options);
   const auto spec = corpus::robot_spec(1, 4);
   const auto result = pipeline.run(spec.name, spec.requirements);
@@ -392,7 +474,7 @@ TEST(PipelineCancel, SatisfiabilityScreenPollsTheCancelPredicate) {
   // D: the polls of the run's stage-2 question on its own.
   std::size_t d = 0;
   speccc::synth::SynthesisOptions counted = options.synthesis;
-  counted.symbolic.cancelled = [&d] {
+  counted.cancelled = [&d] {
     ++d;
     return false;
   };

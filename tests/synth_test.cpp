@@ -12,8 +12,6 @@
 #include "ltl/parser.hpp"
 #include "ltl/trace.hpp"
 #include "synth/bounded.hpp"
-#include "synth/monitors.hpp"
-#include "synth/symbolic_engine.hpp"
 #include "synth/synthesizer.hpp"
 #include "util/diagnostics.hpp"
 
@@ -125,49 +123,51 @@ TEST(Bounded, ControllerTraceSatisfiesSpec) {
 
 TEST(Symbolic, CompilesPatternSpecs) {
   const auto spec = parse_all({"G (a -> out)", "G (b -> F out2)", "F done"});
-  EXPECT_TRUE(synth::fragment_covers(spec));
+  const auto result =
+      synth::synthesize(spec, {{"a", "b"}, {"out", "out2", "done"}});
+  EXPECT_EQ(result.verdict, Realizability::kRealizable);
 }
 
 TEST(Symbolic, RefusesNonPatternSpecs) {
+  // The error names the formula outside the fragment.
   const auto spec = parse_all({"G (a -> out)", "G F a -> G F b"});
-  EXPECT_FALSE(synth::fragment_covers(spec));
-  const auto outcome =
-      synth::symbolic_synthesize(spec, {{"a", "b"}, {"out"}});
-  EXPECT_FALSE(outcome.has_value());
+  try {
+    (void)synth::synthesize(spec, {{"a", "b"}, {"out"}});
+    FAIL() << "a non-pattern formula must be refused";
+  } catch (const speccc::util::InternalError& e) {
+    EXPECT_NE(std::string(e.what()).find(ltl::to_string(spec[1])), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Symbolic, EchoRealizable) {
-  const auto outcome = synth::symbolic_synthesize(
+  const auto outcome = synth::synthesize(
       parse_all({"G (in -> out)"}), {{"in"}, {"out"}});
-  ASSERT_TRUE(outcome.has_value());
-  EXPECT_EQ(outcome->verdict, Realizability::kRealizable);
+  EXPECT_EQ(outcome.verdict, Realizability::kRealizable);
 }
 
 TEST(Symbolic, ConflictUnrealizable) {
-  const auto outcome = synth::symbolic_synthesize(
+  const auto outcome = synth::synthesize(
       parse_all({"G (a -> out)", "G (b -> !out)"}), {{"a", "b"}, {"out"}});
-  ASSERT_TRUE(outcome.has_value());
-  EXPECT_EQ(outcome->verdict, Realizability::kUnrealizable);
+  EXPECT_EQ(outcome.verdict, Realizability::kUnrealizable);
 }
 
 TEST(Symbolic, GuardDelayedRealizableByConstantOutput) {
   // The paper's Req-28 shape: G (X X X !bp -> trigger). Constant triggering
   // realizes it without clairvoyance.
-  const auto outcome = synth::symbolic_synthesize(
+  const auto outcome = synth::synthesize(
       parse_all({"G (X X X !bp -> trigger)"}), {{"bp"}, {"trigger"}});
-  ASSERT_TRUE(outcome.has_value());
-  EXPECT_EQ(outcome->verdict, Realizability::kRealizable);
+  EXPECT_EQ(outcome.verdict, Realizability::kRealizable);
 }
 
 TEST(Symbolic, ResponseWithResetRealizable) {
   const auto spec = parse_all(
       {"G (req -> F grant)", "G (cancel -> !grant)"});
   const auto outcome =
-      synth::symbolic_synthesize(spec, {{"req", "cancel"}, {"grant"}});
-  ASSERT_TRUE(outcome.has_value());
+      synth::synthesize(spec, {{"req", "cancel"}, {"grant"}});
   // The environment can hold cancel forever while requesting: grant must
   // eventually fire but is forbidden: unrealizable.
-  EXPECT_EQ(outcome->verdict, Realizability::kUnrealizable);
+  EXPECT_EQ(outcome.verdict, Realizability::kUnrealizable);
 }
 
 TEST(Symbolic, ControllerSatisfiesSpecOnTraces) {
@@ -175,13 +175,12 @@ TEST(Symbolic, ControllerSatisfiesSpecOnTraces) {
       "G (req -> F grant)",
       "G (grant -> X !grant)",  // no two grants in a row
   });
-  synth::SymbolicOptions opts;
+  synth::SynthesisOptions opts;
   opts.extract = true;
-  const auto outcome = synth::symbolic_synthesize(spec, {{"req"}, {"grant"}}, opts);
-  ASSERT_TRUE(outcome.has_value());
-  ASSERT_EQ(outcome->verdict, Realizability::kRealizable);
-  ASSERT_TRUE(outcome->controller.has_value());
-  const auto& machine = *outcome->controller;
+  const auto outcome = synth::synthesize(spec, {{"req"}, {"grant"}}, opts);
+  ASSERT_EQ(outcome.verdict, Realizability::kRealizable);
+  ASSERT_TRUE(outcome.controller.has_value());
+  const auto& machine = *outcome.controller;
   const ltl::Formula conj = ltl::land(spec);
 
   speccc::util::Rng rng(77);
@@ -207,12 +206,11 @@ TEST_P(EngineAgreementTest, SymbolicMatchesBounded) {
   const IoSignature sig{{"a", "b"}, {"x", "y"}};
   const std::vector<ltl::Formula> spec{f};
 
-  const auto symbolic = synth::symbolic_synthesize(spec, sig);
-  ASSERT_TRUE(symbolic.has_value()) << "not in fragment: " << GetParam();
+  const auto symbolic = synth::synthesize(spec, sig);
 
   const auto bounded = synth::bounded_synthesize(f, sig);
   ASSERT_NE(bounded.verdict, Realizability::kUnknown) << GetParam();
-  EXPECT_EQ(symbolic->verdict, bounded.verdict) << GetParam();
+  EXPECT_EQ(symbolic.verdict, bounded.verdict) << GetParam();
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -255,13 +253,12 @@ TEST_P(ConjunctionAgreementTest, SymbolicMatchesBoundedOnSpecs) {
   }
   const IoSignature sig{{"a", "b"}, {"x", "y"}};
 
-  const auto symbolic = synth::symbolic_synthesize(spec, sig);
-  ASSERT_TRUE(symbolic.has_value());
+  const auto symbolic = synth::synthesize(spec, sig);
   const auto bounded = synth::bounded_synthesize(ltl::land(spec), sig);
   if (bounded.verdict == Realizability::kUnknown) {
     GTEST_SKIP() << "bounded engine hit its k bound";
   }
-  EXPECT_EQ(symbolic->verdict, bounded.verdict)
+  EXPECT_EQ(symbolic.verdict, bounded.verdict)
       << "spec: " << ltl::to_string(ltl::land(spec));
 }
 
@@ -289,7 +286,7 @@ TEST(Synthesizer, CancelFiresInsideTheSymbolicEngine) {
   // The run's cancel predicate reaches the fixpoint: a batch budget or
   // serve deadline can stop a decision, not only a stage boundary.
   synth::SynthesisOptions options;
-  options.symbolic.cancelled = [] { return true; };
+  options.cancelled = [] { return true; };
   EXPECT_THROW((void)synth::synthesize(parse_all({"G (a -> x)"}),
                                        {{"a"}, {"x"}}, options),
                speccc::util::CancelledError);

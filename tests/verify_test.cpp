@@ -6,7 +6,7 @@
 #include "ltl/parser.hpp"
 #include "synth/bounded.hpp"
 #include "synth/mealy_export.hpp"
-#include "synth/symbolic_engine.hpp"
+#include "synth/synthesizer.hpp"
 #include "synth/verify.hpp"
 
 namespace synth = speccc::synth;
@@ -69,15 +69,13 @@ TEST(Verify, SynthesizedControllersAreCorrectByConstruction) {
   // Drop the cancel conflict: synthesize first two only plus the cancel
   // safety (realizable because cancel only blocks the instantaneous grant).
   const IoSignature sig{{"req", "cancel"}, {"grant"}};
-  synth::SymbolicOptions options;
+  synth::SynthesisOptions options;
   options.extract = true;
-  const auto outcome = synth::symbolic_synthesize(
-      {formulas[0], formulas[1]}, sig, options);
-  ASSERT_TRUE(outcome.has_value());
-  ASSERT_EQ(outcome->verdict, synth::Realizability::kRealizable);
-  ASSERT_TRUE(outcome->controller.has_value());
+  const auto outcome = synth::synthesize({formulas[0], formulas[1]}, sig, options);
+  ASSERT_EQ(outcome.verdict, synth::Realizability::kRealizable);
+  ASSERT_TRUE(outcome.controller.has_value());
   for (std::size_t i = 0; i < 2; ++i) {
-    const auto check = synth::verify(*outcome->controller, formulas[i]);
+    const auto check = synth::verify(*outcome.controller, formulas[i]);
     EXPECT_TRUE(check.holds) << specs[i];
   }
 }
