@@ -1,7 +1,5 @@
 #include "core/pipeline.hpp"
 
-#include <set>
-
 #include "diag/diag.hpp"
 #include "util/diagnostics.hpp"
 
@@ -75,23 +73,12 @@ PipelineResult Pipeline::run(
   result.consistent =
       result.synthesis.verdict == synth::Realizability::kRealizable;
 
-  // ---- Stage 3: satisfiability screen and refinement loop --------------------
+  // ---- Stage 3: refinement loop and satisfiability screen --------------------
   if (!result.consistent) {
     util::Stopwatch stage3;
-    const synth::Decide probe = diag::synthesize_decide(options_.synthesis);
-
-    // An unsatisfiable requirement makes the whole specification
-    // unimplementable regardless of the partition. With every proposition
-    // an output there is no environment, so {f} is realizable exactly when
-    // f is satisfiable. A realizable conjunction has no unsatisfiable
-    // conjunct, so the screen only runs here.
-    for (const auto& req : result.translation.requirements) {
-      const std::set<std::string> atoms = req.formula.atoms();
-      if (probe({req.formula}, {{}, {atoms.begin(), atoms.end()}}) ==
-          synth::Realizability::kUnrealizable) {
-        result.unsatisfiable_requirements.push_back(req.id);
-      }
-    }
+    // One oracle answers every stage-3 question of this run, component by
+    // component, and remembers each component's verdict until the run ends.
+    diag::RealizabilityOracle oracle(formulas, options_.synthesis);
 
     if (options_.refine_on_failure) {
       poll_cancel("refinement");
@@ -102,12 +89,23 @@ PipelineResult Pipeline::run(
                                          options_.localization);
           },
           [&] {
-            return refine::refine(formulas, result.partition, probe,
+            return refine::refine(oracle, result.partition,
                                   options_.localization);
           });
       if (result.refined()) {
         result.consistent = true;
         result.partition = result.refinement->partition;
+      }
+    }
+
+    // An unsatisfiable requirement makes the whole specification
+    // unimplementable regardless of the partition. A realizable conjunction
+    // has no unsatisfiable conjunct, so the screen only runs here, and it
+    // skips every requirement of a component refinement found realizable.
+    for (std::size_t i = 0; i < formulas.size(); ++i) {
+      if (!oracle.satisfiable(i)) {
+        result.unsatisfiable_requirements.push_back(
+            result.translation.requirements[i].id);
       }
     }
     result.refinement_seconds = stage3.seconds();

@@ -4,9 +4,9 @@
 //   stage 1: structured English -> LTL (translation + semantic reasoning +
 //            time abstraction + input/output partition);
 //   stage 2: realizability checking via synthesis;
-//   stage 3: on failure, the per-requirement satisfiability screen and
-//            heuristic refinement (inconsistency localization and partition
-//            adjustment), feeding back into stage 2.
+//   stage 3: on failure, heuristic refinement (inconsistency localization
+//            and partition adjustment), feeding back into stage 2, then the
+//            per-requirement satisfiability screen.
 #pragma once
 
 #include <atomic>
@@ -60,7 +60,8 @@ struct PipelineOptions {
   /// enumerate for genuinely inconsistent specifications.
   refine::LocalizeOptions localization;
   /// Not settable: the satisfiability screen always runs when stage 2 is
-  /// not realizable, through synth::synthesize, on every requirement. These two
+  /// not realizable, through synth::synthesize, on every requirement that
+  /// no realizable stage-3 component already proved satisfiable. These two
   /// constants exist only for the end-to-end benchmark's replica of the old
   /// tableau screen (perfbench/driver.cpp) and its stratum draw, which
   /// must keep drawing the same pools.
@@ -77,9 +78,10 @@ struct PipelineOptions {
   std::optional<nlp::Lexicon> lexicon;
   std::optional<semantics::AntonymDictionary> dictionary;
   /// Cooperative cancellation: polled at stage boundaries (before
-  /// translation, synthesis, and refinement) and inside the symbolic
-  /// engine of every realizability question -- stage 2, each
-  /// satisfiability-screen question and each stage-3 probe. When it
+  /// translation, synthesis, and refinement), before each stage-3
+  /// component decision and inside the symbolic engine of every
+  /// realizability question -- stage 2, each stage-3 probe and each
+  /// satisfiability-screen question. When it
   /// returns true the run throws util::CancelledError. Stage 1 runs to
   /// completion once started. Null means never cancelled.
   CancelFn cancelled;

@@ -1,6 +1,7 @@
 #include "diag/diag.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <set>
 
 #include "util/diagnostics.hpp"
@@ -116,33 +117,166 @@ Diagnosis diagnose(std::size_t num_requirements, const CoreOracle& oracle,
   return diagnosis;
 }
 
-synth::Decide synthesize_decide(synth::SynthesisOptions options) {
-  return [options = std::move(options)](
-             const std::vector<ltl::Formula>& formulas,
-             const synth::IoSignature& signature) {
-    return synth::synthesize(formulas, signature, options).verdict;
+RealizabilityOracle::RealizabilityOracle(std::vector<ltl::Formula> requirements,
+                                         synth::SynthesisOptions options)
+    : requirements_(std::move(requirements)),
+      options_(std::move(options)),
+      atoms_of_(requirements_.size()),
+      proven_satisfiable_(requirements_.size(), false) {
+  std::vector<std::set<std::string>> names;
+  names.reserve(requirements_.size());
+  std::set<std::string> all;
+  for (const ltl::Formula& f : requirements_) {
+    names.push_back(f.atoms());
+    all.insert(names.back().begin(), names.back().end());
+  }
+  atom_names_.assign(all.begin(), all.end());
+  for (std::size_t i = 0; i < requirements_.size(); ++i) {
+    for (const std::string& name : names[i]) {
+      atoms_of_[i].push_back(static_cast<std::uint32_t>(
+          std::lower_bound(atom_names_.begin(), atom_names_.end(), name) -
+          atom_names_.begin()));
+    }
+  }
+}
+
+RealizabilityOracle::Binding RealizabilityOracle::bind(
+    const synth::IoSignature& signature) const {
+  Binding binding;
+  binding.slot.assign(atom_names_.size(), -1);
+  binding.num_inputs = signature.inputs.size();
+  std::int32_t slot = 0;
+  for (const auto* names : {&signature.inputs, &signature.outputs}) {
+    for (const std::string& name : *names) {
+      const auto it =
+          std::lower_bound(atom_names_.begin(), atom_names_.end(), name);
+      if (it != atom_names_.end() && *it == name) {
+        binding.slot[static_cast<std::size_t>(it - atom_names_.begin())] = slot;
+      }
+      ++slot;
+    }
+  }
+  return binding;
+}
+
+std::optional<std::vector<std::size_t>> RealizabilityOracle::core(
+    const std::vector<std::size_t>& subset,
+    const synth::IoSignature& signature) {
+  return core_under(subset, bind(signature));
+}
+
+CoreOracle RealizabilityOracle::under(const synth::IoSignature& signature) {
+  return [this, binding = bind(signature)](
+             const std::vector<std::size_t>& subset) {
+    return core_under(subset, binding);
   };
 }
 
-CoreOracle synthesis_oracle(std::vector<ltl::Formula> requirements,
-                            synth::IoSignature signature,
-                            synth::Decide decide) {
-  return [requirements = std::move(requirements),
-          signature = std::move(signature), decide = std::move(decide)](
-             const std::vector<std::size_t>& subset)
-             -> std::optional<std::vector<std::size_t>> {
-    if (subset.empty()) return std::nullopt;  // empty conjunction: realizable
-    std::vector<ltl::Formula> formulas;
-    formulas.reserve(subset.size());
-    for (std::size_t i : subset) {
-      speccc_check(i < requirements.size(), "oracle subset index out of range");
-      formulas.push_back(requirements[i]);
-    }
-    if (decide(formulas, signature) == synth::Realizability::kRealizable) {
-      return std::nullopt;
-    }
-    return subset;  // no finer core available: echo the query
+std::optional<std::vector<std::size_t>> RealizabilityOracle::core_under(
+    std::vector<std::size_t> subset, const Binding& binding) {
+  std::sort(subset.begin(), subset.end());
+  subset.erase(std::unique(subset.begin(), subset.end()), subset.end());
+  const std::size_t m = subset.size();
+
+  // Union-find over positions in `subset`: requirements sharing an output
+  // proposition join one component.
+  std::vector<std::size_t> parent(m);
+  for (std::size_t k = 0; k < m; ++k) parent[k] = k;
+  const auto find = [&parent](std::size_t k) {
+    while (parent[k] != k) k = parent[k] = parent[parent[k]];
+    return k;
   };
+  std::vector<std::size_t> owner(atom_names_.size(), m);
+  for (std::size_t k = 0; k < m; ++k) {
+    speccc_check(subset[k] < requirements_.size(),
+                 "oracle subset index out of range");
+    for (std::uint32_t a : atoms_of_[subset[k]]) {
+      const std::int32_t slot = binding.slot[a];
+      speccc_check(slot >= 0, "requirement mentions proposition '" +
+                                  atom_names_[a] +
+                                  "' missing from the signature");
+      if (static_cast<std::size_t>(slot) < binding.num_inputs) continue;
+      if (owner[a] == m) {
+        owner[a] = k;
+      } else {
+        parent[find(k)] = find(owner[a]);
+      }
+    }
+  }
+
+  // Components in order of their smallest index.
+  std::vector<std::size_t> component_of(m, m);
+  std::vector<std::vector<std::size_t>> components;
+  for (std::size_t k = 0; k < m; ++k) {
+    const std::size_t root = find(k);
+    if (component_of[root] == m) {
+      component_of[root] = components.size();
+      components.emplace_back();
+    }
+    components[component_of[root]].push_back(subset[k]);
+  }
+
+  std::vector<std::size_t> core;
+  for (const std::vector<std::size_t>& members : components) {
+    std::vector<std::uint32_t> atoms;
+    for (std::size_t i : members) {
+      atoms.insert(atoms.end(), atoms_of_[i].begin(), atoms_of_[i].end());
+    }
+    std::sort(atoms.begin(), atoms.end(),
+              [&binding](std::uint32_t a, std::uint32_t b) {
+                return binding.slot[a] < binding.slot[b];
+              });
+    atoms.erase(std::unique(atoms.begin(), atoms.end()), atoms.end());
+    const auto first_output = std::find_if(
+        atoms.begin(), atoms.end(), [&binding](std::uint32_t a) {
+          return static_cast<std::size_t>(binding.slot[a]) >=
+                 binding.num_inputs;
+        });
+    if (!realizable(members, {atoms.begin(), first_output},
+                    {first_output, atoms.end()})) {
+      core.insert(core.end(), members.begin(), members.end());
+    }
+  }
+  if (core.empty()) return std::nullopt;
+  std::sort(core.begin(), core.end());
+  return core;
+}
+
+bool RealizabilityOracle::satisfiable(std::size_t i) {
+  speccc_check(i < requirements_.size(), "requirement index out of range");
+  return proven_satisfiable_[i] || realizable({i}, {}, atoms_of_[i]);
+}
+
+bool RealizabilityOracle::realizable(const std::vector<std::size_t>& members,
+                                     const std::vector<std::uint32_t>& inputs,
+                                     const std::vector<std::uint32_t>& outputs) {
+  std::vector<std::uint32_t> key(members.begin(), members.end());
+  key.push_back(std::numeric_limits<std::uint32_t>::max());
+  const std::size_t separator = key.size();
+  key.insert(key.end(), inputs.begin(), inputs.end());
+  std::sort(key.begin() + static_cast<std::ptrdiff_t>(separator), key.end());
+
+  auto it = verdicts_.find(key);
+  if (it == verdicts_.end()) {
+    if (options_.cancelled && options_.cancelled()) {
+      throw util::CancelledError("realizability question cancelled");
+    }
+    std::vector<ltl::Formula> formulas;
+    formulas.reserve(members.size());
+    for (std::size_t i : members) formulas.push_back(requirements_[i]);
+    synth::IoSignature signature;
+    for (std::uint32_t a : inputs) signature.inputs.push_back(atom_names_[a]);
+    for (std::uint32_t a : outputs) signature.outputs.push_back(atom_names_[a]);
+    ++syntheses_;
+    const bool verdict =
+        synth::synthesize(formulas, signature, options_).verdict ==
+        synth::Realizability::kRealizable;
+    it = verdicts_.emplace(std::move(key), verdict).first;
+  }
+  if (it->second) {
+    for (std::size_t i : members) proven_satisfiable_[i] = true;
+  }
+  return it->second;
 }
 
 }  // namespace speccc::diag

@@ -196,6 +196,7 @@ const std::vector<std::string>& grammar_sentences() {
     "If eventually the door is open, the alarm is raised.",
     "If eventually the button is pressed, eventually the alarm is raised.",
     "If eventually the button is pressed, the alarm is raised until the light is off.",
+    "If eventually the door is open, the alarm will be raised until the button is pressed.",
     "The alarm will be raised until eventually the motor is started.",
     "The alarm is raised in 2 seconds until the light is on.",
     "The alarm is raised in 20 seconds until the light is on.",

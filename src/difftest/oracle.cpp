@@ -1,9 +1,11 @@
 #include "difftest/oracle.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "automata/emptiness.hpp"
 #include "automata/gpvw.hpp"
+#include "diag/diag.hpp"
 #include "partition/partition.hpp"
 #include "ltl/patterns.hpp"
 #include "synth/synthesizer.hpp"
@@ -198,6 +200,23 @@ std::optional<std::string> check_spec(const SpecCase& spec, util::Rng& rng,
     symbolic_options.extract = enumerable;
     symbolic = synth::synthesize(spec.requirements, spec.signature,
                                  symbolic_options);
+  }
+
+  // Compositional decide: the conjunction of the output-connected
+  // components' verdicts (diag::RealizabilityOracle, stage 3's oracle)
+  // must be the monolithic verdict.
+  if (symbolic) {
+    diag::RealizabilityOracle components(spec.requirements);
+    std::vector<std::size_t> all(spec.requirements.size());
+    std::iota(all.begin(), all.end(), std::size_t{0});
+    const Realizability split = components.core(all, spec.signature)
+                                    ? Realizability::kUnrealizable
+                                    : Realizability::kRealizable;
+    if (split != symbolic->verdict) {
+      return std::string("component split disagrees: monolithic says ") +
+             verdict_name(symbolic->verdict) + ", components say " +
+             verdict_name(split);
+    }
   }
 
   synth::BoundedOptions bounded_options = options.bounded;

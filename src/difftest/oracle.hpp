@@ -17,6 +17,9 @@
 //       refutes "f valid".
 //
 //   check_spec(spec, signature):
+//     * the symbolic verdict on the whole spec must equal the conjunction
+//       of its output-connected components' verdicts
+//       (diag::RealizabilityOracle, which answers every stage-3 question);
 //     * bounded and symbolic synthesis must not return opposite definite
 //       realizability verdicts (kUnknown never counts as disagreement;
 //       past bounded's alphabet cap it abstains and no controller is

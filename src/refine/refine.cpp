@@ -1,7 +1,6 @@
 #include "refine/refine.hpp"
 
 #include <algorithm>
-#include <map>
 #include <numeric>
 
 #include "diag/diag.hpp"
@@ -19,72 +18,84 @@ std::vector<std::size_t> all_indices(std::size_t n) {
   return out;
 }
 
-}  // namespace
-
-Localization localize(const std::vector<Formula>& requirements,
-                      const synth::IoSignature& signature,
-                      const synth::Decide& decide) {
-  Localization out;
-  const diag::CoreOracle oracle =
-      diag::synthesis_oracle(requirements, signature, decide);
-  ++out.checks;
-  const auto full = oracle(all_indices(requirements.size()));
-  speccc_check(full.has_value(),
-               "localize precondition: full specification must be unrealizable");
-  out.core = diag::shrink_mus(*full, oracle, out.checks);
-
-  // Filtering step: requirements sharing propositions with the core.
-  const std::vector<std::size_t>& core = out.core;
-  std::set<std::string> core_props;
+/// Per atom id: whether some requirement of `core` mentions it.
+std::vector<bool> core_atoms(const diag::RealizabilityOracle& oracle,
+                             const std::vector<std::size_t>& core) {
+  std::vector<bool> out(oracle.atom_names().size(), false);
   for (std::size_t i : core) {
-    const auto atoms = requirements[i].atoms();
-    core_props.insert(atoms.begin(), atoms.end());
-  }
-  for (std::size_t i = 0; i < requirements.size(); ++i) {
-    const auto atoms = requirements[i].atoms();
-    const bool shares = std::any_of(atoms.begin(), atoms.end(),
-                                    [&core_props](const std::string& a) {
-                                      return core_props.count(a) > 0;
-                                    });
-    if (shares) out.related.push_back(i);
+    for (std::uint32_t a : oracle.atoms_of(i)) out[a] = true;
   }
   return out;
 }
 
-RefinementOutcome refine(const std::vector<Formula>& requirements,
+}  // namespace
+
+Localization localize(diag::RealizabilityOracle& oracle,
+                      const synth::IoSignature& signature) {
+  Localization out;
+  const diag::CoreOracle core_of = oracle.under(signature);
+  const std::size_t n = oracle.requirements().size();
+  ++out.checks;
+  const auto full = core_of(all_indices(n));
+  speccc_check(full.has_value(),
+               "localize precondition: full specification must be unrealizable");
+  out.core = diag::shrink_mus(*full, core_of, out.checks);
+
+  // Filtering step: requirements sharing propositions with the core.
+  const std::vector<bool> in_core = core_atoms(oracle, out.core);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto& atoms = oracle.atoms_of(i);
+    if (std::any_of(atoms.begin(), atoms.end(),
+                    [&in_core](std::uint32_t a) { return in_core[a]; })) {
+      out.related.push_back(i);
+    }
+  }
+  return out;
+}
+
+Localization localize(const std::vector<Formula>& requirements,
+                      const synth::IoSignature& signature,
+                      const synth::SynthesisOptions& options) {
+  diag::RealizabilityOracle oracle(requirements, options);
+  return localize(oracle, signature);
+}
+
+RefinementOutcome refine(diag::RealizabilityOracle& oracle,
                          const partition::Partition& initial,
-                         const synth::Decide& decide,
                          const LocalizeOptions& localize_options) {
   RefinementOutcome outcome;
   outcome.partition = initial;
 
   const synth::IoSignature signature = initial.signature();
-  outcome.localization = localize(requirements, signature, decide);
+  outcome.localization = localize(oracle, signature);
   outcome.checks = outcome.localization.checks;
 
   // Candidate variables: propositions of the core, ranked by occurrence
-  // count over the core and related requirements (most implicated first).
-  std::set<std::string> core_props;
-  for (std::size_t i : outcome.localization.core) {
-    const auto atoms = requirements[i].atoms();
-    core_props.insert(atoms.begin(), atoms.end());
-  }
-  std::map<std::string, std::size_t> occurrence;
+  // count over the core and related requirements (most implicated first;
+  // atom ids follow name order, so ties stay alphabetical).
+  const std::vector<bool> in_core = core_atoms(oracle, outcome.localization.core);
+  std::vector<std::size_t> occurrence(in_core.size(), 0);
   for (std::size_t i : outcome.localization.related) {
-    for (const auto& a : requirements[i].atoms()) {
-      if (core_props.count(a) > 0) ++occurrence[a];
+    for (std::uint32_t a : oracle.atoms_of(i)) {
+      if (in_core[a]) ++occurrence[a];
     }
   }
-  std::vector<std::string> candidates(core_props.begin(), core_props.end());
-  std::sort(candidates.begin(), candidates.end(),
-            [&occurrence](const std::string& a, const std::string& b) {
-              const auto ca = occurrence[a];
-              const auto cb = occurrence[b];
-              return ca != cb ? ca > cb : a < b;
-            });
+  std::vector<std::uint32_t> candidates;
+  for (std::uint32_t a = 0; a < in_core.size(); ++a) {
+    if (in_core[a]) candidates.push_back(a);
+  }
+  std::stable_sort(candidates.begin(), candidates.end(),
+                   [&occurrence](std::uint32_t a, std::uint32_t b) {
+                     return occurrence[a] > occurrence[b];
+                   });
 
-  // Try flipping each candidate (paper V-B bullet 2).
-  for (const std::string& variable : candidates) {
+  // Try flipping each candidate (paper V-B bullet 2). Components without
+  // the flipped variable keep their signature, so the oracle's memo
+  // answers them.
+  const std::vector<std::size_t> everything =
+      all_indices(oracle.requirements().size());
+  for (std::uint32_t atom : candidates) {
+    const std::string& variable = oracle.atom_names()[atom];
     partition::Partition flipped = initial;
     const bool was_input = flipped.is_input(variable);
     if (was_input) {
@@ -96,8 +107,7 @@ RefinementOutcome refine(const std::vector<Formula>& requirements,
     }
     if (flipped.inputs.empty()) continue;  // a system needs some input
     ++outcome.checks;
-    if (decide(requirements, flipped.signature()) ==
-        synth::Realizability::kRealizable) {
+    if (!oracle.core(everything, flipped.signature())) {
       outcome.consistent = true;
       outcome.adjustment = Adjustment{variable, !was_input};
       outcome.partition = flipped;
@@ -113,8 +123,7 @@ RefinementOutcome refine(const std::vector<Formula>& requirements,
   if (localize_options.max_correction_sets > 0) {
     std::size_t checks = 0;
     outcome.localization.correction_sets = diag::correction_sets(
-        all_indices(requirements.size()),
-        diag::synthesis_oracle(requirements, signature, decide),
+        everything, oracle.under(signature),
         localize_options.max_correction_sets, checks);
     outcome.localization.checks += checks;
     outcome.checks += checks;
@@ -126,8 +135,8 @@ RefinementOutcome refine(const std::vector<Formula>& requirements,
                          const partition::Partition& initial,
                          const synth::SynthesisOptions& options,
                          const LocalizeOptions& localize_options) {
-  return refine(requirements, initial, diag::synthesize_decide(options),
-                localize_options);
+  diag::RealizabilityOracle oracle(requirements, options);
+  return refine(oracle, initial, localize_options);
 }
 
 }  // namespace speccc::refine

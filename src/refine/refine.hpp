@@ -7,13 +7,16 @@
 // diag engine enumerates minimal correction sets, the alternative sentence
 // removals that would restore consistency.
 //
+// Every question is asked of one diag::RealizabilityOracle, which decides
+// output-connected components and memoizes their verdicts: the MUS shrink
+// jumps straight to the unrealizable components, and a partition flip
+// re-decides only the components holding the flipped variable.
 // Localization runs on the diag MUS engine (deletion-based shrinking with
 // core jumps); the planted-fault ground truth and diag_test's brute-force
 // minimality checks verify it independently.
 #pragma once
 
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -42,17 +45,22 @@ struct Localization {
   /// Indices of requirements sharing propositions with the core (the
   /// paper's filtering step) -- includes the core itself.
   std::vector<std::size_t> related;
-  /// Number of realizability checks performed.
+  /// Number of oracle questions asked.
   std::size_t checks = 0;
 };
 
 /// Locate a minimal inconsistent core (paper V-B bullet 1) with the diag
-/// MUS engine, every probe answered by `decide`. Precondition (checked):
-/// the full conjunction is not realizable under `signature`.
+/// MUS engine, every probe asked of `oracle` under `signature`.
+/// Precondition (checked): the full conjunction is not realizable under
+/// `signature`.
+[[nodiscard]] Localization localize(diag::RealizabilityOracle& oracle,
+                                    const synth::IoSignature& signature);
+
+/// localize() with an oracle of its own over `requirements`.
 [[nodiscard]] Localization localize(
     const std::vector<ltl::Formula>& requirements,
     const synth::IoSignature& signature,
-    const synth::Decide& decide = diag::synthesize_decide());
+    const synth::SynthesisOptions& options = {});
 
 struct Adjustment {
   std::string variable;
@@ -64,22 +72,23 @@ struct RefinementOutcome {
   std::optional<Adjustment> adjustment;
   partition::Partition partition;  // final partition (adjusted or original)
   Localization localization;
-  std::size_t checks = 0;  // total realizability checks
+  std::size_t checks = 0;  // total oracle questions
 };
 
 /// The full stage-3 loop: localize, then try single-variable partition flips
 /// on the core/related propositions (paper V-B bullet 2), every question
-/// answered by `decide`; the outcome is consistent only through a flip.
+/// asked of `oracle`; the outcome is consistent only through a flip.
 /// Candidates are ranked by how often they occur in the core and related
 /// requirements. When no flip helps and max_correction_sets > 0, the
 /// outcome's localization additionally carries the minimal correction sets.
-/// Precondition: localize's, under `initial`.
-[[nodiscard]] RefinementOutcome refine(const std::vector<ltl::Formula>& requirements,
+/// `checks` counts oracle questions. Precondition: localize's, under
+/// `initial`.
+[[nodiscard]] RefinementOutcome refine(diag::RealizabilityOracle& oracle,
                                        const partition::Partition& initial,
-                                       const synth::Decide& decide,
                                        const LocalizeOptions& localize_options = {});
 
-/// refine() answered by synth::synthesize under `options`.
+/// refine() with an oracle of its own over `requirements`, answered by
+/// synth::synthesize under `options`.
 [[nodiscard]] RefinementOutcome refine(const std::vector<ltl::Formula>& requirements,
                                        const partition::Partition& initial,
                                        const synth::SynthesisOptions& options = {},

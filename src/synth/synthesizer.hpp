@@ -49,11 +49,6 @@ struct SynthesisResult {
   }
 };
 
-/// A realizability question: the verdict on the conjunction of `formulas`
-/// under `signature`. Stage 3 (refine, diag::synthesis_oracle) asks one.
-using Decide = std::function<Realizability(const std::vector<ltl::Formula>&,
-                                           const IoSignature&)>;
-
 /// Decide realizability of the conjunction of `requirements`. Throws
 /// InvalidInputError on an empty specification and InternalError when some
 /// requirement is outside the pattern fragment or mentions a proposition

@@ -1,14 +1,17 @@
 // Tests for the diagnosis engine (diag/diag.hpp): deletion-based MUS
 // shrinking and the rotation/grow MCS enumeration, over two oracles -- a
 // test-only truth-table oracle over group CNF instances (real cores,
-// brute-force verified) and synthesis_oracle (planted-fault specs where the
-// ground-truth MUSes are known by construction) -- plus pinned end-to-end
-// pipeline diagnoses of the hand-written multi-fault specs in
-// examples/specs/faults/.
+// brute-force verified) and RealizabilityOracle (planted-fault specs where
+// the ground-truth MUSes are known by construction) -- plus pinned
+// end-to-end pipeline diagnoses of the hand-written multi-fault specs in
+// examples/specs/faults/, and the stage-3 identity slice: the pipeline's
+// component-by-component stage 3 against the whole-set reference of
+// stage3_reference.hpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstddef>
+#include <fstream>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -19,6 +22,8 @@
 #include "diag/diag.hpp"
 #include "difftest/harness.hpp"
 #include "difftest/oracle.hpp"
+#include "ltl/parser.hpp"
+#include "stage3_reference.hpp"
 #include "util/diagnostics.hpp"
 
 namespace diag = speccc::diag;
@@ -220,7 +225,8 @@ TEST(SynthesisOracle, PlantedFaultSpecsShrinkToExactlyOnePlantedFault) {
         difftest::generated_planted_spec(seed, index);
     ASSERT_GE(spec.faults.size(), 2u);
     const difftest::SpecCase sc = difftest::build_spec_case(spec.requirements);
-    const auto oracle = diag::synthesis_oracle(sc.requirements, sc.signature);
+    diag::RealizabilityOracle realizability(sc.requirements);
+    const auto oracle = realizability.under(sc.signature);
 
     const Subset universe = universe_of(sc.requirements.size());
     const auto full = oracle(universe);
@@ -242,7 +248,8 @@ TEST(SynthesisOracle, PlantedFaultSpecsShrinkToExactlyOnePlantedFault) {
 TEST(SynthesisOracle, CorrectionSetRemovalRestoresConsistency) {
   const difftest::PlantedSpec spec = difftest::generated_planted_spec(3, 0);
   const difftest::SpecCase sc = difftest::build_spec_case(spec.requirements);
-  const auto oracle = diag::synthesis_oracle(sc.requirements, sc.signature);
+  diag::RealizabilityOracle realizability(sc.requirements);
+  const auto oracle = realizability.under(sc.signature);
   const Subset universe = universe_of(sc.requirements.size());
   ASSERT_TRUE(oracle(universe).has_value());
 
@@ -255,6 +262,99 @@ TEST(SynthesisOracle, CorrectionSetRemovalRestoresConsistency) {
     EXPECT_FALSE(oracle(rest).has_value())
         << spec.name << ": MCS removal must restore consistency";
   }
+}
+
+// ---------------------------------------------------------------------------
+// RealizabilityOracle: component split, cores, memo, screen shortcut.
+
+std::vector<speccc::ltl::Formula> parse_all(
+    const std::vector<std::string>& texts) {
+  std::vector<speccc::ltl::Formula> out;
+  for (const auto& t : texts) out.push_back(speccc::ltl::parse(t));
+  return out;
+}
+
+TEST(RealizabilityOracle, CoreIsTheUnionOfTheUnrealizableComponents) {
+  // Components over outputs: {0}, {1, 3} (y), {2} and {4, 5} (z); a and b
+  // are inputs and join nothing. {1, 3} and {4, 5} are unrealizable.
+  diag::RealizabilityOracle oracle(parse_all({
+      "G (a -> x)",
+      "G (b -> y)",
+      "G (a -> w)",
+      "G (b -> !y)",
+      "G z",
+      "G (a -> !z)",
+  }));
+  const speccc::synth::IoSignature sig{{"a", "b"}, {"w", "x", "y", "z"}};
+  EXPECT_EQ(oracle.core(universe_of(6), sig), (Subset{1, 3, 4, 5}));
+  EXPECT_EQ(oracle.syntheses(), 4u);
+  EXPECT_EQ(oracle.core({0, 2, 5}, sig), std::nullopt);
+  EXPECT_EQ(oracle.core({}, sig), std::nullopt);
+  // {1, 3} is a memo hit; {5} alone is realizable.
+  EXPECT_EQ(oracle.core({1, 3, 5}, sig), (Subset{1, 3}));
+}
+
+TEST(RealizabilityOracle, AFlipReDecidesOnlyTheComponentsItTouches) {
+  diag::RealizabilityOracle oracle(parse_all({
+      "G (v -> x)",
+      "G (v -> y)",
+      "G (b -> !x)",
+      "G (c -> z)",
+  }));
+  ASSERT_TRUE(oracle.core(universe_of(4), {{"b", "c", "v"}, {"x", "y", "z"}}));
+  const std::size_t before = oracle.syntheses();
+  // v as an output merges {0, 2} and {1} into one component; {3} keeps
+  // its signature and is answered by the memo.
+  EXPECT_EQ(oracle.core(universe_of(4), {{"b", "c"}, {"v", "x", "y", "z"}}),
+            std::nullopt);
+  EXPECT_EQ(oracle.syntheses(), before + 1);
+  // The same question again asks nothing.
+  EXPECT_EQ(oracle.core(universe_of(4), {{"b", "c"}, {"v", "x", "y", "z"}}),
+            std::nullopt);
+  EXPECT_EQ(oracle.syntheses(), before + 1);
+}
+
+TEST(RealizabilityOracle, RealizableComponentsSpareTheScreen) {
+  // Components: {0}, {1, 4} (y) and {2, 3} (z); only {0} is realizable.
+  diag::RealizabilityOracle oracle(parse_all({
+      "G (a -> x)",
+      "G (y && !y)",
+      "G (a -> z)",
+      "G (a -> !z)",
+      "G (a -> y)",
+  }));
+  ASSERT_EQ(oracle.core(universe_of(5), {{"a"}, {"x", "y", "z"}}),
+            (Subset{1, 2, 3, 4}));
+  const std::size_t before = oracle.syntheses();
+  EXPECT_TRUE(oracle.satisfiable(0));  // its component was realizable
+  EXPECT_EQ(oracle.syntheses(), before);
+  // Members of unrealizable components are asked one by one.
+  EXPECT_FALSE(oracle.satisfiable(1));
+  EXPECT_TRUE(oracle.satisfiable(2));
+  EXPECT_TRUE(oracle.satisfiable(3));
+  EXPECT_TRUE(oracle.satisfiable(4));
+  EXPECT_EQ(oracle.syntheses(), before + 4);
+}
+
+TEST(RealizabilityOracle, PollsCancellationBeforeEachDecision) {
+  speccc::synth::SynthesisOptions options;
+  bool stop = false;
+  options.cancelled = [&stop] { return stop; };
+  diag::RealizabilityOracle oracle(parse_all({"G (a -> x)", "G (a -> y)"}),
+                                   options);
+  const speccc::synth::IoSignature sig{{"a"}, {"x", "y"}};
+  ASSERT_EQ(oracle.core({0, 1}, sig), std::nullopt);
+  stop = true;
+  // Memo hits decide nothing and so never poll; a new component does.
+  EXPECT_EQ(oracle.core({0, 1}, sig), std::nullopt);
+  EXPECT_THROW((void)oracle.core({0, 1}, {{}, {"a", "x", "y"}}),
+               speccc::util::CancelledError);
+}
+
+TEST(RealizabilityOracle, RejectsAPropositionMissingFromTheSignature) {
+  diag::RealizabilityOracle oracle(parse_all({"G (a -> x)"}));
+  EXPECT_THROW((void)oracle.core({0}, {{"a"}, {}}),
+               speccc::util::InternalError);
 }
 
 // ---------------------------------------------------------------------------
@@ -387,6 +487,37 @@ TEST(PipelineDiagnosis, PinsTheInfusionPumpDiagnosis) {
             (std::vector<std::string>{"R2", "R3"}));
   EXPECT_EQ(ids_of(result, loc.correction_sets[1]),
             (std::vector<std::string>{"R2", "R5"}));
+}
+
+// The fast slice of the stage-3 identity sweep (the seeds 1-8 sweep is in
+// difftest_test): the pipeline's MUS, related set, adjustment, correction
+// sets (cap 4) and screen equal those of the whole-set reference.
+TEST(PipelineDiagnosis, StageThreeMatchesTheWholeSetReference) {
+  std::size_t unsat_seen = 0;
+  for (const char* name :
+       {"infusion_pump", "pump_interlock", "reservation", "vent_monitor"}) {
+    std::ifstream in(std::string(SPECCC_EXAMPLES_DIR "/specs/faults/") +
+                     name + ".txt");
+    ASSERT_TRUE(in) << name;
+    speccc::core::PipelineOptions options;
+    options.localization.max_correction_sets = 4;
+    const auto result = speccc::core::Pipeline(options).run(
+        name, speccc::corpus::load_requirements(in));
+    EXPECT_EQ(stage3_reference::mismatch(result, 4), "") << name;
+    unsat_seen += result.unsatisfiable_requirements.size();
+  }
+  EXPECT_GE(unsat_seen, 1u);  // infusion_pump's R2
+  for (const std::uint64_t seed : {1u, 2u}) {
+    for (int index = 0; index < 6; ++index) {
+      const difftest::PlantedSpec spec =
+          difftest::generated_planted_spec(seed, index);
+      speccc::core::PipelineOptions options;
+      options.localization.max_correction_sets = 4;
+      const auto result =
+          speccc::core::Pipeline(options).run(spec.name, spec.requirements);
+      EXPECT_EQ(stage3_reference::mismatch(result, 4), "") << spec.name;
+    }
+  }
 }
 
 TEST(PipelineDiagnosis, ConsistentSpecCarriesNoDiagnosis) {

@@ -9,11 +9,15 @@
 #include <tuple>
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
 #include <functional>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "core/pipeline.hpp"
+#include "corpus/loaders.hpp"
 #include "diag/diag.hpp"
 #include "difftest/harness.hpp"
 #include "difftest/oracle.hpp"
@@ -24,6 +28,7 @@
 #include "refine/refine.hpp"
 #include "synth/bounded.hpp"
 #include "synth/synthesizer.hpp"
+#include "stage3_reference.hpp"
 #include "util/diagnostics.hpp"
 
 namespace difftest = speccc::difftest;
@@ -378,6 +383,38 @@ TEST(Harness, BoundedAgreesOnTheWidenedGrammarShapes) {
   }
 }
 
+// "If eventually the door is open, the alarm will be raised until the
+// button is pressed." is G (F door -> !press -> (F raise W press)). Its
+// clause has a G literal (G !door) beside a weak until whose hold is
+// temporal, which ltl::decompose_patterns peels into two weak untils.
+// With the alarm forbidden, only that literal saves the system: it can
+// when the door is its own output and it keeps the door shut, and it
+// cannot when the door is an input. Bounded ends kUnknown at the oracle's
+// caps on the realizable spec, so the symbolic verdicts are pinned.
+TEST(Harness, GLiteralPeelKeepsTheAlwaysDisjunct) {
+  using speccc::synth::Realizability;
+  const std::string peel =
+      "If eventually the door is open, the alarm will be raised until the "
+      "button is pressed.";
+  for (const auto& [texts, verdict] :
+       {std::pair{std::vector<speccc::translate::RequirementText>{
+                      {"R1", peel},
+                      {"R2", "The alarm is not raised."},
+                      {"R3", "The door is not open."}},
+                  Realizability::kRealizable},
+        std::pair{std::vector<speccc::translate::RequirementText>{
+                      {"R1", peel}, {"R2", "The alarm is not raised."}},
+                  Realizability::kUnrealizable}}) {
+    const difftest::SpecCase spec = difftest::build_spec_case(texts);
+    EXPECT_EQ(speccc::synth::synthesize(spec.requirements, spec.signature)
+                  .verdict,
+              verdict)
+        << texts.size() << " requirements";
+    speccc::util::Rng rng(3);
+    EXPECT_EQ(difftest::check_spec(spec, rng), std::nullopt);
+  }
+}
+
 // Bounded is no empty check on the example specs: on these three it
 // reaches a definite verdict under the oracle's caps, and the symbolic
 // engine reaches the same one.
@@ -479,8 +516,8 @@ TEST_P(PlantedFaultTest, LocalizationFindsAPlantedFaultOnEverySpec) {
         difftest::generated_planted_spec(seed, index);
     ASSERT_GE(spec.faults.size(), 2u);
     const difftest::SpecCase sc = difftest::build_spec_case(spec.requirements);
-    const auto oracle =
-        speccc::diag::synthesis_oracle(sc.requirements, sc.signature);
+    speccc::diag::RealizabilityOracle realizability(sc.requirements);
+    const auto oracle = realizability.under(sc.signature);
 
     std::vector<std::size_t> universe(sc.requirements.size());
     for (std::size_t i = 0; i < universe.size(); ++i) universe[i] = i;
@@ -506,8 +543,48 @@ TEST_P(PlantedFaultTest, LocalizationFindsAPlantedFaultOnEverySpec) {
   }
 }
 
+// The stage-3 identity sweep: the pipeline decides every stage-3 question
+// by output-connected components with a per-run memo and skips the screen
+// for requirements a realizable component covered; the whole-set
+// reference (stage3_reference.hpp) must report the same MUS, related set,
+// adjustment, correction sets (cap 4) and unsatisfiable requirements.
+TEST_P(PlantedFaultTest, StageThreeMatchesTheWholeSetReference) {
+  const std::uint64_t seed = GetParam();
+  speccc::core::PipelineOptions options;
+  options.localization.max_correction_sets = 4;
+  const speccc::core::Pipeline pipeline(options);
+  for (int index = 0; index < 50; ++index) {
+    const difftest::PlantedSpec spec =
+        difftest::generated_planted_spec(seed, index);
+    const auto result = pipeline.run(spec.name, spec.requirements);
+    ASSERT_FALSE(result.synthesis.realizable())
+        << describe_planted(spec, seed, index);
+    EXPECT_EQ(stage3_reference::mismatch(result, 4), "")
+        << describe_planted(spec, seed, index);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, PlantedFaultTest,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u));
+
+TEST(StageThree, FaultExamplesMatchTheWholeSetReference) {
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           SPECCC_EXAMPLES_DIR "/specs/faults")) {
+    if (entry.path().extension() == ".txt") files.push_back(entry.path());
+  }
+  std::sort(files.begin(), files.end());
+  ASSERT_GE(files.size(), 4u);
+  speccc::core::PipelineOptions options;
+  options.localization.max_correction_sets = 4;
+  const speccc::core::Pipeline pipeline(options);
+  for (const auto& file : files) {
+    std::ifstream in(file);
+    const auto result = pipeline.run(file.stem().string(),
+                                     speccc::corpus::load_requirements(in));
+    EXPECT_EQ(stage3_reference::mismatch(result, 4), "") << file;
+  }
+}
 
 TEST(Harness, SingleCaseReplayReproducesTheFailure) {
   difftest::RunOptions options;

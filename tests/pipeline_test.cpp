@@ -438,8 +438,8 @@ TEST(PipelineCancel, StageThreeProbesPollTheCancelPredicate) {
   ASSERT_TRUE(in);
   const auto spec = speccc::corpus::load_requirements(in);
 
-  // Without stage 3: the translation and synthesis boundaries plus the
-  // stage-2 engine's own polls.
+  // Without refinement: the translation and synthesis boundaries, the
+  // stage-2 engine's own polls and the screen's.
   std::size_t polls = 0;
   core::PipelineOptions options;
   options.refine_on_failure = false;
@@ -450,9 +450,10 @@ TEST(PipelineCancel, StageThreeProbesPollTheCancelPredicate) {
   ASSERT_FALSE(core::Pipeline(options).run("reservation", spec).consistent);
   const std::size_t n = polls;
 
-  // Poll n + 1 is the refinement boundary; every later poll is inside a
-  // stage-3 realizability probe, so firing from n + 2 on must cancel the
-  // run mid-refinement.
+  // With refinement on, the refinement boundary comes before the screen,
+  // and every poll after it is inside a stage-3 question (a probe or a
+  // screen question), so firing from n + 2 on must cancel the run in
+  // stage 3.
   polls = 0;
   options.refine_on_failure = true;
   options.cancelled = [&polls, n] { return ++polls >= n + 2; };
