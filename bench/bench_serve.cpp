@@ -99,8 +99,7 @@ void BM_ServeClosedLoop(benchmark::State& state) {
   speccc::serve::ServiceOptions options;
   options.workers = workers;
   options.queue_capacity = 1024;  // soak admission, not rejection
-  options.pipeline.cache = std::make_shared<speccc::cache::Store>(
-      speccc::cache::StoreOptions{.eviction = speccc::cache::Eviction::kLru});
+  options.pipeline.cache = std::make_shared<speccc::cache::Store>();
   speccc::serve::Service service(options);
 
   std::vector<double> latencies;
@@ -122,8 +121,7 @@ void BM_ServeHotSpec(benchmark::State& state) {
 
   speccc::serve::ServiceOptions options;
   options.workers = 2;
-  options.pipeline.cache = std::make_shared<speccc::cache::Store>(
-      speccc::cache::StoreOptions{.eviction = speccc::cache::Eviction::kLru});
+  options.pipeline.cache = std::make_shared<speccc::cache::Store>();
   speccc::serve::Service service(options);
   (void)drive(service, specs, 1, 1);  // warm the store
 

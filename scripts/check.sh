@@ -123,6 +123,31 @@ if [[ -x "$batch_bin" ]]; then
   diff "$build_dir/batch-smoke-plain.txt" "$build_dir/batch-smoke-snap-warm.txt"
   grep -q " 0 misses, L2 " "$build_dir/batch-smoke-snap-stats.txt"
   grep -q " 0 misses, 0 evictions" "$build_dir/batch-smoke-snap-stats.txt"
+  # The same over faults --diagnose, whose snapshot carries stage-3 entries
+  # (refinement, MUS, MCS and the screen); both runs exit 2 (inconsistent)
+  # and must match the diagnosis report above.
+  echo "speccc_batch snapshot smoke over examples/specs/faults --diagnose"
+  fault_snap="$build_dir/batch-smoke-faults.snap"
+  rm -f "$fault_snap"
+  set +e
+  "$batch_bin" --jobs "$batch_jobs" --quiet --canonical --diagnose \
+    --cache-snapshot ",$fault_snap" \
+    "$repo_root/examples/specs/faults" > "$build_dir/batch-smoke-faults-cold.txt"
+  cold_status=$?
+  "$batch_bin" --jobs "$batch_jobs" --quiet --canonical --diagnose --cache-stats \
+    --cache-snapshot "$fault_snap," \
+    "$repo_root/examples/specs/faults" > "$build_dir/batch-smoke-faults-warm.txt" \
+    2> "$build_dir/batch-smoke-faults-stats.txt"
+  warm_status=$?
+  set -e
+  if [[ "$cold_status" -ne 2 || "$warm_status" -ne 2 ]]; then
+    echo "error: faults snapshot runs expected exit 2, got $cold_status/$warm_status" >&2
+    exit 1
+  fi
+  diff "$fault_report" "$build_dir/batch-smoke-faults-cold.txt"
+  diff "$fault_report" "$build_dir/batch-smoke-faults-warm.txt"
+  grep -q " 0 misses, L2 " "$build_dir/batch-smoke-faults-stats.txt"
+  grep -q " 0 misses, 0 evictions" "$build_dir/batch-smoke-faults-stats.txt"
   # Longest-deadline smoke: the largest legal duration (2^32 - 1 seconds)
   # abstracts to one tick, so the spec must come back consistent at once,
   # with no wrap in the divisor scan and no raw Next chain ever built.

@@ -279,7 +279,6 @@ synth::MealyMachine read_mealy(Reader& r) {
 void write_value(Writer& w, const synth::SynthesisResult& v) {
   w.u32(static_cast<std::uint32_t>(v.verdict));
   w.u64(v.state_bits);
-  w.u64(v.peak_bdd_nodes);
   w.u64(v.bdd_stats.peak_nodes);
   w.u64(v.bdd_stats.unique_hits);
   w.u64(v.bdd_stats.cache_hits);
@@ -293,7 +292,6 @@ void write_value(Writer& w, const synth::SynthesisResult& v) {
 void read_value(Reader& r, synth::SynthesisResult& v) {
   v.verdict = static_cast<synth::Realizability>(r.u32());
   v.state_bits = r.u64();
-  v.peak_bdd_nodes = r.u64();
   v.bdd_stats.peak_nodes = r.u64();
   v.bdd_stats.unique_hits = r.u64();
   v.bdd_stats.cache_hits = r.u64();
@@ -303,7 +301,7 @@ void read_value(Reader& r, synth::SynthesisResult& v) {
   if (r.boolean()) v.controller = read_mealy(r);
 }
 
-void write_index_sets(Writer& w, const std::vector<std::size_t>& v) {
+void write_index_set(Writer& w, const std::vector<std::size_t>& v) {
   w.u64(v.size());
   for (std::size_t x : v) w.u64(x);
 }
@@ -314,7 +312,7 @@ std::vector<std::size_t> read_index_set(Reader& r) {
   return v;
 }
 
-void write_value(Writer& w, const refine::RefinementOutcome& v) {
+void write_refinement(Writer& w, const refine::RefinementOutcome& v) {
   w.boolean(v.consistent);
   w.boolean(v.adjustment.has_value());
   if (v.adjustment) {
@@ -326,17 +324,17 @@ void write_value(Writer& w, const refine::RefinementOutcome& v) {
   for (const std::string& s : v.partition.inputs) w.str(s);
   w.u64(v.partition.outputs.size());
   for (const std::string& s : v.partition.outputs) w.str(s);
-  write_index_sets(w, v.localization.core);
+  write_index_set(w, v.localization.core);
   w.u64(v.localization.correction_sets.size());
   for (const std::vector<std::size_t>& set : v.localization.correction_sets) {
-    write_index_sets(w, set);
+    write_index_set(w, set);
   }
-  write_index_sets(w, v.localization.related);
+  write_index_set(w, v.localization.related);
   w.u64(v.localization.checks);
   w.u64(v.checks);
 }
 
-void read_value(Reader& r, refine::RefinementOutcome& v) {
+void read_refinement(Reader& r, refine::RefinementOutcome& v) {
   v.consistent = r.boolean();
   if (r.boolean()) {
     refine::Adjustment adj;
@@ -358,24 +356,15 @@ void read_value(Reader& r, refine::RefinementOutcome& v) {
   v.checks = r.u64();
 }
 
-void write_value(Writer& w, const timeabs::Abstraction& v) {
-  w.u32(v.divisor);
-  w.u64(v.reduced.size());
-  for (std::uint32_t x : v.reduced) w.u32(x);
-  w.u64(v.errors.size());
-  for (std::int64_t x : v.errors) w.i64(x);
-  w.u64(v.reduced_sum);
-  w.u64(v.error_sum);
+void write_value(Writer& w, const refine::StageThree& v) {
+  w.boolean(v.refinement.has_value());
+  if (v.refinement) write_refinement(w, *v.refinement);
+  write_index_set(w, v.unsatisfiable);
 }
 
-void read_value(Reader& r, timeabs::Abstraction& v) {
-  v.divisor = r.u32();
-  v.reduced.resize(r.u64());
-  for (std::uint32_t& x : v.reduced) x = r.u32();
-  v.errors.resize(r.u64());
-  for (std::int64_t& x : v.errors) x = r.i64();
-  v.reduced_sum = r.u64();
-  v.error_sum = r.u64();
+void read_value(Reader& r, refine::StageThree& v) {
+  if (r.boolean()) read_refinement(r, v.refinement.emplace());
+  v.unsatisfiable = read_index_set(r);
 }
 
 util::Digest body_checksum(const std::string& body) {

@@ -3,14 +3,14 @@
 // every artifact from scratch (ROADMAP item 4's "make cache::Store
 // serializable to disk" half).
 //
-// Format (version 4): a fixed-width little-endian binary layout,
+// Format (version 6): a fixed-width little-endian binary layout,
 //
 //   magic "SPCCSNP1" (8 bytes)
 //   u32   format version
 //   u64   lexicon fingerprint hi, u64 lo   (nlp::Lexicon::fingerprint())
 //   u64   body length in bytes
 //   body: per artifact kind, in the kind table's order (cache/store.hpp:
-//         sentences, synthesis, refinement, abstraction):
+//         sentences tag 1, synthesis tag 3, stage 3 tag 6):
 //           u8 kind tag, u64 entry count,
 //           entries sorted by key (hi, then lo): key hi, key lo, value
 //   u64   body checksum hi, u64 lo         (util::DigestBuilder over body)
@@ -32,7 +32,7 @@
 //
 // Stats are not persisted: counters describe a process's lifetime, not
 // the store's contents, so a loaded store starts at zero like a fresh
-// one. Loading uses the target store's own options (caps, eviction) --
+// one. Loading uses the target store's own options (shards, caps) --
 // loading a big snapshot into a small store simply evicts.
 #pragma once
 
@@ -46,13 +46,16 @@
 namespace speccc::cache {
 
 /// Current snapshot format version; load() rejects everything else.
-/// Version 5 dropped the synthesis record's engine name and bounded-engine
+/// Version 6 replaced the refinement section (tag 4) by the stage-3
+/// section (tag 6: refinement and screen), dropped the abstraction section
+/// (tag 5), and dropped the synthesis record's duplicate peak node count;
+/// version 5 dropped the synthesis record's engine name and bounded-engine
 /// counters, and the substrate and bounded options left the synthesis and
 /// refinement keys; version 4 dropped the per-requirement satisfiability
-/// section (the screen is no longer memoized); version 3 dropped the
+/// section (the screen went unmemoized until version 6); version 3 dropped the
 /// synthesis record's seconds; a version-2 file can hold a solo tableau's
 /// kUnknown.
-inline constexpr std::uint32_t kSnapshotVersion = 5;
+inline constexpr std::uint32_t kSnapshotVersion = 6;
 
 /// Why a snapshot was rejected (load) or could not be written (save).
 enum class SnapshotErrorKind {
@@ -97,7 +100,7 @@ void save_snapshot(const Store& store, const std::string& path,
 
 /// Validate the snapshot at `path` against `expected_fingerprint` and
 /// insert its entries into `store` (first writer wins; the store's caps
-/// and eviction policy apply). Throws SnapshotError on any rejection --
+/// apply). Throws SnapshotError on any rejection --
 /// the store is left untouched unless the whole file validated.
 SnapshotMeta load_snapshot(Store& store, const std::string& path,
                            const util::Digest& expected_fingerprint);

@@ -7,14 +7,6 @@
 
 namespace speccc::cache {
 
-const char* eviction_name(Eviction eviction) {
-  switch (eviction) {
-    case Eviction::kFifo: return "fifo";
-    case Eviction::kLru: return "lru";
-  }
-  return "?";
-}
-
 StatsSnapshot StatsSnapshot::since(const StatsSnapshot& earlier) const {
   StatsSnapshot delta;
   delta.l1_hits = l1_hits - earlier.l1_hits;
@@ -44,9 +36,8 @@ namespace detail {
 template <typename Value>
 struct ShardedMap<Value>::Shard {
   mutable std::mutex mutex;
-  /// Eviction order: front is next to evict. kFifo appends on insert and
-  /// never reorders; kLru additionally splices an entry to the back on
-  /// every get() hit.
+  /// Eviction order: front is next to evict. Inserts append, and every
+  /// get() hit splices its entry to the back.
   mutable std::list<std::pair<util::Digest, Value>> entries;
   mutable std::unordered_map<util::Digest,
                              typename std::list<std::pair<util::Digest, Value>>::iterator>
@@ -55,8 +46,7 @@ struct ShardedMap<Value>::Shard {
 
 template <typename Value>
 ShardedMap<Value>::ShardedMap(const StoreOptions& options)
-    : shards_(options.shards == 0 ? 1 : options.shards),
-      eviction_(options.eviction) {
+    : shards_(options.shards == 0 ? 1 : options.shards) {
   const std::size_t n = shards_.size();
   const std::size_t max_entries = options.max_entries;
   if (max_entries != 0) {
@@ -81,9 +71,7 @@ std::optional<Value> ShardedMap<Value>::get(const util::Digest& key) const {
   std::lock_guard<std::mutex> lock(shard.mutex);
   const auto it = shard.index.find(key);
   if (it == shard.index.end()) return std::nullopt;
-  if (eviction_ == Eviction::kLru) {
-    shard.entries.splice(shard.entries.end(), shard.entries, it->second);
-  }
+  shard.entries.splice(shard.entries.end(), shard.entries, it->second);
   return it->second->second;
 }
 
@@ -129,8 +117,7 @@ std::size_t ShardedMap<Value>::size() const {
 // One instantiation per row of the kind table.
 template class ShardedMap<ValueOf<Kind::kSentence>>;
 template class ShardedMap<ValueOf<Kind::kSynthesis>>;
-template class ShardedMap<ValueOf<Kind::kRefinement>>;
-template class ShardedMap<ValueOf<Kind::kAbstraction>>;
+template class ShardedMap<ValueOf<Kind::kStageThree>>;
 
 }  // namespace detail
 
@@ -253,30 +240,17 @@ util::Digest synthesis_key(const std::vector<ltl::Formula>& formulas,
   return builder.finalize();
 }
 
-util::Digest refinement_key(const std::vector<ltl::Formula>& formulas,
-                            const synth::IoSignature& signature,
-                            const synth::SynthesisOptions& options,
-                            const refine::LocalizeOptions& localize_options) {
-  util::DigestBuilder builder("refinement");
+util::Digest stage_three_key(const std::vector<ltl::Formula>& formulas,
+                             const synth::IoSignature& signature,
+                             const synth::SynthesisOptions& options,
+                             const refine::LocalizeOptions& localize_options,
+                             bool refine_first) {
+  util::DigestBuilder builder("stage-three");
   fold_formulas(builder, formulas);
   fold_signature(builder, signature);
   fold_options(builder, options);
   builder.u64(localize_options.max_correction_sets);
-  return builder.finalize();
-}
-
-util::Digest abstraction_key(const timeabs::Request& request) {
-  util::DigestBuilder builder("abstraction");
-  builder.u64(request.thetas.size());
-  for (std::uint32_t theta : request.thetas) builder.u64(theta);
-  builder.u64(request.error_budget);
-  builder.u64(request.signs.size());
-  for (timeabs::ErrorSign sign : request.signs) {
-    builder.u64(static_cast<std::uint64_t>(sign));
-  }
-  // The slot of the retired back-end choice (0 was enumeration): folding
-  // it keeps every key, and so every snapshot, byte-for-byte unchanged.
-  builder.u64(0);
+  builder.u64(refine_first ? 1 : 0);
   return builder.finalize();
 }
 

@@ -12,12 +12,18 @@
 //     one spec.
 //
 //   Level 2 (per spec): decision artifacts keyed by ltl::canonical_digest
-//     -- the whole-spec synthesis verdict (keyed by formulas + I/O
-//     signature + engine options), the refinement
-//     outcome, and the time-abstraction solution (keyed by Theta + budget
-//     + signs). A repeated spec skips synthesis entirely. The
-//     per-requirement satisfiability screen is not memoized: it is a
-//     symbolic all-outputs check that costs about one cache lookup.
+//     of the formulas plus the I/O signature and every option the artifact
+//     depends on -- one artifact per later stage of the pipeline:
+//       stage 2, the whole-spec synthesis verdict;
+//       stage 3, refinement and the per-requirement satisfiability screen
+//         together (refine::StageThree: the refinement outcome when
+//         refinement ran, and the unsatisfiable requirement indices).
+//     A repeated spec skips synthesis entirely, and a repeated
+//     inconsistent spec asks stage 3 no realizability question: on a miss
+//     the stage builds its oracle, refines and screens, and the screen
+//     alone costs one synthesize call per requirement it asks.
+//     Time abstraction is not memoized: its exact solver takes a few
+//     microseconds per spec.
 //
 // One kind table (Kind + KindInfo below) gives every artifact its value
 // type, counter level and snapshot tag; Store's find<K>/put<K>/for_each<K>,
@@ -45,11 +51,10 @@
 // outputs to a run without one; only wall-clock changes. batch_test and
 // the CI cache smoke enforce this.
 //
-// Eviction (StoreOptions::eviction): kFifo per shard by default -- FIFO
-// keeps the hit path single-lock-cheap, and batch workloads sweep keys in
-// waves where recency tracking buys little. Long-lived serve processes
-// use kLru instead: a resident store sees the same hot specifications
-// recur indefinitely, and FIFO would cycle them out on age alone.
+// Eviction: least-recently-used per shard -- a lookup hit refreshes its
+// entry, so the hot specifications a long-lived serve process sees recur
+// survive a full shard, and batch sweeps (no lookup between inserts)
+// evict in insertion order.
 // StoreOptions::max_entries is a GLOBAL cap per artifact kind, enforced
 // exactly: per-shard caps differ by at most one and sum to max_entries
 // (shards low in index take the remainder). When max_entries is positive
@@ -73,29 +78,17 @@
 #include "nlp/syntax.hpp"
 #include "refine/refine.hpp"
 #include "synth/synthesizer.hpp"
-#include "timeabs/abstraction.hpp"
 #include "util/digest.hpp"
 
 namespace speccc::cache {
 
-/// Per-shard eviction policy (see the header comment for the trade-off).
-enum class Eviction {
-  kFifo,  ///< insertion order; get() never mutates (batch default)
-  kLru,   ///< least-recently-used; get() refreshes recency (serve default)
-};
-
-[[nodiscard]] const char* eviction_name(Eviction eviction);
-
 struct StoreOptions {
   /// Mutex shards per artifact kind; more shards = less contention.
   std::size_t shards = 16;
-  /// Global entry cap per artifact kind (sentences, synthesis, refinement,
-  /// abstraction each get their own cap), enforced exactly across shards
-  /// (per-shard caps differ by at most one and sum to this). 0 means
-  /// unlimited.
+  /// Global entry cap per artifact kind (sentences, synthesis, stage 3
+  /// each get their own cap), enforced exactly across shards (per-shard
+  /// caps differ by at most one and sum to this). 0 means unlimited.
   std::size_t max_entries = 1 << 16;
-  /// Replacement policy applied when a shard is at capacity.
-  Eviction eviction = Eviction::kFifo;
 };
 
 /// Point-in-time counters. "l1" is the sentence level, "l2" aggregates the
@@ -121,9 +114,9 @@ void print_stats(std::ostream& os, const StatsSnapshot& stats);
 
 namespace detail {
 
-/// One sharded evicting map. Value types must be copyable; get() copies
-/// out under the shard lock (and, under kLru, refreshes the entry's
-/// recency while it holds it).
+/// One sharded LRU map. Value types must be copyable; get() copies out
+/// under the shard lock and refreshes the entry's recency while it holds
+/// it.
 template <typename Value>
 class ShardedMap {
  public:
@@ -133,15 +126,15 @@ class ShardedMap {
   ShardedMap& operator=(const ShardedMap&) = delete;
 
   [[nodiscard]] std::optional<Value> get(const util::Digest& key) const;
-  /// Inserts unless the key is already present; evicts per the policy when
-  /// the shard is at capacity (shards capped at zero decline the insert).
-  /// Returns evictions made.
+  /// Inserts unless the key is already present; evicts the least recently
+  /// used entry when the shard is at capacity (shards capped at zero
+  /// decline the insert). Returns evictions made.
   std::size_t put(const util::Digest& key, const Value& value);
   [[nodiscard]] std::size_t size() const;
-  /// Visit every live entry (shard by shard, insertion order within a
-  /// shard; callers needing a deterministic order sort by key). The
-  /// callback runs under the shard lock: keep it cheap and never call back
-  /// into the same map.
+  /// Visit every live entry (shard by shard, least recently used first
+  /// within a shard; callers needing a deterministic order sort by key).
+  /// The callback runs under the shard lock: keep it cheap and never call
+  /// back into the same map.
   void for_each(
       const std::function<void(const util::Digest&, const Value&)>& visit) const;
 
@@ -149,7 +142,6 @@ class ShardedMap {
   struct Shard;
   std::vector<Shard> shards_;
   std::vector<std::size_t> shard_caps_;  // empty = unlimited
-  Eviction eviction_;
 };
 
 }  // namespace detail
@@ -160,17 +152,17 @@ class ShardedMap {
 enum class Kind : std::uint8_t {
   kSentence,
   kSynthesis,
-  kRefinement,
-  kAbstraction,
+  kStageThree,
 };
-inline constexpr std::size_t kKindCount = 4;
+inline constexpr std::size_t kKindCount = 3;
 
 /// Which StatsSnapshot counters a kind's lookups count against.
 enum class Level { kL1, kL2 };
 
 /// One row per kind: value type, counter level, snapshot section tag (the
-/// tags are part of the on-disk format, cache/snapshot.hpp; tag 2 was the
-/// version-3 satisfiability section and stays retired).
+/// tags are part of the on-disk format, cache/snapshot.hpp; tags 2, 4 and
+/// 5 held the retired satisfiability, refinement and abstraction sections
+/// and stay retired).
 template <typename V, Level L, std::uint8_t Tag>
 struct KindRow {
   using Value = V;
@@ -184,9 +176,7 @@ struct KindInfo<Kind::kSentence> : KindRow<nlp::Sentence, Level::kL1, 1> {};
 template <>
 struct KindInfo<Kind::kSynthesis> : KindRow<synth::SynthesisResult, Level::kL2, 3> {};
 template <>
-struct KindInfo<Kind::kRefinement> : KindRow<refine::RefinementOutcome, Level::kL2, 4> {};
-template <>
-struct KindInfo<Kind::kAbstraction> : KindRow<timeabs::Abstraction, Level::kL2, 5> {};
+struct KindInfo<Kind::kStageThree> : KindRow<refine::StageThree, Level::kL2, 6> {};
 
 template <Kind K>
 using ValueOf = typename KindInfo<K>::Value;
@@ -234,9 +224,9 @@ class Store {
   [[nodiscard]] const StoreOptions& options() const { return options_; }
 
   /// Copy every entry of `other` absent from this store (first writer
-  /// wins, like racing put()s; this store's eviction policy and caps
-  /// apply). The shard coordinator merges per-shard snapshot stores with
-  /// this. Returns entries added.
+  /// wins, like racing put()s; this store's caps apply). The shard
+  /// coordinator merges per-shard snapshot stores with this. Returns
+  /// entries added.
   std::size_t merge(const Store& other);
 
   /// Per-thread counters: every hit/miss/eviction any Store records on the
@@ -310,17 +300,14 @@ template <Kind K, typename KeyFn, typename ComputeFn>
                                          const synth::IoSignature& signature,
                                          const synth::SynthesisOptions& options);
 
-/// Level 2: stage-3 refinement (formulas, initial partition via the
-/// signature it induces, synthesis options, localization options -- the
-/// cached outcome embeds the correction sets, which depend on the
-/// enumeration cap).
-[[nodiscard]] util::Digest refinement_key(
+/// Level 2: stage 3 (formulas, initial partition via the signature it
+/// induces, synthesis options, localization options -- the cached outcome
+/// embeds the correction sets, which depend on the enumeration cap -- and
+/// whether refinement runs before the screen).
+[[nodiscard]] util::Digest stage_three_key(
     const std::vector<ltl::Formula>& formulas,
     const synth::IoSignature& signature,
     const synth::SynthesisOptions& options,
-    const refine::LocalizeOptions& localize_options = {});
-
-/// Level 2: the Section IV-E abstraction (Theta, budget, signs).
-[[nodiscard]] util::Digest abstraction_key(const timeabs::Request& request);
+    const refine::LocalizeOptions& localize_options, bool refine_first);
 
 }  // namespace speccc::cache

@@ -1,6 +1,5 @@
 #include "core/pipeline.hpp"
 
-#include "diag/diag.hpp"
 #include "util/diagnostics.hpp"
 
 namespace speccc::core {
@@ -20,7 +19,7 @@ translate::TranslationResult Pipeline::translate(
     const std::vector<translate::RequirementText>& requirements,
     std::optional<timeabs::Abstraction>& abstraction) const {
   // One pass: the translator hands Theta, read off the parse trees, to the
-  // memoized optimizer and builds every formula with the abstracted counts.
+  // optimizer and builds every formula with the abstracted counts.
   return translator_.translate(
       requirements,
       [&](const std::vector<std::uint32_t>& thetas) -> translate::TickMapper {
@@ -28,9 +27,7 @@ translate::TranslationResult Pipeline::translate(
         timeabs::Request request;
         request.thetas = thetas;
         request.error_budget = options_.error_budget;
-        abstraction = cache::memoize<cache::Kind::kAbstraction>(
-            options_.cache.get(), [&] { return cache::abstraction_key(request); },
-            [&] { return timeabs::optimize(request); });
+        abstraction = timeabs::optimize(request);
         return timeabs::tick_mapper(thetas, *abstraction);
       });
 }
@@ -74,39 +71,33 @@ PipelineResult Pipeline::run(
       result.synthesis.verdict == synth::Realizability::kRealizable;
 
   // ---- Stage 3: refinement loop and satisfiability screen --------------------
+  // A realizable conjunction has no unsatisfiable conjunct, so the stage,
+  // screen included, runs only here. One memo entry covers all of it: a
+  // hit builds no oracle and asks no realizability question.
   if (!result.consistent) {
+    if (options_.refine_on_failure) poll_cancel("refinement");
     util::Stopwatch stage3;
-    // One oracle answers every stage-3 question of this run, component by
-    // component, and remembers each component's verdict until the run ends.
-    diag::RealizabilityOracle oracle(formulas, options_.synthesis);
-
-    if (options_.refine_on_failure) {
-      poll_cancel("refinement");
-      result.refinement = cache::memoize<cache::Kind::kRefinement>(
-          store,
-          [&] {
-            return cache::refinement_key(formulas, signature, options_.synthesis,
-                                         options_.localization);
-          },
-          [&] {
-            return refine::refine(oracle, result.partition,
-                                  options_.localization);
-          });
-      if (result.refined()) {
-        result.consistent = true;
-        result.partition = result.refinement->partition;
-      }
+    refine::StageThree stage = cache::memoize<cache::Kind::kStageThree>(
+        store,
+        [&] {
+          return cache::stage_three_key(formulas, signature, options_.synthesis,
+                                        options_.localization,
+                                        options_.refine_on_failure);
+        },
+        [&] {
+          return refine::stage_three(formulas, result.partition,
+                                     options_.synthesis, options_.localization,
+                                     options_.refine_on_failure);
+        });
+    result.refinement = std::move(stage.refinement);
+    if (result.refined()) {
+      result.consistent = true;
+      result.partition = result.refinement->partition;
     }
-
-    // An unsatisfiable requirement makes the whole specification
-    // unimplementable regardless of the partition. A realizable conjunction
-    // has no unsatisfiable conjunct, so the screen only runs here, and it
-    // skips every requirement of a component refinement found realizable.
-    for (std::size_t i = 0; i < formulas.size(); ++i) {
-      if (!oracle.satisfiable(i)) {
-        result.unsatisfiable_requirements.push_back(
-            result.translation.requirements[i].id);
-      }
+    // Keys cover formulas, not ids: the ids come from this run.
+    for (std::size_t i : stage.unsatisfiable) {
+      result.unsatisfiable_requirements.push_back(
+          result.translation.requirements[i].id);
     }
     result.refinement_seconds = stage3.seconds();
   }

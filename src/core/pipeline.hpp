@@ -138,7 +138,7 @@ class Pipeline {
       const std::vector<translate::RequirementText>& requirements) const;
 
   /// Stage 1 up to the formulas: one translation pass whose Theta goes
-  /// through the (memoized) time abstraction. Sets `abstraction` when one
+  /// through the time abstraction. Sets `abstraction` when one
   /// ran (abstraction on, Theta non-empty). run() starts with this.
   [[nodiscard]] translate::TranslationResult translate(
       const std::vector<translate::RequirementText>& requirements,

@@ -101,22 +101,6 @@ std::vector<std::vector<std::size_t>> correction_sets(
   return out;
 }
 
-Diagnosis diagnose(std::size_t num_requirements, const CoreOracle& oracle,
-                   const Options& options) {
-  Diagnosis diagnosis;
-  std::vector<std::size_t> universe(num_requirements);
-  for (std::size_t i = 0; i < num_requirements; ++i) universe[i] = i;
-
-  ++diagnosis.checks;
-  const auto core = oracle(universe);
-  if (!core) return diagnosis;  // consistent: empty mus, no correction sets
-
-  diagnosis.mus = shrink_mus(*core, oracle, diagnosis.checks);
-  diagnosis.correction_sets = correction_sets(
-      universe, oracle, options.max_correction_sets, diagnosis.checks);
-  return diagnosis;
-}
-
 RealizabilityOracle::RealizabilityOracle(std::vector<ltl::Formula> requirements,
                                          synth::SynthesisOptions options)
     : requirements_(std::move(requirements)),

@@ -49,28 +49,6 @@ namespace speccc::diag {
 using CoreOracle = std::function<std::optional<std::vector<std::size_t>>(
     const std::vector<std::size_t>&)>;
 
-struct Options {
-  /// Minimal correction sets to enumerate (0 disables the MaxSAT loop).
-  /// The rotation search finds at most one MCS per requirement, so "up to
-  /// N" may under-enumerate specs with many disjoint repairs.
-  std::size_t max_correction_sets = 4;
-};
-
-struct Diagnosis {
-  /// A minimal inconsistent subset: inconsistent as-is, consistent when
-  /// any single element is dropped. Empty iff the full set is consistent.
-  std::vector<std::size_t> mus;
-  /// Minimal correction sets, smallest first (ties lexicographic):
-  /// removing any one restores consistency, and each is minimal with that
-  /// property. Disjoint from each other only by accident -- they are
-  /// alternative repairs, not a partition.
-  std::vector<std::vector<std::size_t>> correction_sets;
-  /// Oracle calls performed.
-  std::size_t checks = 0;
-
-  [[nodiscard]] bool consistent() const { return mus.empty(); }
-};
-
 /// Shrink an inconsistent candidate set to a MUS. Precondition: the oracle
 /// reports `candidates` inconsistent. `checks` is incremented per oracle
 /// call.
@@ -79,18 +57,15 @@ struct Diagnosis {
     std::size_t& checks);
 
 /// Enumerate up to `max_sets` minimal correction sets of an inconsistent
-/// universe by the rotation/grow loop. Precondition: `universe` is
-/// inconsistent (otherwise the result is empty).
+/// universe by the rotation/grow loop, smallest first (ties
+/// lexicographic): removing any one restores consistency, and each is
+/// minimal with that property -- alternative repairs, not a partition.
+/// The rotation finds at most one set per element, so "up to N" may
+/// under-enumerate specs with many disjoint repairs. Precondition:
+/// `universe` is inconsistent (otherwise the result is empty).
 [[nodiscard]] std::vector<std::vector<std::size_t>> correction_sets(
     const std::vector<std::size_t>& universe, const CoreOracle& oracle,
     std::size_t max_sets, std::size_t& checks);
-
-/// Full diagnosis of requirements {0, ..., num_requirements-1}: one oracle
-/// call on the universe, then MUS shrinking and MCS enumeration when it is
-/// inconsistent.
-[[nodiscard]] Diagnosis diagnose(std::size_t num_requirements,
-                                 const CoreOracle& oracle,
-                                 const Options& options = {});
 
 /// Stage 3's realizability oracle over one run's requirements. A
 /// question is a subset of requirement indices under an I/O signature.

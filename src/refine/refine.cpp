@@ -139,4 +139,22 @@ RefinementOutcome refine(const std::vector<Formula>& requirements,
   return refine(oracle, initial, localize_options);
 }
 
+StageThree stage_three(const std::vector<Formula>& requirements,
+                       const partition::Partition& initial,
+                       const synth::SynthesisOptions& options,
+                       const LocalizeOptions& localize_options,
+                       bool refine_first) {
+  StageThree out;
+  diag::RealizabilityOracle oracle(requirements, options);
+  if (refine_first) out.refinement = refine(oracle, initial, localize_options);
+  // An unsatisfiable requirement makes the whole specification
+  // unimplementable regardless of the partition. The screen runs after
+  // refinement so that it skips every requirement of a component
+  // refinement found realizable.
+  for (std::size_t i = 0; i < requirements.size(); ++i) {
+    if (!oracle.satisfiable(i)) out.unsatisfiable.push_back(i);
+  }
+  return out;
+}
+
 }  // namespace speccc::refine

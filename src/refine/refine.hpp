@@ -94,4 +94,23 @@ struct RefinementOutcome {
                                        const synth::SynthesisOptions& options = {},
                                        const LocalizeOptions& localize_options = {});
 
+/// What stage 3 of core::Pipeline::run decides for an unrealizable
+/// specification -- the one artifact of that stage the cache memoizes.
+struct StageThree {
+  /// Present when refinement ran.
+  std::optional<RefinementOutcome> refinement;
+  /// Indices of the requirements unsatisfiable on their own, ascending.
+  std::vector<std::size_t> unsatisfiable;
+};
+
+/// Stage 3 over one oracle of its own: refine() when `refine_first`, then
+/// the satisfiability screen, which asks only the requirements no
+/// realizable component already proved satisfiable. Precondition when
+/// `refine_first`: localize's, under `initial`.
+[[nodiscard]] StageThree stage_three(const std::vector<ltl::Formula>& requirements,
+                                     const partition::Partition& initial,
+                                     const synth::SynthesisOptions& options,
+                                     const LocalizeOptions& localize_options,
+                                     bool refine_first);
+
 }  // namespace speccc::refine

@@ -221,8 +221,6 @@ std::string render_stats(std::string_view id, const ServiceStats& stats,
   if (store != nullptr) {
     json::Object c = cache_object(store->stats());
     c["entries"] = json::Value(static_cast<std::int64_t>(store->size()));
-    c["eviction"] =
-        json::Value(cache::eviction_name(store->options().eviction));
     o["cache"] = json::Value(std::move(c));
   }
   return render(o);

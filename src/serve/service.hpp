@@ -9,7 +9,7 @@
 // expensive construction never recurs per request), all sharing ONE
 // cache::Store via ServiceOptions::pipeline.cache -- the sanctioned
 // exception to the per-worker-isolation threading rule, exactly as in
-// src/batch. A resident store plus kLru eviction is what makes the serve
+// src/batch. A resident store with LRU eviction is what makes the serve
 // workload fast: hot specifications recur indefinitely.
 //
 // Admission control: a bounded priority queue (lower priority value =

@@ -178,7 +178,6 @@ SynthesisResult synthesize(const std::vector<ltl::Formula>& requirements,
   }
   // Read the counters last so extraction work is included.
   result.bdd_stats = manager.stats();
-  result.peak_bdd_nodes = result.bdd_stats.peak_nodes;
   return result;
 }
 

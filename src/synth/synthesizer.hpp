@@ -39,7 +39,6 @@ struct SynthesisResult {
   Realizability verdict = Realizability::kUnknown;
   /// Engine statistics.
   std::size_t state_bits = 0;        // monitor state bits
-  std::size_t peak_bdd_nodes = 0;
   bdd::Stats bdd_stats;              // manager counters
   int iterations = 0;                // fixpoint rounds
   std::optional<MealyMachine> controller;

@@ -1,7 +1,7 @@
 // Tests for the cross-spec memoization layer (cache/store.hpp): canonical
 // digest stability, lexicon fingerprint invalidation, store semantics
-// (hit/miss counters, FIFO/LRU eviction under the exact global
-// max_entries cap, per-thread accounting), the cached-equals-uncached
+// (hit/miss counters, LRU eviction under the exact global max_entries
+// cap, per-thread accounting), the cached-equals-uncached
 // contract at the translator and pipeline levels, and the persistent
 // snapshot format (cache/snapshot.hpp): round trips, pinned golden
 // bytes, structured rejection of damaged files, and Store::merge.
@@ -21,28 +21,28 @@
 #include "ltl/formula.hpp"
 #include "ltl/parser.hpp"
 #include "nlp/lexicon.hpp"
+#include "refine/refine.hpp"
 #include "semantics/antonyms.hpp"
-#include "timeabs/abstraction.hpp"
+#include "synth/synthesizer.hpp"
 #include "translate/translator.hpp"
 #include "util/digest.hpp"
 
 namespace cache = speccc::cache;
 namespace ltl = speccc::ltl;
 namespace nlp = speccc::nlp;
-namespace timeabs = speccc::timeabs;
 using speccc::util::Digest;
 using speccc::util::DigestBuilder;
 
 namespace {
 
-// The store and snapshot tests below use the abstraction kind (level 2):
-// its value is plain data, and a bare divisor tells two values apart.
-constexpr cache::Kind kAbs = cache::Kind::kAbstraction;
+// The store and snapshot tests below use the synthesis kind (level 2): a
+// bare state-bit count tells two values apart.
+constexpr cache::Kind kSyn = cache::Kind::kSynthesis;
 
-timeabs::Abstraction divisor(std::uint32_t d) {
-  timeabs::Abstraction a;
-  a.divisor = d;
-  return a;
+speccc::synth::SynthesisResult bits(std::size_t n) {
+  speccc::synth::SynthesisResult r;
+  r.state_bits = n;
+  return r;
 }
 
 std::vector<speccc::translate::RequirementText> door_lock_spec() {
@@ -223,39 +223,41 @@ TEST(CacheKeys, SynthesisKeyCoversFormulasSignatureAndOptions) {
   polled.cancelled = [] { return false; };
   EXPECT_EQ(base, cache::synthesis_key(formulas, signature, polled));
 
-  // Refinement and synthesis artifacts never share keys even for equal
+  // Stage-3 and synthesis artifacts never share keys even for equal
   // inputs (separate domains).
-  EXPECT_NE(base, cache::refinement_key(formulas, signature, options));
+  EXPECT_NE(base, cache::stage_three_key(formulas, signature, options, {}, true));
 }
 
-// Abstraction keys are persistent (snapshots carry them): these values were
-// computed before the time-abstraction solver lost its back-end choice, and
-// must not move, or every warm snapshot would miss.
-TEST(CacheKeys, AbstractionKeyDigestsArePinned) {
-  timeabs::Request request;
-  request.thetas = {3, 180, 60};
-  request.error_budget = 5;
-  EXPECT_EQ(cache::abstraction_key(request).hex(),
-            "62c7d48df5bfed29a5120224c7e02408");
-  request.signs = {timeabs::ErrorSign::kEarly, timeabs::ErrorSign::kLate,
-                   timeabs::ErrorSign::kEither};
-  EXPECT_EQ(cache::abstraction_key(request).hex(),
-            "fd1cf0186df43e59b783e35cb645d180");
+TEST(CacheKeys, StageThreeKeyCoversLocalizationAndTheRefinementSwitch) {
+  const std::vector<ltl::Formula> formulas{ltl::parse("G (a -> b)")};
+  const speccc::synth::IoSignature signature{{"a"}, {"b"}};
+  const speccc::synth::SynthesisOptions options;
+  speccc::refine::LocalizeOptions localize;
+  const Digest base =
+      cache::stage_three_key(formulas, signature, options, localize, true);
+  EXPECT_EQ(base,
+            cache::stage_three_key(formulas, signature, options, localize, true));
+  // A screen-only stage 3 stores no refinement outcome.
+  EXPECT_NE(base,
+            cache::stage_three_key(formulas, signature, options, localize, false));
+  // The cached outcome embeds the correction sets, capped by this knob.
+  localize.max_correction_sets = 4;
+  EXPECT_NE(base,
+            cache::stage_three_key(formulas, signature, options, localize, true));
 }
 
 // ---- cache::Store -----------------------------------------------------------
 
 TEST(Store, CountsHitsAndMissesPerLevel) {
   cache::Store store;
-  timeabs::Request request;
-  request.thetas = {10, 20};
-  const Digest key = cache::abstraction_key(request);
+  const Digest key = cache::synthesis_key({ltl::parse("G (a -> b)")},
+                                          {{"a"}, {"b"}}, {});
 
-  EXPECT_FALSE(store.find<kAbs>(key).has_value());
-  store.put<kAbs>(key, divisor(10));
-  const auto hit = store.find<kAbs>(key);
+  EXPECT_FALSE(store.find<kSyn>(key).has_value());
+  store.put<kSyn>(key, bits(10));
+  const auto hit = store.find<kSyn>(key);
   ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->divisor, 10u);
+  EXPECT_EQ(hit->state_bits, 10u);
 
   const cache::StatsSnapshot stats = store.stats();
   EXPECT_EQ(stats.l2_misses, 1u);
@@ -268,22 +270,23 @@ TEST(Store, CountsHitsAndMissesPerLevel) {
 
 TEST(Store, EvictsOldestFirstUnderMaxEntries) {
   cache::StoreOptions options;
-  options.shards = 1;  // single shard: eviction order is exactly FIFO
+  options.shards = 1;  // single shard, no lookup between inserts: the
+                       // least recently used entry is the oldest
   options.max_entries = 4;
   cache::Store store(options);
 
   std::vector<Digest> keys;
   for (int i = 0; i < 6; ++i) {
     keys.push_back(DigestBuilder("test").u64(i).finalize());
-    store.put<kAbs>(keys.back(), divisor(i + 1));
+    store.put<kSyn>(keys.back(), bits(i + 1));
   }
 
   EXPECT_EQ(store.size(), 4u);
   EXPECT_EQ(store.stats().evictions, 2u);
-  EXPECT_FALSE(store.find<kAbs>(keys[0]).has_value());  // evicted
-  EXPECT_FALSE(store.find<kAbs>(keys[1]).has_value());  // evicted
+  EXPECT_FALSE(store.find<kSyn>(keys[0]).has_value());  // evicted
+  EXPECT_FALSE(store.find<kSyn>(keys[1]).has_value());  // evicted
   for (int i = 2; i < 6; ++i) {
-    EXPECT_TRUE(store.find<kAbs>(keys[i]).has_value()) << i;
+    EXPECT_TRUE(store.find<kSyn>(keys[i]).has_value()) << i;
   }
 }
 
@@ -298,7 +301,7 @@ TEST(Store, GlobalCapIsExactEvenWhenShardsDoNotDivideIt) {
   cache::Store store(options);
 
   for (int i = 0; i < 200; ++i) {
-    store.put<kAbs>(DigestBuilder("cap").u64(i).finalize(), divisor(1));
+    store.put<kSyn>(DigestBuilder("cap").u64(i).finalize(), bits(1));
   }
   EXPECT_LE(store.size(), 10u);
   // Keys spread over 4 shards; 200 inserts certainly filled every shard,
@@ -316,45 +319,33 @@ TEST(Store, CapBelowShardCountStillAdmitsSomewhereAndNeverExceeds) {
   options.max_entries = 3;
   cache::Store store(options);
   for (int i = 0; i < 100; ++i) {
-    store.put<kAbs>(DigestBuilder("tiny").u64(i).finalize(), divisor(1));
+    store.put<kSyn>(DigestBuilder("tiny").u64(i).finalize(), bits(1));
   }
   EXPECT_LE(store.size(), 3u);
   EXPECT_GT(store.size(), 0u);
 }
 
-TEST(Store, LruKeepsRecentlyUsedWhereFifoEvictsByAge) {
-  // Same access pattern under both policies: insert A then B (cap 2),
-  // touch A, insert C. FIFO evicts A (oldest inserted); LRU evicts B
-  // (least recently used) because the touch refreshed A.
+TEST(Store, EvictsTheLeastRecentlyUsedEntry) {
+  // Insert A then B (cap 2), touch A, insert C: B is evicted (least
+  // recently used) because the touch refreshed A.
   const Digest a = DigestBuilder("ev").u64(1).finalize();
   const Digest b = DigestBuilder("ev").u64(2).finalize();
   const Digest c = DigestBuilder("ev").u64(3).finalize();
 
-  for (const cache::Eviction policy :
-       {cache::Eviction::kFifo, cache::Eviction::kLru}) {
-    cache::StoreOptions options;
-    options.shards = 1;
-    options.max_entries = 2;
-    options.eviction = policy;
-    cache::Store store(options);
+  cache::StoreOptions options;
+  options.shards = 1;
+  options.max_entries = 2;
+  cache::Store store(options);
 
-    store.put<kAbs>(a, divisor(1));
-    store.put<kAbs>(b, divisor(1));
-    EXPECT_TRUE(store.find<kAbs>(a).has_value());  // touch A
-    store.put<kAbs>(c, divisor(1));
+  store.put<kSyn>(a, bits(1));
+  store.put<kSyn>(b, bits(1));
+  EXPECT_TRUE(store.find<kSyn>(a).has_value());  // touch A
+  store.put<kSyn>(c, bits(1));
 
-    EXPECT_EQ(store.size(), 2u);
-    EXPECT_TRUE(store.find<kAbs>(c).has_value());
-    if (policy == cache::Eviction::kFifo) {
-      EXPECT_FALSE(store.find<kAbs>(a).has_value()) << "fifo";
-      EXPECT_TRUE(store.find<kAbs>(b).has_value()) << "fifo";
-    } else {
-      EXPECT_TRUE(store.find<kAbs>(a).has_value()) << "lru";
-      EXPECT_FALSE(store.find<kAbs>(b).has_value()) << "lru";
-    }
-  }
-  EXPECT_STREQ(cache::eviction_name(cache::Eviction::kFifo), "fifo");
-  EXPECT_STREQ(cache::eviction_name(cache::Eviction::kLru), "lru");
+  EXPECT_EQ(store.size(), 2u);
+  EXPECT_TRUE(store.find<kSyn>(c).has_value());
+  EXPECT_TRUE(store.find<kSyn>(a).has_value());
+  EXPECT_FALSE(store.find<kSyn>(b).has_value());
 }
 
 TEST(Store, ThreadStatsAttributeWorkToTheCallingThread) {
@@ -367,15 +358,15 @@ TEST(Store, ThreadStatsAttributeWorkToTheCallingThread) {
 
   std::thread other([&] {
     for (int i = 0; i < 5; ++i) {
-      (void)store.find<kAbs>(there);  // 5 misses on the other thread
+      (void)store.find<kSyn>(there);  // 5 misses on the other thread
     }
   });
   other.join();
 
   const cache::StatsSnapshot before = cache::Store::thread_stats();
-  (void)store.find<kAbs>(here);  // miss
-  store.put<kAbs>(here, divisor(1));
-  (void)store.find<kAbs>(here);  // hit
+  (void)store.find<kSyn>(here);  // miss
+  store.put<kSyn>(here, bits(1));
+  (void)store.find<kSyn>(here);  // hit
   const cache::StatsSnapshot delta =
       cache::Store::thread_stats().since(before);
   EXPECT_EQ(delta.l2_misses, 1u);
@@ -388,9 +379,9 @@ TEST(Store, ThreadStatsAttributeWorkToTheCallingThread) {
 TEST(Store, PutIsFirstWriterWinsAndIdempotent) {
   cache::Store store;
   const Digest key = DigestBuilder("test").u64(1).finalize();
-  store.put<kAbs>(key, divisor(2));
-  store.put<kAbs>(key, divisor(3));  // racing duplicate: ignored
-  EXPECT_EQ(store.find<kAbs>(key)->divisor, 2u);
+  store.put<kSyn>(key, bits(2));
+  store.put<kSyn>(key, bits(3));  // racing duplicate: ignored
+  EXPECT_EQ(store.find<kSyn>(key)->state_bits, 2u);
   EXPECT_EQ(store.size(), 1u);
 }
 
@@ -506,9 +497,11 @@ std::string to_hex(const std::string& bytes) {
 constexpr Digest kStampA{0x1111111111111111ULL, 0x2222222222222222ULL};
 
 void fill_golden(cache::Store& store) {
-  store.put<kAbs>(Digest{1, 2}, divisor(2));
-  store.put<kAbs>(Digest{0x0123456789abcdefULL, 0xfedcba9876543210ULL},
-                  divisor(3));
+  store.put<kSyn>(Digest{1, 2}, bits(2));
+  speccc::refine::StageThree screened;  // screen only: no refinement ran
+  screened.unsatisfiable = {1};
+  store.put<cache::Kind::kStageThree>(
+      Digest{0x0123456789abcdefULL, 0xfedcba9876543210ULL}, screened);
 }
 
 }  // namespace
@@ -516,7 +509,7 @@ void fill_golden(cache::Store& store) {
 TEST(Snapshot, PipelineRoundTripRerunsWithZeroMisses) {
   // door_lock is consistent; reservation (examples/specs/faults/) is
   // genuinely inconsistent, so under the --diagnose options its run stores
-  // a refinement entry carrying the MUS and the correction sets.
+  // a stage-3 entry carrying the MUS and the correction sets.
   const std::string path = snapshot_path("roundtrip.snap");
   const Digest stamp = nlp::Lexicon::builtin().fingerprint();
 
@@ -586,26 +579,26 @@ TEST(Snapshot, GoldenBytesArePinned) {
   cache::save_snapshot(store, path, kStampA);
   EXPECT_EQ(
       to_hex(read_file(path)),
-      // header: magic "SPCCSNP1", version 5, fingerprint, body length 140
+      // header: magic "SPCCSNP1", version 6, fingerprint, body length 137
       "53504343534e5031"  // SPCCSNP1
-      "05000000"          // version 5
+      "06000000"          // version 6
       "1111111111111111" "2222222222222222"  // lexicon fingerprint hi, lo
-      "8c00000000000000"  // body: 140 bytes
-      // body: 4 sections in kind order, entries sorted by key
+      "8900000000000000"  // body: 137 bytes
+      // body: 3 sections in kind order, entries sorted by key
       "01" "0000000000000000"  // sentences: none
-      "03" "0000000000000000"  // synthesis: none
-      "04" "0000000000000000"  // refinement: none
-      "05" "0200000000000000"  // abstraction: 2 entries
-      // {1,2} -> divisor 2; reduced, errors empty; both sums 0
-      "0100000000000000" "0200000000000000" "02000000"
+      "03" "0100000000000000"  // synthesis: 1 entry
+      // {1,2} -> verdict kUnknown, 2 state bits; five BDD counters,
+      // iterations 0, no controller
+      "0100000000000000" "0200000000000000" "02000000" "0200000000000000"
+      "0000000000000000" "0000000000000000" "0000000000000000"
       "0000000000000000" "0000000000000000"
-      "0000000000000000" "0000000000000000"
-      // {0123...,fedc...} -> divisor 3
-      "efcdab8967452301" "1032547698badcfe" "03000000"
-      "0000000000000000" "0000000000000000"
-      "0000000000000000" "0000000000000000"
+      "0000000000000000" "00"
+      "06" "0100000000000000"  // stage 3: 1 entry
+      // {0123...,fedc...} -> no refinement; unsatisfiable {1}
+      "efcdab8967452301" "1032547698badcfe" "00"
+      "0100000000000000" "0100000000000000"
       // footer: DigestBuilder("snapshot-body") checksum of the body
-      "852b25a9b5251ecd3fc310f723fdc162");
+      "8813b3ebfc00afcea455e3becd7a6d9b");
 }
 
 TEST(Snapshot, SaveIsAtomicAndOverwritesInPlace) {
@@ -656,7 +649,7 @@ TEST(Snapshot, RejectsCorruptedBody) {
   write_file(path, bytes);
 
   cache::Store target;
-  target.put<kAbs>(Digest{9, 9}, divisor(1));  // pre-existing entry
+  target.put<kSyn>(Digest{9, 9}, bits(1));  // pre-existing entry
   try {
     cache::load_snapshot(target, path, kStampA);
     FAIL() << "corrupted snapshot was accepted";
@@ -673,12 +666,14 @@ TEST(Snapshot, RejectsWrongFormatVersion) {
   fill_golden(store);
   cache::save_snapshot(store, path, kStampA);
   const std::string bytes = read_file(path);
-  // A future version and the retired versions 1 to 4 (whose synthesis
+  // A future version and the retired versions 1 to 5 (whose synthesis
   // records differ; a version-2 entry can hold a solo tableau's kUnknown;
   // version 3 has a satisfiability section; version 4 records carry an
-  // engine name and bounded counters, under keys that fold the substrate)
-  // are all rejected, never misread.
-  for (const char version : {char{99}, char{1}, char{2}, char{3}, char{4}}) {
+  // engine name and bounded counters, under keys that fold the substrate;
+  // version 5 has refinement and abstraction sections) are all rejected,
+  // never misread.
+  for (const char version :
+       {char{99}, char{1}, char{2}, char{3}, char{4}, char{5}}) {
     std::string patched = bytes;
     patched[8] = version;  // version field follows the 8-byte magic
     write_file(path, patched);
@@ -752,17 +747,17 @@ TEST(Snapshot, RejectsForeignLexiconFingerprint) {
 
 TEST(StoreMerge, FirstWriterWinsAndOnlyNewEntriesCount) {
   cache::Store a;
-  a.put<kAbs>(Digest{1, 1}, divisor(2));
+  a.put<kSyn>(Digest{1, 1}, bits(2));
   cache::Store b;
-  b.put<kAbs>(Digest{1, 1}, divisor(3));  // conflicting duplicate
-  b.put<kAbs>(Digest{2, 2}, divisor(2));
+  b.put<kSyn>(Digest{1, 1}, bits(3));  // conflicting duplicate
+  b.put<kSyn>(Digest{2, 2}, bits(2));
   b.put<cache::Kind::kSentence>(
       cache::sentence_key("the door opens", kStampA), nlp::Sentence{});
 
   EXPECT_EQ(a.merge(b), 2u);  // the duplicate is not an insert
   EXPECT_EQ(a.size(), 3u);
-  EXPECT_EQ(a.find<kAbs>(Digest{1, 1})->divisor, 2u);  // a's value survived
-  EXPECT_EQ(a.find<kAbs>(Digest{2, 2})->divisor, 2u);
+  EXPECT_EQ(a.find<kSyn>(Digest{1, 1})->state_bits, 2u);  // a's value survived
+  EXPECT_EQ(a.find<kSyn>(Digest{2, 2})->state_bits, 2u);
   EXPECT_EQ(a.merge(b), 0u);  // idempotent
 }
 
@@ -772,10 +767,10 @@ TEST(StoreMerge, ShardSnapshotsMergeIntoTheUnion) {
   const std::string path_a = snapshot_path("shard-a.snap");
   const std::string path_b = snapshot_path("shard-b.snap");
   cache::Store shard_a, shard_b;
-  shard_a.put<kAbs>(Digest{1, 1}, divisor(2));
-  shard_a.put<kAbs>(Digest{2, 2}, divisor(3));
-  shard_b.put<kAbs>(Digest{2, 2}, divisor(3));  // shared work
-  shard_b.put<kAbs>(Digest{3, 3}, divisor(2));
+  shard_a.put<kSyn>(Digest{1, 1}, bits(2));
+  shard_a.put<kSyn>(Digest{2, 2}, bits(3));
+  shard_b.put<kSyn>(Digest{2, 2}, bits(3));  // shared work
+  shard_b.put<kSyn>(Digest{3, 3}, bits(2));
   cache::save_snapshot(shard_a, path_a, kStampA);
   cache::save_snapshot(shard_b, path_b, kStampA);
 
@@ -783,7 +778,7 @@ TEST(StoreMerge, ShardSnapshotsMergeIntoTheUnion) {
   cache::load_snapshot(merged, path_a, kStampA);
   cache::load_snapshot(merged, path_b, kStampA);
   EXPECT_EQ(merged.size(), 3u);
-  EXPECT_EQ(merged.find<kAbs>(Digest{1, 1})->divisor, 2u);
-  EXPECT_EQ(merged.find<kAbs>(Digest{2, 2})->divisor, 3u);
-  EXPECT_EQ(merged.find<kAbs>(Digest{3, 3})->divisor, 2u);
+  EXPECT_EQ(merged.find<kSyn>(Digest{1, 1})->state_bits, 2u);
+  EXPECT_EQ(merged.find<kSyn>(Digest{2, 2})->state_bits, 3u);
+  EXPECT_EQ(merged.find<kSyn>(Digest{3, 3})->state_bits, 2u);
 }

@@ -104,12 +104,36 @@ diag::CoreOracle truth_table_oracle(Groups groups, int num_vars) {
   };
 }
 
+// refine::refine's diagnosis sequence over any CoreOracle: one query on
+// the universe {0, ..., n-1}, then MUS shrinking and MCS enumeration when
+// it is inconsistent.
+struct Diagnosis {
+  Subset mus;  // empty iff the universe is consistent
+  std::vector<Subset> correction_sets;
+  std::size_t checks = 0;  // oracle calls
+
+  [[nodiscard]] bool consistent() const { return mus.empty(); }
+};
+
+Diagnosis diagnose(std::size_t n, const diag::CoreOracle& oracle,
+                   std::size_t max_correction_sets) {
+  Diagnosis d;
+  const Subset universe = universe_of(n);
+  ++d.checks;
+  const auto core = oracle(universe);
+  if (!core) return d;
+  d.mus = diag::shrink_mus(*core, oracle, d.checks);
+  d.correction_sets =
+      diag::correction_sets(universe, oracle, max_correction_sets, d.checks);
+  return d;
+}
+
 TEST(Diagnose, ConsistentGroupsYieldAnEmptyDiagnosis) {
   // x, y, x || y: jointly satisfiable.
   const Groups groups{{{lit(0, true)}}, {{lit(1, true)}},
                       {{lit(0, true), lit(1, true)}}};
   const auto oracle = truth_table_oracle(groups, 2);
-  const diag::Diagnosis d = diag::diagnose(groups.size(), oracle);
+  const Diagnosis d = diagnose(groups.size(), oracle, 4);
   EXPECT_TRUE(d.consistent());
   EXPECT_TRUE(d.mus.empty());
   EXPECT_TRUE(d.correction_sets.empty());
@@ -124,7 +148,7 @@ TEST(Diagnose, PinsTheContradictoryGroupPair) {
                       {{lit(1, true)}},
                       {{lit(0, true), lit(1, true)}}};
   const auto oracle = truth_table_oracle(groups, 2);
-  const diag::Diagnosis d = diag::diagnose(groups.size(), oracle);
+  const Diagnosis d = diagnose(groups.size(), oracle, 4);
   EXPECT_FALSE(d.consistent());
   EXPECT_EQ(d.mus, (Subset{0, 1}));
   EXPECT_EQ(d.correction_sets,
@@ -141,9 +165,8 @@ TEST(Diagnose, CoreJumpsPruneInnocentGroups) {
   groups.push_back({{lit(0, false)}});
   const std::size_t num_groups = groups.size();
   const auto oracle = truth_table_oracle(std::move(groups), kMaxVars);
-  diag::Options options;
-  options.max_correction_sets = 0;  // measure the MUS extraction alone
-  const diag::Diagnosis d = diag::diagnose(num_groups, oracle, options);
+  // No correction sets: measure the MUS extraction alone.
+  const Diagnosis d = diagnose(num_groups, oracle, 0);
   EXPECT_EQ(d.mus, (Subset{8, 9}));
   // 1 universe query + at most 2 per MUS element; without core jumps the
   // deletion loop alone would need 10+ calls.
@@ -175,10 +198,7 @@ TEST(Diagnose, RandomGroupInstancesSatisfyTheMusAndMcsProperties) {
     }
 
     const auto oracle = truth_table_oracle(groups, num_vars);
-    diag::Options options;
-    options.max_correction_sets = 3;
-    const diag::Diagnosis d =
-        diag::diagnose(groups.size(), oracle, options);
+    const Diagnosis d = diagnose(groups.size(), oracle, 3);
     const Subset universe = universe_of(groups.size());
 
     if (d.consistent()) {

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -460,6 +461,62 @@ TEST(PipelineCancel, StageThreeProbesPollTheCancelPredicate) {
   EXPECT_THROW((void)core::Pipeline(options).run("reservation", spec),
                speccc::util::CancelledError);
   EXPECT_EQ(polls, n + 2);
+}
+
+// Stage 3 is one memo entry: a warm re-run of an inconsistent spec builds
+// no oracle and asks no realizability question -- neither a refinement
+// probe nor a screen question -- so the cancel predicate is polled only at
+// the stage boundaries, and the outcome is the cold run's.
+TEST(PipelineCache, WarmStageThreeAsksNoQuestion) {
+  std::ifstream in(SPECCC_EXAMPLES_DIR "/specs/faults/reservation.txt");
+  ASSERT_TRUE(in);
+  const auto spec = speccc::corpus::load_requirements(in);
+
+  for (const bool refine : {true, false}) {
+    SCOPED_TRACE(refine ? "refine on failure" : "screen only");
+    std::size_t polls = 0;
+    core::PipelineOptions options;
+    options.refine_on_failure = refine;
+    options.localization.max_correction_sets = 4;
+    options.cache = std::make_shared<speccc::cache::Store>();
+    options.cancelled = [&polls] {
+      ++polls;
+      return false;
+    };
+    const core::Pipeline pipeline(options);
+    const auto cold = pipeline.run("reservation", spec);
+    ASSERT_FALSE(cold.consistent);
+    ASSERT_EQ(cold.refinement.has_value(), refine);
+
+    polls = 0;
+    const auto before = options.cache->stats();
+    const auto warm = pipeline.run("reservation", spec);
+    const auto delta = options.cache->stats().since(before);
+
+    // Translation, synthesis and (when refining) refinement boundaries.
+    EXPECT_EQ(polls, refine ? 3u : 2u);
+    // The stage-2 verdict and the stage-3 entry, both hits.
+    EXPECT_EQ(delta.l2_hits, 2u);
+    EXPECT_EQ(delta.l2_misses, 0u);
+    EXPECT_EQ(delta.l1_misses, 0u);
+
+    EXPECT_EQ(warm.consistent, cold.consistent);
+    EXPECT_EQ(warm.unsatisfiable_requirements, cold.unsatisfiable_requirements);
+    ASSERT_EQ(warm.refinement.has_value(), cold.refinement.has_value());
+    if (!refine) continue;
+    const auto& got = *warm.refinement;
+    const auto& want = *cold.refinement;
+    EXPECT_FALSE(want.localization.correction_sets.empty());
+    EXPECT_EQ(got.consistent, want.consistent);
+    EXPECT_EQ(got.adjustment.has_value(), want.adjustment.has_value());
+    EXPECT_EQ(got.partition.inputs, want.partition.inputs);
+    EXPECT_EQ(got.partition.outputs, want.partition.outputs);
+    EXPECT_EQ(got.localization.core, want.localization.core);
+    EXPECT_EQ(got.localization.correction_sets,
+              want.localization.correction_sets);
+    EXPECT_EQ(got.localization.related, want.localization.related);
+    EXPECT_EQ(got.checks, want.checks);
+  }
 }
 
 TEST(PipelineCancel, SatisfiabilityScreenPollsTheCancelPredicate) {

@@ -262,14 +262,12 @@ TEST(ServeProtocol, RendersStatsWithCacheSection) {
   stats.submitted = 5;
   stats.completed = 4;
   stats.workers = 2;
-  cache::Store store({.shards = 4, .max_entries = 8,
-                      .eviction = cache::Eviction::kLru});
+  cache::Store store({.shards = 4, .max_entries = 8});
   const json::Value doc =
       json::parse(serve::render_stats("s1", stats, &store));
   EXPECT_EQ(doc.find("submitted")->as_number(), 5.0);
   EXPECT_EQ(doc.find("workers")->as_number(), 2.0);
   ASSERT_NE(doc.find("cache"), nullptr);
-  EXPECT_EQ(doc.find("cache")->find("eviction")->as_string(), "lru");
   // Without a store the section is absent.
   const json::Value bare = json::parse(serve::render_stats("s2", stats, nullptr));
   EXPECT_EQ(bare.find("cache"), nullptr);
@@ -482,8 +480,7 @@ TEST(ServeService, ShutdownDrainsQueuedWorkThenRejects) {
 TEST(ServeService, PerRequestCacheAccountingIsExact) {
   serve::ServiceOptions options;
   options.workers = 1;
-  auto store = std::make_shared<cache::Store>(
-      cache::StoreOptions{.eviction = cache::Eviction::kLru});
+  auto store = std::make_shared<cache::Store>();
   options.pipeline.cache = store;
   serve::Service service(options);
 

@@ -4,8 +4,8 @@
 // JSON request per line in, one JSON response per line out, responses in
 // completion order correlated by "id". The resident engine
 // (serve/service.hpp) keeps a pool of warm per-worker pipelines and one
-// shared memoization store (LRU by default -- a resident cache should
-// keep hot specifications, not cycle them out by age), admits work
+// shared memoization store (LRU -- a resident cache keeps hot
+// specifications instead of cycling them out by age), admits work
 // through a bounded priority queue with per-request deadlines, and
 // rejects with a retry hint when the queue is full. Verdict lines embed
 // the exact canonical rendering `speccc_batch --canonical` would print,
@@ -27,8 +27,6 @@
 //                         (default 0 = unlimited)
 //   --no-cache            run without the shared memoization store
 //   --cache-max N         store entry cap per artifact kind (default 65536)
-//   --eviction fifo|lru   store eviction policy (default lru; batch's FIFO
-//                         default is wrong for a resident process)
 //   --cache-snapshot IN,OUT   load the persistent store snapshot IN before
 //                         listening (warm start) and save the store to OUT
 //                         after the shutdown drain. Either side may be
@@ -78,7 +76,6 @@ int usage() {
       << "usage: speccc_serve [--port N] [--port-file FILE] [--workers N]\n"
          "                    [--queue-max N] [--default-deadline-ms N]\n"
          "                    [--no-cache] [--cache-max N]\n"
-         "                    [--eviction fifo|lru]\n"
          "                    [--cache-snapshot IN,OUT]\n"
          "                    [--strict-next]\n"
          "                    [--diagnose] [--max-correction-sets N]\n"
@@ -179,7 +176,6 @@ int main(int argc, char** argv) {
   bool use_cache = true;
   bool quiet = false;
   std::size_t cache_max = cache::StoreOptions{}.max_entries;
-  cache::Eviction eviction = cache::Eviction::kLru;
   std::string snapshot_in;
   std::string snapshot_out;
   bool use_snapshot = false;
@@ -236,14 +232,6 @@ int main(int argc, char** argv) {
       snapshot_in = spec.substr(0, comma);
       snapshot_out = spec.substr(comma + 1);
       use_snapshot = true;
-    } else if (arg == "--eviction") {
-      const std::string which = next_arg();
-      if (which == "fifo") eviction = cache::Eviction::kFifo;
-      else if (which == "lru") eviction = cache::Eviction::kLru;
-      else {
-        std::cerr << "unknown eviction policy: " << which << "\n";
-        return usage();
-      }
     } else if (arg == "--strict-next") {
       options.pipeline.translation.next_mode = translate::NextMode::kStrict;
     } else if (arg == "--diagnose") {
@@ -275,7 +263,6 @@ int main(int argc, char** argv) {
   if (use_cache) {
     cache::StoreOptions store_options;
     store_options.max_entries = cache_max;
-    store_options.eviction = eviction;
     store = std::make_shared<cache::Store>(store_options);
     options.pipeline.cache = store;
   }
@@ -328,8 +315,7 @@ int main(int argc, char** argv) {
     std::cerr << "speccc_serve: listening on 127.0.0.1:" << listener->port()
               << " (" << service.options().workers << " workers, queue "
               << service.options().queue_capacity << ", cache "
-              << (store ? cache::eviction_name(store->options().eviction)
-                        : "off")
+              << (store ? "on" : "off")
               << ")\n";
   }
 
